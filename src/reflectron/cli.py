@@ -9,7 +9,7 @@ from math import pi
 import numpy as np
 
 from . import __version__
-from .config import ConsistencyError
+from .config import ConsistencyError, DimensionBudgetError
 from .circuits import apply_circuit, build_rotation_circuit, export_circuit, gate_counts
 from .cyclic import dense_element, lmr_coeffs, optimal_angle, optimal_reflection_coeffs, r_theta_coeffs
 from .distances import (
@@ -439,6 +439,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (CliError, ValueError) as exc:
         print(f"error: validation: {exc}", file=sys.stderr)
+        return 1
+    except DimensionBudgetError as exc:
+        print(f"error: budget: {exc}", file=sys.stderr)
         return 1
     except ConsistencyError as exc:
         print(f"error: consistency: {exc}", file=sys.stderr)

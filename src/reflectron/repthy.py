@@ -1,7 +1,7 @@
 """Lower-bound machinery: SU(2) Clebsch-Gordan coefficients, the
-flat-spectrum probe systems, exact Haar twirling over the partially
-transposed permutation commutant, Holevo entropies, and the final
-program-dimension bounds.
+flat-spectrum probe systems, exact Haar twirling (in the total-spin basis
+for d = 2, over the partially transposed permutation commutant for
+d >= 3), Holevo entropies, and the final program-dimension bounds.
 
 Spin arguments are doubled half-integers (two_j, two_m) throughout.
 """
@@ -10,18 +10,28 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, log, log2, exp, e as _e
+from math import comb, factorial, isfinite, log, log2, exp, e as _e
 
 import numpy as np
 from scipy.optimize import minimize
 
-from .config import ensure_vector_budget
+from .config import ensure_operator_budget, ensure_vector_budget
 from .tensor_core import PureState, as_vector
 
 COMMUTANT_MAX_GROUP = 720  # (2n)! cap
 COMMUTANT_MAX_DIM = 2**10  # d^{2n} cap
 EIG_CUTOFF = 1e-12
 GRAM_RCOND = 1e-10
+
+
+def _check_d(d: int) -> None:
+    if d < 2:
+        raise ValueError(f"need d >= 2, got d = {d}")
+
+
+def _check_eps(epsilon: float) -> None:
+    if not (isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
 
 
 # ---------------------------------------------------------------------------
@@ -181,23 +191,43 @@ def magic_sum_check(two_j: int) -> float:
 # d = 2 conjecture linear system
 
 
+@lru_cache(maxsize=None)
+def _m0_cg_weights(two_j: int) -> np.ndarray:
+    """|sum_m <j m; j -m | J 0>|^2 / (2j+1) for J = 0..2j, read-only.
+
+    Column J of the eigenvectors of J^2 on the M = 0 sector of spin j x
+    spin j (basis |m, -m>, a symmetric tridiagonal matrix with diagonal
+    2j(j+1) - 2m^2 and off-diagonal j(j+1) - m(m+1)) is |J 0>, because eigh
+    returns the eigenvalues J(J+1) in ascending order. Only the square of
+    the component sum enters, so the phase of each column is irrelevant.
+    """
+    j = two_j / 2
+    m = np.arange(-two_j, two_j + 1, 2) / 2
+    casimir = np.diag(2 * j * (j + 1) - 2 * m * m)
+    off = j * (j + 1) - m[:-1] * (m[:-1] + 1)
+    casimir += np.diag(off, 1) + np.diag(off, -1)
+    _, vecs = np.linalg.eigh(casimir)
+    weights = vecs.sum(axis=0) ** 2 / (two_j + 1)
+    weights.setflags(write=False)
+    return weights
+
+
 def conjecture_system_d2(n: int):
     """Matrix and rhs of the flat-spectrum system, plus its index labels.
 
     Rows are J in {n mod 2, ..., n}, columns two_j in the same stride;
     A[J, j] = |sum_m C^{J0}_{jm,j-m}|^2 / (2j+1), b[J] = (2J+1)/binom(n+2,2).
+    Entries with J > 2j vanish by the triangle rule. Each column comes from
+    one eigendecomposition of the J^2 matrix on the M = 0 sector of
+    spin j x spin j (`_m0_cg_weights`), cached per two_j for every n.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     two_js = list(range(n % 2, n + 1, 2))
     Js = list(range(n % 2, n + 1, 2))
     A = np.zeros((len(Js), len(two_js)))
-    for r, J in enumerate(Js):
-        for c, tj in enumerate(two_js):
-            if tj < J:
-                continue
-            s = sum(cg_su2(tj, tm, tj, -tm, 2 * J, 0) for tm in range(-tj, tj + 1, 2))
-            A[r, c] = s * s / (tj + 1)
+    for c, tj in enumerate(two_js):
+        A[: c + 1, c] = _m0_cg_weights(tj)[n % 2 :: 2]
     b = np.array([(2 * J + 1) / comb(n + 2, 2) for J in Js])
     return A, b, two_js, Js
 
@@ -394,6 +424,55 @@ def spin_chain_blocks(n: int) -> dict:
     return blocks
 
 
+@lru_cache(maxsize=None)
+def _schur_basis_d2(n: int) -> dict:
+    """For each two_J, the rows (I x Y^{xn})|J, M, t> as a (2J+1, mult, 4^n) array.
+
+    For U in SU(2), Ubar = Y U Y, so the U^{xn} x Ubar^{xn} twirl is the
+    U^{x2n} twirl conjugated by I x Y^{xn}; these rows carry the spin basis
+    of `spin_chain_blocks(2n)` through that conjugation. Y enters as the
+    real matrix -iY, whose phase cancels in a conjugation.
+    """
+    half = 2**n
+    y_n = np.ones((1, 1))
+    for _ in range(n):
+        y_n = np.kron(y_n, [[0.0, -1.0], [1.0, 0.0]])
+    basis = {}
+    for two_J, chains in spin_chain_blocks(2 * n).items():
+        spin = np.stack(chains, axis=1)
+        basis[two_J] = (spin.reshape(-1, half, half) @ y_n.T).reshape(spin.shape)
+    return basis
+
+
+def _schur_twirl_d2(X, n: int) -> np.ndarray:
+    """Haar twirl of X under U^{xn} x Ubar^{xn} for d = 2, in the total-spin basis.
+
+    In each total-spin block the spin factor becomes I/(2J+1) times its
+    trace over M and the multiplicity factor is kept; blocks coupling
+    different J vanish. Equals twirl(X, commutant_basis(n, 2)) without
+    enumerating S_{2n}.
+    """
+    ensure_operator_budget(4**n, "d=2 Schur twirl")
+    X = np.asarray(X)
+    out = np.zeros(X.shape, dtype=np.result_type(X, float))
+    for E in _schur_basis_d2(n).values():
+        size, mult, dim = E.shape
+        F = E.reshape(-1, dim)
+        block = (F @ X @ F.T).reshape(size, mult, size, mult)
+        K = np.einsum("mtms->ts", block) / size
+        out += F.T @ (K @ E).reshape(-1, dim)
+    return out
+
+
+def _ensemble_twirl(n: int, d: int):
+    """The exact twirl for (n, d): total-spin basis for d = 2, commutant for d >= 3."""
+    _check_d(d)
+    if d == 2:
+        return lambda X: _schur_twirl_d2(X, n)
+    basis = commutant_basis(n, d)
+    return lambda X: twirl(X, basis)
+
+
 def _permutation_parity(pm) -> int:
     return 1 if (_cycle_count(pm) - len(pm)) % 2 == 0 else -1
 
@@ -507,8 +586,9 @@ def _reflection_signs(n: int, d: int) -> np.ndarray:
 def ensemble_state(n: int, d: int, probe) -> np.ndarray:
     """Haar average of the reflected probe, rho = twirl(R Phi R)."""
     vec = as_vector(probe)
+    twirl_nd = _ensemble_twirl(n, d)
     reflected = _reflection_signs(n, d) * vec
-    return twirl(np.outer(reflected, reflected.conj()), commutant_basis(n, d))
+    return twirl_nd(np.outer(reflected, reflected.conj()))
 
 
 def ensemble_entropy(n: int, d: int, probe) -> float:
@@ -574,10 +654,10 @@ def maximize_entropy_over_q(n: int, d: int, restarts: int = 20, seed: int = 0) -
     the trivial-sector weight sum_lam q_lam (chi_lam(R)/dim_lam)^2 pins the
     spectrum away from flat for every q.
     """
+    twirl_nd = _ensemble_twirl(n, d)
     blocks = block_basis(n, d)
     keys = sorted(blocks)
     basis_name = "spin-chain" if d == 2 else "young-symmetrizer"
-    cb = commutant_basis(n, d)
     signs = _reflection_signs(n, d)
     sides = {}
     for key in keys:
@@ -590,7 +670,7 @@ def maximize_entropy_over_q(n: int, d: int, restarts: int = 20, seed: int = 0) -
     twirled = {}
     for a in keys:
         for b in keys:
-            twirled[(a, b)] = twirl(np.outer(sides[a], sides[b]).astype(complex), cb)
+            twirled[(a, b)] = twirl_nd(np.outer(sides[a], sides[b]))
     support = sum(twirled[(a, a)] for a in keys)
     for a in keys:
         for b in keys:
@@ -683,6 +763,9 @@ def lambert_w0(x: float) -> float:
 
 def lower_bound_fd(epsilon: float, n: int, d: int) -> float:
     """f_d(eps, n), the Holevo-information lower bound before optimizing n."""
+    _check_d(d)
+    if not (isfinite(epsilon) and epsilon >= 0):
+        raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon}")
     if d == 2:
         return (
             log(comb(n + 2, 2))
@@ -698,8 +781,8 @@ def lower_bound_fd(epsilon: float, n: int, d: int) -> float:
 
 def n_of_eps(epsilon: float, d: int) -> float:
     """Copy count solving n ln n = 1/(2(d+1) sqrt(2 eps)), via W0."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    _check_eps(epsilon)
+    _check_d(d)
     return exp(lambert_w0(np.sqrt(1.0 / (8.0 * (d + 1) ** 2 * epsilon))))
 
 
@@ -709,6 +792,8 @@ def asymptotic_regime(epsilon: float, d: int) -> bool:
 
 def final_lower_bound(epsilon: float, d: int, delta: float = 0.0) -> float:
     """ln d_P >= (1-delta)(d-1) ln(1/(8 (d^2-1)^2 eps))."""
+    _check_eps(epsilon)
+    _check_d(d)
     return (1.0 - delta) * (d - 1) * log(1.0 / (8.0 * (d * d - 1) ** 2 * epsilon))
 
 

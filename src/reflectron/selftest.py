@@ -25,7 +25,16 @@ from .distances import (
     equal_angle_distance,
     trace_norm,
 )
-from .repthy import build_probe_d2, ensemble_entropy, lambert_w0, solve_q_d2
+from .repthy import (
+    _reflection_signs,
+    build_probe_d2,
+    commutant_basis,
+    ensemble_entropy,
+    ensemble_state,
+    lambert_w0,
+    solve_q_d2,
+    twirl,
+)
 from .tensor_core import (
     haar_random_state,
     haar_random_unitary,
@@ -96,8 +105,13 @@ def _checks():
 
     def lowerbound_d2():
         spec, residual = solve_q_d2(2)
-        entropy = ensemble_entropy(2, 2, build_probe_d2(2, spec))
-        return residual < 1e-8 and abs(entropy - np.log2(6)) < 1e-6
+        probe = build_probe_d2(2, spec)
+        entropy = ensemble_entropy(2, 2, probe)
+        # the total-spin twirl against the permutation-commutant oracle
+        reflected = _reflection_signs(2, 2) * probe.amplitudes
+        exact = twirl(np.outer(reflected, reflected.conj()), commutant_basis(2, 2))
+        twirl_err = np.abs(ensemble_state(2, 2, probe) - exact).max()
+        return residual < 1e-8 and abs(entropy - np.log2(6)) < 1e-6 and twirl_err < 1e-12
 
     def lambert_fixed_points():
         return abs(lambert_w0(np.e) - 1.0) < 1e-12 and abs(lambert_w0(0.0)) < 1e-12

@@ -108,6 +108,35 @@ def test_validation_error_exit_code(capsys):
     assert "validation" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lowerbound", "twirl", "--n", "1", "--d", "1"],
+        ["lowerbound", "fd", "--eps", "1e-5", "--d", "1"],
+        ["lowerbound", "fd", "--eps", "nan", "--d", "2"],
+    ],
+)
+def test_lowerbound_invalid_input_exit_code(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: validation:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["circuit", "verify", "--n", "15"],  # 2^16-dim dense cyclic element
+        ["lowerbound", "twirl", "--n", "6", "--d", "2"],  # 4096-dim twirl
+    ],
+)
+def test_budget_error_exit_code(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: budget:")
+    assert "Traceback" not in err
+
+
 def test_usage_error_exit_code(capsys):
     assert run(["distance"], capsys)[0] == 1  # missing --n
     assert run(["no-such-command"], capsys)[0] == 1

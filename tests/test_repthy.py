@@ -23,7 +23,9 @@ from reflectron import (
     twirl,
 )
 from reflectron.repthy import (
+    _reflection_signs,
     ensemble_rank,
+    ensemble_state,
     entropy_target,
     gt_patterns,
     lambert_sandwich_holds,
@@ -156,6 +158,37 @@ def test_system_structure_identities():
         assert abs(b.sum() - 1.0) < 1e-12
 
 
+def _exact_entry_d2(tj, J):
+    """|sum_m C^{J0}_{jm,j-m}|^2 / (2j+1) from exact-rational Clebsch-Gordan."""
+    s = sum(cg_su2(tj, tm, tj, -tm, 2 * J, 0) for tm in range(-tj, tj + 1, 2))
+    return s * s / (tj + 1)
+
+
+def _exact_system_d2(n):
+    """A of the flat-spectrum system, entry by entry."""
+    two_js = list(range(n % 2, n + 1, 2))
+    A = np.zeros((len(two_js), len(two_js)))
+    for r, J in enumerate(two_js):
+        for c, tj in enumerate(two_js):
+            if tj >= J:
+                A[r, c] = _exact_entry_d2(tj, J)
+    return A
+
+
+def test_system_matches_exact_cg_sums():
+    for n in range(1, 17):
+        A, _, _, _ = conjecture_system_d2(n)
+        assert np.abs(A - _exact_system_d2(n)).max() < 1e-13
+
+
+@pytest.mark.parametrize("tj", [61, 100])
+def test_system_column_matches_exact_cg_sums_at_large_spin(tj):
+    A, _, two_js, _ = conjecture_system_d2(tj)
+    assert two_js[-1] == tj
+    exact = [_exact_entry_d2(tj, J) for J in range(tj % 2, tj + 1, 2)]
+    assert np.abs(A[:, -1] - exact).max() < 1e-13
+
+
 def test_solve_q_small_and_medium():
     spec, residual = solve_q_d2(1)
     assert abs(spec.q[1] - 1.0) < 1e-12 and residual < 1e-12
@@ -165,6 +198,14 @@ def test_solve_q_small_and_medium():
         q = np.array([spec.q[tj] for tj in sorted(spec.q)])
         assert q.min() >= -1e-9 and q.max() <= 1 + 1e-9
         assert abs(q.sum() - 1.0) < 1e-9
+
+
+def test_solve_q_large_n():
+    spec, residual = solve_q_d2(200)
+    assert residual < 1e-12
+    q = np.array([spec.q[tj] for tj in sorted(spec.q)])
+    assert q.min() >= 0.0 and q.max() <= 1.0
+    assert abs(q.sum() - 1.0) < 1e-9
 
 
 # --- commutant basis and twirl ---------------------------------------------
@@ -325,11 +366,21 @@ def test_entropy_n1_maximally_entangled():
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
+def test_ensemble_state_d2_matches_commutant_twirl(n):
+    spec, _ = solve_q_d2(n)
+    probe = build_probe_d2(n, spec)
+    reflected = _reflection_signs(n, 2) * probe.amplitudes
+    exact = twirl(np.outer(reflected, reflected.conj()), commutant_basis(n, 2))
+    assert np.abs(ensemble_state(n, 2, probe) - exact).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_entropy_twirl_path_equals_formula_path(n):
+    # n = 4, 5 lie beyond the commutant's (2n)! <= 720 reach
     spec, _ = solve_q_d2(n)
     probe = build_probe_d2(n, spec)
     entropy = ensemble_entropy(n, 2, probe)
-    assert abs(entropy - np.log2(comb(n + 2, 2))) < 1e-6
+    assert abs(entropy - np.log2(comb(n + 2, 2))) < 1e-10
     rank = ensemble_rank(n, 2, probe)
     assert rank == comb(n + 2, 2)
     assert rank <= support_bound(n, 2)
