@@ -7,7 +7,7 @@ one-parameter reduction relies on.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import comb
 
 import numpy as np
@@ -70,10 +70,14 @@ class EffectiveChannel:
     a_xp: complex
     a_tr: complex
     a_trp: complex
+    _projector: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._projector = self.psi.projector()
 
     def apply(self, X) -> np.ndarray:
         X = as_matrix(X)
-        P = self.psi.projector()
+        P = self._projector
         return (
             self.a_x * X
             + self.a_px * (P @ X)

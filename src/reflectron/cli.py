@@ -29,8 +29,7 @@ from .optima import (
 from .repthy import (
     asymptotic_regime,
     build_probe_d2,
-    ensemble_entropy,
-    ensemble_rank,
+    ensemble_entropy_rank,
     entropy_target,
     final_lower_bound,
     lower_bound_fd,
@@ -202,7 +201,7 @@ def cmd_lb_twirl(args) -> int:
     if args.d == 2:
         spec, _ = solve_q_d2(args.n)
         probe = build_probe_d2(args.n, spec)
-        entropy = ensemble_entropy(args.n, 2, probe)
+        entropy, rank = ensemble_entropy_rank(args.n, 2, probe)
         target = entropy_target(args.n, 2)
         _emit_json(
             args,
@@ -212,7 +211,7 @@ def cmd_lb_twirl(args) -> int:
                 "entropy": entropy,
                 "target": target,
                 "gap": target - entropy,
-                "rank": ensemble_rank(args.n, 2, probe),
+                "rank": rank,
                 "rank_bound": support_bound(args.n, 2),
             },
         )

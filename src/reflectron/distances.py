@@ -6,11 +6,14 @@ on C^{d^2}, and a grid guards the analytic critical point.
 """
 
 from dataclasses import dataclass
+from math import isqrt
 
 import numpy as np
 
 from .config import ConsistencyError, NonChannelElementError
 from .channels import (
+    MeasureReflectChannel,
+    choi,
     effective_channel,
     make_rotation_channel,
     orthonormal_frame,
@@ -22,15 +25,13 @@ CLOSED_FORM_TOL = 1e-9
 GRID_TOL = 1e-8
 
 _DEFAULT_PSI_SEED = 2024
+# probes per reference-extended contraction; bounds memory at O(d^4 * chunk)
+_PROBE_CHUNK = 256
 
 
 def trace_norm(X) -> float:
     """Sum of singular values."""
     return float(np.sum(np.linalg.svd(as_matrix(X), compute_uv=False)))
-
-
-def _herm_trace_norm(X) -> float:
-    return float(np.sum(np.abs(np.linalg.eigvalsh(X))))
 
 
 @dataclass
@@ -46,27 +47,61 @@ class PhiP:
             raise ValueError("p must lie in [0, 1]")
 
     def vector(self) -> np.ndarray:
-        v = self.psi.amplitudes
-        d = self.d
-        frame = orthonormal_frame(v)
-        out = np.zeros(d * d, dtype=complex)
-        out[:d] = np.sqrt(self.p) * v
-        for i in range(1, d):
-            out[i * d : (i + 1) * d] = np.sqrt((1.0 - self.p) / (d - 1)) * frame[:, i - 1]
-        return out
+        return _phi_p_builder(self.psi)([self.p])[0]
 
 
-def apply_reference_extended(channel, d: int, rho: np.ndarray) -> np.ndarray:
-    """(I_R x channel)(rho) for a reference register of dimension d."""
-    out = np.zeros_like(rho)
-    for i in range(d):
-        for j in range(d):
-            blk = rho[i * d : (i + 1) * d, j * d : (j + 1) * d]
-            out[i * d : (i + 1) * d, j * d : (j + 1) * d] = as_matrix(channel(blk))
+def _phi_p_builder(psi: PureState):
+    """ps -> the phi_p probes on C^{d^2}, one row per p, all sharing one frame."""
+    v = psi.amplitudes
+    d = v.size
+    frame = orthonormal_frame(v).T
+
+    def rows(ps) -> np.ndarray:
+        ps = np.asarray(ps, dtype=float)
+        out = np.zeros((ps.size, d, d), dtype=complex)
+        out[:, 0] = np.sqrt(ps)[:, None] * v
+        out[:, 1:] = np.sqrt((1.0 - ps) / (d - 1))[:, None, None] * frame
+        return out.reshape(ps.size, d * d)
+
+    return rows
+
+
+def _choi_difference(channel_a, channel_b, d: int) -> np.ndarray:
+    """K[(a, b), (c, e)] = (A - B)(|a><b|)[c, e], from 2 d^2 channel calls.
+
+    This is the Choi matrix with its two middle indices swapped, so that
+    applying the map to a stack of operators is one matrix product.
+    """
+    J = choi(lambda X: as_matrix(channel_a(X)) - as_matrix(channel_b(X)), d).entries
+    return J.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+
+
+def _reference_extended(K: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """(I_R x E)(rho) for a stack of d^2 x d^2 matrices, E given by K.
+
+    out[i c, j e] = sum_{a, b} rho[i a, j b] K[(a, b), (c, e)].
+    """
+    d = isqrt(K.shape[0])
+    lead = rho.shape[:-2]
+    pairs = rho.reshape(lead + (d,) * 4).swapaxes(-3, -2).reshape(-1, d * d)
+    out = (pairs @ K).reshape(lead + (d,) * 4).swapaxes(-3, -2)
+    return out.reshape(rho.shape)
+
+
+def _probe_distances(K: np.ndarray, probes: np.ndarray) -> np.ndarray:
+    """Trace norms of (I_R x E)(|v><v|) for each row v, in fixed-size chunks."""
+    out = np.empty(len(probes))
+    for start in range(0, len(probes), _PROBE_CHUNK):
+        v = probes[start : start + _PROBE_CHUNK]
+        rho = v[:, :, None] * v[:, None, :].conj()
+        eig = np.linalg.eigvalsh(_reference_extended(K, rho))
+        out[start : start + len(v)] = np.sum(np.abs(eig), axis=1)
     return out
 
 
 def _element_invariants(e: CyclicElement, alpha: float):
+    if not np.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
     if not is_channel_element(e):
         raise NonChannelElementError(
             "distance formulas require a trace-preserving cyclic element"
@@ -85,12 +120,8 @@ def _closed_distance_at_p(c0sq: float, gap: float, p) -> np.ndarray:
 def _dense_distance_at_p(e: CyclicElement, alpha: float, p: float, psi: PureState) -> float:
     chan = effective_channel(e, psi)
     rot = make_rotation_channel(psi, alpha)
-    probe = PhiP(p, psi, psi.dim).vector()
-    rho = np.outer(probe, probe.conj())
-    diff = apply_reference_extended(rot, psi.dim, rho) - apply_reference_extended(
-        chan, psi.dim, rho
-    )
-    return _herm_trace_norm(diff)
+    K = _choi_difference(rot, chan, psi.dim)
+    return float(_probe_distances(K, PhiP(p, psi, psi.dim).vector()[None])[0])
 
 
 def _default_psi(d: int) -> PureState:
@@ -222,18 +253,14 @@ def dense_diamond_covariant(channel_a, channel_b, psi, num_grid: int = 201) -> t
     closed forms (the measure-and-reflect baseline).
     """
     psi = _coerce_state(psi)
-    d = psi.dim
+    K = _choi_difference(channel_a, channel_b, psi.dim)
+    phi_p = _phi_p_builder(psi)
 
     def at_p(p):
-        probe = PhiP(float(p), psi, d).vector()
-        rho = np.outer(probe, probe.conj())
-        diff = apply_reference_extended(channel_a, d, rho) - apply_reference_extended(
-            channel_b, d, rho
-        )
-        return _herm_trace_norm(diff)
+        return float(_probe_distances(K, phi_p([p]))[0])
 
     grid = np.linspace(0.0, 1.0, num_grid)
-    vals = [at_p(p) for p in grid]
+    vals = _probe_distances(K, phi_p(grid))
     k = int(np.argmax(vals))
     lo = grid[max(k - 1, 0)]
     hi = grid[min(k + 1, num_grid - 1)]
@@ -243,8 +270,6 @@ def dense_diamond_covariant(channel_a, channel_b, psi, num_grid: int = 201) -> t
 
 def mr_diamond_distance(psi, n: int) -> tuple:
     """Diamond distance of measure-and-reflect from the exact reflection."""
-    from .channels import MeasureReflectChannel, make_rotation_channel
-
     psi = _coerce_state(psi)
     chan = MeasureReflectChannel(psi, n)
     rot = make_rotation_channel(psi, np.pi)
@@ -257,13 +282,9 @@ def sampled_diamond_lower_bound(channel_a, channel_b, d: int, trials: int, seed=
     A lower bound on the diamond distance, nondecreasing in ``trials``.
     """
     rng = np.random.default_rng(seed)
-    best = 0.0
-    for _ in range(trials):
+    probes = np.empty((trials, d * d), dtype=complex)
+    for t in range(trials):
         v = rng.normal(size=d * d) + 1j * rng.normal(size=d * d)
-        v /= np.linalg.norm(v)
-        rho = np.outer(v, v.conj())
-        diff = apply_reference_extended(channel_a, d, rho) - apply_reference_extended(
-            channel_b, d, rho
-        )
-        best = max(best, _herm_trace_norm(diff))
-    return best
+        probes[t] = v / np.linalg.norm(v)
+    K = _choi_difference(channel_a, channel_b, d)
+    return float(np.max(_probe_distances(K, probes), initial=0.0))

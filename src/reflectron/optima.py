@@ -130,6 +130,8 @@ def domain_classify(e: CyclicElement, alpha: float) -> Domain:
 
 def lmr_equal_angle_distance(n: int, alpha: float, theta: float | None = None) -> float:
     """Distance of the sequential channel with all angles equal."""
+    if n < 1:
+        raise ValueError("need n >= 1")
     theta = alpha / n if theta is None else theta
     return closed_form_rotation_distance(lmr_coeffs(np.full(n, theta)), alpha)
 

@@ -591,16 +591,23 @@ def ensemble_state(n: int, d: int, probe) -> np.ndarray:
     return twirl_nd(np.outer(reflected, reflected.conj()))
 
 
-def ensemble_entropy(n: int, d: int, probe) -> float:
-    rho = ensemble_state(n, d, probe)
-    eig = np.linalg.eigvalsh(rho)
+def _entropy_bits(eig: np.ndarray) -> float:
     eig = eig[eig > EIG_CUTOFF]
     return float(-np.sum(eig * np.log2(eig)))
 
 
+def ensemble_entropy_rank(n: int, d: int, probe) -> tuple:
+    """Entropy in bits and rank of the ensemble state, from one spectrum."""
+    eig = np.linalg.eigvalsh(ensemble_state(n, d, probe))
+    return _entropy_bits(eig), int(np.sum(eig > EIG_CUTOFF))
+
+
+def ensemble_entropy(n: int, d: int, probe) -> float:
+    return ensemble_entropy_rank(n, d, probe)[0]
+
+
 def ensemble_rank(n: int, d: int, probe) -> int:
-    rho = ensemble_state(n, d, probe)
-    return int(np.sum(np.linalg.eigvalsh(rho) > EIG_CUTOFF))
+    return ensemble_entropy_rank(n, d, probe)[1]
 
 
 def entropy_target(n: int, d: int) -> float:
@@ -685,9 +692,7 @@ def maximize_entropy_over_q(n: int, d: int, restarts: int = 20, seed: int = 0) -
             for i in range(len(keys))
             for j in range(len(keys))
         )
-        eig = np.linalg.eigvalsh(rho)
-        eig = eig[eig > EIG_CUTOFF]
-        return float(-np.sum(eig * np.log2(eig)))
+        return _entropy_bits(np.linalg.eigvalsh(rho))
 
     def negent(x):
         expd = np.exp(x - x.max())

@@ -8,7 +8,6 @@ receives the contents of slot ``s``.
 
 from dataclasses import dataclass, field
 from math import comb
-from itertools import permutations as _all_permutations
 
 import numpy as np
 
@@ -191,38 +190,24 @@ def sym_dim(n: int, d: int) -> int:
     return comb(n + d - 1, d - 1)
 
 
-def _sorted_multi_indices(n, d):
-    out = []
-
-    def rec(prefix, lo):
-        if len(prefix) == n:
-            out.append(tuple(prefix))
-            return
-        for i in range(lo, d):
-            rec(prefix + [i], i)
-
-    rec([], 0)
-    return out
-
-
 def symmetric_encoder(n: int, d: int) -> Isometry:
     """Isometry from sorted multi-index kets to symmetrized basis vectors.
 
     Column order is lexicographic in the sorted multi-index; each column is
-    the equal-weight superposition of the distinct arrangements.
+    the equal-weight superposition of the distinct arrangements. A ket joins
+    the column of its sorted digits (its digit histogram), and the ket count
+    per column is the exact multinomial n! / prod_i c_i!.
     """
     dim = d**n
     ensure_vector_budget(dim * sym_dim(n, d), "symmetric encoder")
-    cols = []
     weights = d ** np.arange(n - 1, -1, -1)
-    for multi in _sorted_multi_indices(n, d):
-        arrangements = sorted(set(_all_permutations(multi)))
-        col = np.zeros(dim, dtype=complex)
-        amp = 1.0 / np.sqrt(len(arrangements))
-        for arr in arrangements:
-            col[int(np.dot(arr, weights))] = amp
-        cols.append(col)
-    return Isometry(np.stack(cols, axis=1))
+    digits = (np.arange(dim)[:, None] // weights) % d
+    # sorted digits read as a base-d number order the columns lexicographically
+    _, column = np.unique(np.sort(digits, axis=1) @ weights, return_inverse=True)
+    arrangements = np.bincount(column)
+    entries = np.zeros((dim, arrangements.size), dtype=complex)
+    entries[np.arange(dim), column] = 1.0 / np.sqrt(arrangements)[column]
+    return Isometry(entries)
 
 
 def symmetric_projector(n: int, d: int) -> DenseOperator:

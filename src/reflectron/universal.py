@@ -91,6 +91,8 @@ def budget(d: int, epsilon: float, alphas) -> BudgetReport:
     the quantum program cost is the symmetric-subspace term, which is the
     part that scales as (d-1)^2 log(1/eps).
     """
+    if d < 2:
+        raise ValueError("need d >= 2")
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     alphas = [float(a) for a in alphas]

@@ -156,3 +156,31 @@ def test_selftest_subcommand(capsys):
     code, out, _ = run(["selftest"], capsys)
     assert code == 0
     assert "[PASS]" in out and "[FAIL]" not in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lmr", "--n", "0", "--alpha", "1"],
+        ["universal", "verify", "--d", "1", "--eps", "0.2"],
+        ["universal", "budget", "--d", "1", "--eps", "0.1"],
+        ["distance", "--n", "2", "--alpha", "nan"],
+    ],
+)
+def test_invalid_size_and_angle_exit_code(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: validation:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_lowerbound_twirl_d2_matches_separate_entropy_and_rank(n, capsys):
+    from reflectron.repthy import build_probe_d2, ensemble_entropy, ensemble_rank, solve_q_d2
+
+    code, out, _ = run(["lowerbound", "twirl", "--n", str(n), "--d", "2"], capsys)
+    payload = json.loads(out)
+    probe = build_probe_d2(n, solve_q_d2(n)[0])
+    assert code == 0
+    assert payload["entropy"] == ensemble_entropy(n, 2, probe)
+    assert payload["rank"] == ensemble_rank(n, 2, probe)

@@ -277,3 +277,159 @@ def test_mr_diamond_distance_values():
     value, _ = mr_diamond_distance(psi3, 5)
     bound = 8 * 6 * 2 / (9 * 8)
     assert value >= bound - 1e-9
+
+
+# -- reference-extended evaluation through the Choi tensor --------------------
+
+
+def _apply_blockwise(channel, d, rho):
+    """(I_R x channel)(rho), one channel call per d x d block."""
+    out = np.zeros_like(rho)
+    for i in range(d):
+        for j in range(d):
+            blk = rho[i * d : (i + 1) * d, j * d : (j + 1) * d]
+            out[i * d : (i + 1) * d, j * d : (j + 1) * d] = np.asarray(channel(blk))
+    return out
+
+
+def _loop_trace_distance(channel_a, channel_b, d, v):
+    rho = np.outer(v, v.conj())
+    diff = _apply_blockwise(channel_a, d, rho) - _apply_blockwise(channel_b, d, rho)
+    return float(np.sum(np.abs(np.linalg.eigvalsh(diff))))
+
+
+def _phi_p_reference(psi, p):
+    from reflectron.channels import orthonormal_frame
+
+    v = psi.amplitudes
+    d = v.size
+    frame = orthonormal_frame(v)
+    blocks = [np.sqrt(p) * v] + [np.sqrt((1 - p) / (d - 1)) * frame[:, i] for i in range(d - 1)]
+    return np.concatenate(blocks)
+
+
+def _scalar_dense_diamond(channel_a, channel_b, psi, num_grid=201):
+    from reflectron.distances import _golden_max
+
+    d = psi.dim
+    at_p = lambda p: _loop_trace_distance(channel_a, channel_b, d, _phi_p_reference(psi, p))
+    grid = np.linspace(0.0, 1.0, num_grid)
+    k = int(np.argmax([at_p(p) for p in grid]))
+    p_best, value = _golden_max(at_p, grid[max(k - 1, 0)], grid[min(k + 1, num_grid - 1)])
+    return value, p_best
+
+
+def _channels(d, seed):
+    from reflectron.channels import MeasureReflectChannel
+    from reflectron.universal import assemble_universal_channel
+    from reflectron import haar_random_unitary
+
+    psi = haar_random_state(d, seed)
+    _, composed = assemble_universal_channel(haar_random_unitary(d, seed), 0.2)
+    return {
+        "rotation": make_rotation_channel(psi, 1.3),
+        "effective": effective_channel(r_theta_coeffs(3, 2.1), psi),
+        "measure-reflect": MeasureReflectChannel(psi, 5),
+        "universal": composed,
+    }
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_choi_contraction_equals_blockwise(d):
+    from reflectron.distances import _choi_difference, _reference_extended
+
+    rng = np.random.default_rng(d)
+    general = rng.normal(size=(3, d * d, d * d)) + 1j * rng.normal(size=(3, d * d, d * d))
+    v = rng.normal(size=d * d) + 1j * rng.normal(size=d * d)
+    rhos = np.concatenate([general, np.outer(v, v.conj())[None]])  # non-Hermitian, then pure
+    zero = lambda X: np.zeros_like(X)
+    chans = _channels(d, seed=d + 10)
+    for name, chan in chans.items():
+        K = _choi_difference(chan, zero, d)
+        for rho in rhos:
+            want = _apply_blockwise(chan, d, rho)
+            assert np.abs(_reference_extended(K, rho) - want).max() < 1e-13, name
+        stacked = [_apply_blockwise(chan, d, rho) for rho in rhos]
+        assert np.abs(_reference_extended(K, rhos) - stacked).max() < 1e-13
+    rot, eff = chans["rotation"], chans["effective"]
+    K = _choi_difference(rot, eff, d)
+    want = _apply_blockwise(rot, d, rhos[0]) - _apply_blockwise(eff, d, rhos[0])
+    assert np.abs(_reference_extended(K, rhos[0]) - want).max() < 1e-13
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_batched_phi_p_grid_equals_scalar_loop(d):
+    from reflectron.distances import _choi_difference, _phi_p_builder, _probe_distances
+
+    chans = _channels(d, seed=d)
+    psi = haar_random_state(d, d)
+    grid = np.linspace(0.0, 1.0, 201)
+    probes = _phi_p_builder(psi)(grid)
+    assert np.abs(probes - [_phi_p_reference(psi, p) for p in grid]).max() < 1e-15
+    for a, b in (("rotation", "effective"), ("rotation", "measure-reflect")):
+        got = _probe_distances(_choi_difference(chans[a], chans[b], d), probes)
+        want = [_loop_trace_distance(chans[a], chans[b], d, v) for v in probes]
+        assert np.abs(got - want).max() < 1e-13
+
+
+def _sampled_loop(channel_a, channel_b, d, trials, seed):
+    rng = np.random.default_rng(seed)
+    best = 0.0
+    for _ in range(trials):
+        v = rng.normal(size=d * d) + 1j * rng.normal(size=d * d)
+        v /= np.linalg.norm(v)
+        best = max(best, _loop_trace_distance(channel_a, channel_b, d, v))
+    return best
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_sampled_bound_equals_loop_reference(d):
+    from reflectron.universal import make_rotation_channel_product, assemble_universal_channel
+    from reflectron import haar_random_unitary
+
+    U = haar_random_unitary(d, 3)
+    _, composed = assemble_universal_channel(U, 0.2)
+    target = make_rotation_channel_product(U)
+    for trials, seed in ((20, 1003), (50, 7)):
+        got = sampled_diamond_lower_bound(target, composed, d, trials, seed)
+        assert abs(got - _sampled_loop(target, composed, d, trials, seed)) < 1e-13
+    assert sampled_diamond_lower_bound(target, composed, d, 0, 1) == 0.0
+
+
+def test_probe_chunks_cover_every_probe(monkeypatch):
+    import reflectron.distances as D
+
+    chans = _channels(3, seed=1)
+    a, b = chans["rotation"], chans["measure-reflect"]
+    trials = 2 * D._PROBE_CHUNK + 5
+    got = sampled_diamond_lower_bound(a, b, 3, trials, seed=2)
+    assert abs(got - _sampled_loop(a, b, 3, trials, seed=2)) < 1e-13
+    K = D._choi_difference(a, b, 3)
+    probes = D._phi_p_builder(haar_random_state(3, 1))(np.linspace(0.0, 1.0, 201))
+    whole = D._probe_distances(K, probes)
+    monkeypatch.setattr(D, "_PROBE_CHUNK", 16)
+    assert np.abs(D._probe_distances(K, probes) - whole).max() < 1e-13
+
+
+@pytest.mark.parametrize("n", [1, 4, 64, 512])
+def test_mr_distance_is_flat_in_p_at_d2(n):
+    from reflectron.channels import MeasureReflectChannel
+    from reflectron.distances import _choi_difference, _phi_p_builder, _probe_distances
+
+    psi = haar_random_state(2, n)
+    K = _choi_difference(make_rotation_channel(psi, pi), MeasureReflectChannel(psi, n), 2)
+    vals = _probe_distances(K, _phi_p_builder(psi)(np.linspace(0.0, 1.0, 201)))
+    assert np.abs(vals - 8 * (n + 1) / ((n + 2) * (n + 3))).max() < 1e-12
+
+
+@pytest.mark.parametrize("n, seed", [(2, 0), (6, 3), (64, 11)])
+def test_mr_d3_matches_scalar_path(n, seed):
+    from reflectron.channels import MeasureReflectChannel
+
+    psi = haar_random_state(3, seed)
+    value, p_best = mr_diamond_distance(psi, n)
+    ref_value, ref_p = _scalar_dense_diamond(
+        make_rotation_channel(psi, pi), MeasureReflectChannel(psi, n), psi
+    )
+    assert abs(value - ref_value) < 1e-12
+    assert abs(p_best - ref_p) < 1e-6

@@ -162,6 +162,24 @@ def test_symmetric_encoder_isometry_and_range():
         assert np.abs(enc @ enc.conj().T - P).max() < 1e-11
 
 
+def _encoder_by_enumeration(n, d):
+    # one column per sorted multi-index, over its distinct arrangements
+    weights = d ** np.arange(n - 1, -1, -1)
+    cols = []
+    for multi in itertools.combinations_with_replacement(range(d), n):
+        arrangements = sorted(set(itertools.permutations(multi)))
+        col = np.zeros(d**n, dtype=complex)
+        for arr in arrangements:
+            col[int(np.dot(arr, weights))] = 1.0 / np.sqrt(len(arrangements))
+        cols.append(col)
+    return np.stack(cols, axis=1)
+
+
+@pytest.mark.parametrize("n, d", [(8, 2), (4, 3), (3, 4), (6, 3), (1, 5)])
+def test_symmetric_encoder_equals_enumeration(n, d):
+    assert np.array_equal(symmetric_encoder(n, d).entries, _encoder_by_enumeration(n, d))
+
+
 def test_symmetric_encoder_power_state_in_range():
     psi = haar_random_state(2, 9)
     vec = psi.tensor_power(3).amplitudes
