@@ -20,6 +20,7 @@ from .tensor_core import (
 )
 from .cyclic import (
     CyclicElement,
+    apply_element,
     dense_element,
     f_opt,
     fourier,

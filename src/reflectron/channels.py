@@ -13,7 +13,7 @@ from math import comb
 import numpy as np
 
 from .config import NonChannelElementError, ensure_vector_budget
-from .cyclic import CyclicElement, is_channel_element
+from .cyclic import CyclicElement, apply_element, is_channel_element
 from .tensor_core import DenseOperator, PureState, as_matrix, as_vector
 
 
@@ -124,39 +124,26 @@ def effective_channel(e: CyclicElement, psi) -> EffectiveChannel:
     )
 
 
-def _cyclic_axes(k: int, power: int) -> list:
-    # row axes for transpose: output slot t carries input slot (t - power) mod k
-    return [(t - power) % k for t in range(k)]
-
-
 def dense_reflection_channel(e: CyclicElement, psi, X) -> DenseOperator:
     """tr_P[ V (X x psi^{xn}) V^dag ] simulated on the full Hilbert space.
 
     V is applied as a sum of axis permutations of tensors, never materialized
-    as a d^{n+1} square matrix, so the budget constrains only the vector
-    dimension d^{n+1}.
+    as a d^{n+1} square matrix; the largest dense objects are the d^{n+1} x d
+    isometry W and its products with X, so the budget constrains d^{n+2}.
     """
     _require_channel_element(e)
     v = as_vector(psi)
     d = v.size
     n = e.n
-    ensure_vector_budget(d ** (n + 1), "reflection channel simulation")
+    ensure_vector_budget(d ** (n + 2), "reflection channel simulation")
     prog = v
     for _ in range(n - 1):
         prog = np.kron(prog, v)
-    # W[:, a] = sum_l c_l C^l (|a> x psi^{xn}), a d^{n+1} x d isometry
-    W = np.zeros((d ** (n + 1), d), dtype=complex)
-    shape = (d,) * (n + 1)
+    # row a of the inputs is |a> x psi^{xn}; W[:, a] = sum_l c_l C^l of it
+    inputs = np.zeros((d, d ** (n + 1)), dtype=complex)
     for a in range(d):
-        base = np.zeros((d ** (n + 1),), dtype=complex)
-        base[a * d**n : (a + 1) * d**n] = prog
-        tensor = base.reshape(shape)
-        acc = np.zeros(shape, dtype=complex)
-        for l, c in enumerate(e.coeffs):
-            if c == 0:
-                continue
-            acc += c * np.transpose(tensor, axes=_cyclic_axes(n + 1, l))
-        W[:, a] = acc.reshape(-1)
+        inputs[a, a * d**n : (a + 1) * d**n] = prog
+    W = apply_element(e, d, inputs).T
     WX = (W @ as_matrix(X)).reshape(d, d**n * d)
     Wr = W.reshape(d, d**n * d)
     out = WX @ Wr.conj().T

@@ -189,8 +189,6 @@ def circuit_to_dense(circ, total_qubits: int | None = None) -> np.ndarray:
         if not isinstance(circ, RotationCircuit):
             raise ValueError("total_qubits required for a bare gate list")
         total_qubits = circ.total_qubits
-    if total_qubits > 20:
-        raise ValueError("dense conversion capped at 20 qubits")
     dim = 2**total_qubits
     ensure_operator_budget(dim, "dense circuit unitary")
     mat = np.eye(dim, dtype=complex)

@@ -1,5 +1,6 @@
 """Command-line front end. Emits versioned JSON or CSV; identical argument
-vectors (including seed) produce byte-identical output."""
+vectors (including seed) produce byte-identical output on the same machine
+and BLAS thread count."""
 
 import argparse
 import json
@@ -9,9 +10,9 @@ from math import pi
 import numpy as np
 
 from . import __version__
-from .config import ConsistencyError, DimensionBudgetError
+from .config import ConsistencyError, DimensionBudgetError, ensure_vector_budget
 from .circuits import apply_circuit, build_rotation_circuit, export_circuit, gate_counts
-from .cyclic import dense_element, lmr_coeffs, optimal_angle, optimal_reflection_coeffs, r_theta_coeffs
+from .cyclic import apply_element, lmr_coeffs, optimal_angle, optimal_reflection_coeffs, r_theta_coeffs
 from .distances import (
     closed_form_rotation_distance,
     diamond_covariant,
@@ -306,6 +307,7 @@ def cmd_c_verify(args) -> int:
     circ = build_rotation_circuit(args.n, theta)
     counts = gate_counts(circ)
     expected = 2 * args.n * circ.ancilla
+    ensure_vector_budget(2**circ.total_qubits, "circuit state")
     rng = np.random.default_rng(args.seed)
     phi = rng.normal(size=2) + 1j * rng.normal(size=2)
     phi /= np.linalg.norm(phi)
@@ -317,7 +319,7 @@ def cmd_c_verify(args) -> int:
     state = np.zeros(2**circ.total_qubits, dtype=complex)
     state[: inp.size] = inp  # ancilla starts in |0...0>
     out = apply_circuit(circ, state)
-    ref = dense_element(r_theta_coeffs(args.n, theta), 2).entries @ inp
+    ref = apply_element(r_theta_coeffs(args.n, theta), 2, inp)
     err = float(np.abs(out[: inp.size] - ref).max())
     leak = float(np.linalg.norm(out[inp.size :]))
     _emit_json(

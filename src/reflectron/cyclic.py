@@ -10,8 +10,8 @@ from math import acos
 
 import numpy as np
 
-from .config import ensure_operator_budget
-from .tensor_core import DenseOperator, cyclic_perm_tuple, permutation_operator
+from .config import ensure_operator_budget, ensure_vector_budget
+from .tensor_core import DenseOperator
 
 UNITARY_TOL = 1e-10
 
@@ -110,13 +110,27 @@ def lmr_coeffs(thetas) -> CyclicElement:
     return CyclicElement(n, c)
 
 
-def dense_element(e: CyclicElement, d: int) -> DenseOperator:
-    """Materialize sum_l c_l C^l on (C^d)^{x(n+1)}."""
+def apply_element(e: CyclicElement, d: int, vecs) -> np.ndarray:
+    """sum_l c_l C^l applied to a vector on (C^d)^{x(n+1)}, or to each row of
+    an m x d^{n+1} stack, by axis transposes; the operator is never built."""
+    vecs = np.asarray(vecs, dtype=complex)
+    ensure_vector_budget(vecs.size, "cyclic element action")
     k = e.n + 1
-    ensure_operator_budget(d**k, "dense cyclic element")
-    acc = np.zeros((d**k, d**k), dtype=complex)
+    lead = vecs.ndim - 1
+    tensor = vecs.reshape(vecs.shape[:-1] + (d,) * k)
+    out = np.zeros(tensor.shape, dtype=complex)
     for l, c in enumerate(e.coeffs):
         if c == 0:
             continue
-        acc += c * permutation_operator(cyclic_perm_tuple(k, l), d).entries
-    return DenseOperator(acc, d, k)
+        # output slot t carries input slot (t - l) mod k
+        axes = list(range(lead)) + [lead + (t - l) % k for t in range(k)]
+        out += c * np.transpose(tensor, axes)
+    return out.reshape(vecs.shape)
+
+
+def dense_element(e: CyclicElement, d: int) -> DenseOperator:
+    """Materialize sum_l c_l C^l on (C^d)^{x(n+1)}; row x of the action on
+    the identity is the image of basis ket x."""
+    k = e.n + 1
+    ensure_operator_budget(d**k, "dense cyclic element")
+    return DenseOperator(apply_element(e, d, np.eye(d**k, dtype=complex)).T, d, k)

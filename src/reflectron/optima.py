@@ -7,7 +7,7 @@ from enum import Enum
 import numpy as np
 
 from .cyclic import CyclicElement, lmr_coeffs, r_theta_coeffs
-from .distances import closed_form_rotation_distance
+from .distances import _golden_max, closed_form_rotation_distance
 
 DOMAIN_TOL = 1e-10
 
@@ -25,13 +25,23 @@ class Domain(Enum):
     BOUNDARY = "Boundary"
 
 
+def _landscape_invariants(n: int, r, u):
+    """(|c_0|^2, reflection-target gap) at the landscape point (r, u).
+
+    No asarray here: boundary_curve bisects with plain floats, and 0-d
+    array arithmetic made it 1.8x slower.
+    """
+    c0sq = (1.0 + 2.0 * n * r * np.cos(u) + (n * r) ** 2) / (n + 1) ** 2
+    gap = np.sqrt((n + 2 + n * r * np.cos(u)) ** 2 + (n * r * np.sin(u)) ** 2) / (n + 1)
+    return c0sq, gap
+
+
 def landscape_value(n: int, r, u):
     """Reflection-target diamond distance at ct_0 = e^{i eta}, mean tail
     phase r e^{i gamma}, u = eta - gamma. Vectorized over r and u."""
     r = np.asarray(r, dtype=float)
     u = np.asarray(u, dtype=float)
-    c0sq = (1.0 + 2.0 * n * r * np.cos(u) + (n * r) ** 2) / (n + 1) ** 2
-    gap = np.sqrt((n + 2 + n * r * np.cos(u)) ** 2 + (n * r * np.sin(u)) ** 2) / (n + 1)
+    c0sq, gap = _landscape_invariants(n, r, u)
     A = 1.0 - c0sq
     value_b = 2.0 * gap**2 / (2.0 * gap + c0sq - 1.0)
     return np.where(gap > A, value_b, 2.0 * A)
@@ -64,8 +74,7 @@ def boundary_curve(n: int, num: int = 257) -> np.ndarray:
     """Domain A/B boundary points (r, u), bisected along r for each u."""
 
     def margin(r, u):
-        c0sq = (1.0 + 2.0 * n * r * np.cos(u) + (n * r) ** 2) / (n + 1) ** 2
-        gap = np.sqrt((n + 2 + n * r * np.cos(u)) ** 2 + (n * r * np.sin(u)) ** 2) / (n + 1)
+        c0sq, gap = _landscape_invariants(n, r, u)
         return (1.0 - c0sq) - gap
 
     pts = []
@@ -83,36 +92,19 @@ def boundary_curve(n: int, num: int = 257) -> np.ndarray:
     return np.array(pts, dtype=float)
 
 
-def _golden_min(f, a, b, tol):
-    gr = (np.sqrt(5.0) - 1.0) / 2.0
-    c = b - gr * (b - a)
-    d = a + gr * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - gr * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + gr * (b - a)
-            fd = f(d)
-    mid = 0.5 * (a + b)
-    return mid, f(mid)
-
-
 def theta_star(n: int, alpha: float, tolerance: float = 1e-10) -> float:
     """argmin over theta in [0, pi] of the rotation distance.
 
     Golden section with three bracketing restarts; the objective is unimodal
     per bracket on every inspected landscape but no global proof exists, so
-    the brackets guard against a missed basin.
+    the brackets guard against a missed basin. The search maximizes the
+    negated distance; negation flips every comparison, ties included.
     """
-    objective = lambda th: closed_form_rotation_distance(r_theta_coeffs(n, th), alpha)
+    objective = lambda th: -closed_form_rotation_distance(r_theta_coeffs(n, th), alpha)
     best = None
     for a, b in ((0.0, np.pi / 3), (np.pi / 3, 2 * np.pi / 3), (2 * np.pi / 3, np.pi)):
-        x, v = _golden_min(objective, a, b, tolerance)
-        if best is None or v < best[1]:
+        x, v = _golden_max(objective, a, b, tolerance)
+        if best is None or v > best[1]:
             best = (x, v)
     return float(best[0])
 

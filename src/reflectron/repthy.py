@@ -16,7 +16,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .config import ensure_operator_budget, ensure_vector_budget
-from .tensor_core import PureState, as_vector
+from .tensor_core import PureState, as_vector, permutation_operator
 
 COMMUTANT_MAX_GROUP = 720  # (2n)! cap
 COMMUTANT_MAX_DIM = 2**10  # d^{2n} cap
@@ -477,14 +477,6 @@ def _permutation_parity(pm) -> int:
     return 1 if (_cycle_count(pm) - len(pm)) % 2 == 0 else -1
 
 
-def _perm_vec_indices(pm, d, digits):
-    k = len(pm)
-    rows = np.zeros(digits[0].size, dtype=np.int64)
-    for s in range(k):
-        rows += digits[s] * d ** (k - 1 - pm[s])
-    return rows
-
-
 @lru_cache(maxsize=None)
 def young_symmetrizer_block(shape: tuple, d: int) -> np.ndarray:
     """Real orthonormal basis of the first-tableau Young symmetrizer image.
@@ -504,8 +496,6 @@ def young_symmetrizer_block(shape: tuple, d: int) -> np.ndarray:
     for c in range(shape[0]):
         col = [tableau[r][c] for r in range(len(shape)) if len(tableau[r]) > c]
         cols.append(col)
-    idx = np.arange(dim)
-    digits = [(idx // d ** (n - 1 - s)) % d for s in range(n)]
 
     def set_perms(sets):
         base = list(range(n))
@@ -518,10 +508,10 @@ def young_symmetrizer_block(shape: tuple, d: int) -> np.ndarray:
 
     row_sym = np.zeros((dim, dim))
     for pm in set_perms(tableau):
-        row_sym[_perm_vec_indices(pm, d, digits), idx] += 1.0
+        row_sym += permutation_operator(pm, d).entries.real
     col_anti = np.zeros((dim, dim))
     for pm in set_perms(cols):
-        col_anti[_perm_vec_indices(pm, d, digits), idx] += _permutation_parity(pm)
+        col_anti += _permutation_parity(pm) * permutation_operator(pm, d).entries.real
     symmetrizer = col_anti @ row_sym
     u, svals, _ = np.linalg.svd(symmetrizer)
     rank = int(np.sum(svals > 1e-9 * svals[0]))

@@ -118,17 +118,6 @@ def as_vector(psi) -> np.ndarray:
     return np.asarray(psi, dtype=complex).reshape(-1)
 
 
-def permute_vector(perm, d: int, vec: np.ndarray) -> np.ndarray:
-    """Apply the permutation operator to a vector without materializing it.
-
-    Output slot t carries input slot perm^{-1}(t), so the transpose axes are
-    the inverse permutation.
-    """
-    k = len(perm)
-    inv = np.argsort(np.asarray(perm))
-    return np.transpose(vec.reshape((d,) * k), axes=inv).reshape(-1)
-
-
 def permutation_operator(perm, d: int) -> DenseOperator:
     """0/1 matrix sending |i_0 ... i_{k-1}> to the permuted basis ket."""
     perm = tuple(perm)

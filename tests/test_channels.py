@@ -5,6 +5,7 @@ import pytest
 
 from reflectron import (
     CyclicElement,
+    DimensionBudgetError,
     MeasureReflectChannel,
     NonChannelElementError,
     choi,
@@ -20,6 +21,7 @@ from reflectron import (
     rotation_channel,
 )
 from reflectron.channels import orthonormal_frame
+from reflectron.tensor_core import as_matrix, as_vector
 
 
 def random_matrix(d, rng):
@@ -124,6 +126,58 @@ def test_effective_matches_dense_large_boundary():
     dense = dense_reflection_channel(element, psi, X).entries
     closed = effective_channel(element, psi)(X)
     assert np.abs(dense - closed).max() < 1e-10
+
+
+def dense_reflection_channel_reference(e, psi, X):
+    """The simulation with W built one column at a time, one transpose per term."""
+    v = as_vector(psi)
+    d = v.size
+    n = e.n
+    prog = v
+    for _ in range(n - 1):
+        prog = np.kron(prog, v)
+    W = np.zeros((d ** (n + 1), d), dtype=complex)
+    shape = (d,) * (n + 1)
+    for a in range(d):
+        base = np.zeros((d ** (n + 1),), dtype=complex)
+        base[a * d**n : (a + 1) * d**n] = prog
+        tensor = base.reshape(shape)
+        acc = np.zeros(shape, dtype=complex)
+        for l, c in enumerate(e.coeffs):
+            if c == 0:
+                continue
+            acc += c * np.transpose(tensor, axes=[(t - l) % (n + 1) for t in range(n + 1)])
+        W[:, a] = acc.reshape(-1)
+    WX = (W @ as_matrix(X)).reshape(d, d**n * d)
+    Wr = W.reshape(d, d**n * d)
+    return WX @ Wr.conj().T
+
+
+@pytest.mark.parametrize("d,ns", [(2, (1, 2, 3, 5, 8)), (3, (1, 2, 3, 5))])
+def test_dense_channel_equals_column_loop(d, ns):
+    rng = np.random.default_rng(31 + d)
+    for n in ns:
+        psi = haar_random_state(d, rng)
+        X = random_matrix(d, rng)
+        for element in (
+            r_theta_coeffs(n, rng.uniform(0, 2 * pi)),
+            lmr_coeffs(rng.uniform(0, pi, size=n)),
+            CyclicElement.identity(n),
+        ):
+            out = dense_reflection_channel(element, psi, X).entries
+            assert np.array_equal(out, dense_reflection_channel_reference(element, psi, X))
+
+
+@pytest.mark.parametrize("d,budget,n_max", [(2, 2**10, 8), (3, 3**6, 4)])
+def test_dense_channel_budget_counts_isometry(monkeypatch, d, budget, n_max):
+    # W has d^{n+2} entries, so d^{n+2} <= budget bounds n
+    monkeypatch.setenv("REFLECTRON_BUDGET", str(budget))
+    rng = np.random.default_rng(d)
+    psi = haar_random_state(d, rng)
+    X = random_matrix(d, rng)
+    assert dense_reflection_channel(r_theta_coeffs(n_max, 0.9), psi, X).entries.shape == (d, d)
+    with pytest.raises(DimensionBudgetError):
+        dense_reflection_channel(r_theta_coeffs(n_max + 1, 0.9), psi, X)
 
 
 def test_effective_identity_and_swap_cases():

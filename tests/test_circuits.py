@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from reflectron import (
+    DimensionBudgetError,
     Gate,
     build_rotation_circuit,
     circuit_to_dense,
@@ -60,7 +61,7 @@ def test_circuit_to_dense_trivials():
 
 
 def test_circuit_to_dense_budget():
-    with pytest.raises(ValueError):
+    with pytest.raises(DimensionBudgetError):
         circuit_to_dense([], 21)
 
 

@@ -126,7 +126,7 @@ def test_lowerbound_invalid_input_exit_code(argv, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["circuit", "verify", "--n", "15"],  # 2^16-dim dense cyclic element
+        ["circuit", "verify", "--n", "31"],  # 2^37-amplitude circuit state
         ["lowerbound", "twirl", "--n", "6", "--d", "2"],  # 4096-dim twirl
     ],
 )
@@ -135,6 +135,13 @@ def test_budget_error_exit_code(argv, capsys):
     assert code == 1 and out == ""
     assert err.startswith("error: budget:")
     assert "Traceback" not in err
+
+
+def test_circuit_verify_without_dense_operator(capsys):
+    # 2^20 amplitudes fit the default budget; a dense 2^16 x 2^16 reference would not
+    code, out, _ = run(["circuit", "verify", "--n", "15"], capsys)
+    assert code == 0
+    assert json.loads(out)["passed"] is True
 
 
 def test_usage_error_exit_code(capsys):

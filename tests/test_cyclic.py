@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from reflectron import (
     CyclicElement,
+    DimensionBudgetError,
+    apply_element,
     dense_element,
     f_opt,
     fourier,
@@ -16,8 +18,10 @@ from reflectron import (
     lmr_coeffs,
     optimal_angle,
     optimal_reflection_coeffs,
+    permutation_operator,
     r_theta_coeffs,
 )
+from reflectron.tensor_core import cyclic_perm_tuple
 
 
 def test_fourier_identity_element():
@@ -180,3 +184,44 @@ def test_json_roundtrip():
 def test_coefficient_length_validation():
     with pytest.raises(ValueError):
         CyclicElement(2, [1.0, 0.0])
+
+
+def dense_element_reference(e, d):
+    """sum_l c_l C^l as a sum of dense permutation matrices."""
+    k = e.n + 1
+    acc = np.zeros((d**k, d**k), dtype=complex)
+    for l, c in enumerate(e.coeffs):
+        if c == 0:
+            continue
+        acc += c * permutation_operator(cyclic_perm_tuple(k, l), d).entries
+    return acc
+
+
+@pytest.mark.parametrize("n,d", [(1, 2), (3, 2), (7, 2), (1, 3), (3, 3), (2, 4)])
+def test_dense_element_equals_permutation_operator_sum(n, d):
+    rng = np.random.default_rng(n * 10 + d)
+    coeffs = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+    coeffs[-1] = 0.0
+    for e in (CyclicElement(n, coeffs), r_theta_coeffs(n, 1.234), CyclicElement.identity(n)):
+        assert np.array_equal(dense_element(e, d).entries, dense_element_reference(e, d))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_apply_element_matches_dense_product(n, d):
+    rng = np.random.default_rng(100 * d + n)
+    e = CyclicElement(n, rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1))
+    dim = d ** (n + 1)
+    V = dense_element(e, d).entries
+    vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    stack = rng.normal(size=(3, dim)) + 1j * rng.normal(size=(3, dim))
+    assert np.abs(apply_element(e, d, vec) - V @ vec).max() < 1e-13
+    assert np.abs(apply_element(e, d, stack) - stack @ V.T).max() < 1e-13
+
+
+def test_apply_element_budget(monkeypatch):
+    monkeypatch.setenv("REFLECTRON_BUDGET", "64")
+    e = r_theta_coeffs(5, 0.4)
+    assert apply_element(e, 2, np.ones(64)).shape == (64,)
+    with pytest.raises(DimensionBudgetError):
+        apply_element(e, 2, np.ones((2, 64)))

@@ -6,6 +6,7 @@ import pytest
 from reflectron import (
     Domain,
     boundary_curve,
+    closed_form_rotation_distance,
     critical_u,
     domain_classify,
     landscape,
@@ -100,6 +101,41 @@ def test_theta_star_crossing_bracket_n4():
         assert theta_star(4, float(alpha)) < alpha
     lo, hi = 1.0, 1.2
     assert (theta_star(4, lo) - lo) > 0 and (theta_star(4, hi) - hi) < 0
+
+
+def golden_min_reference(f, a, b, tol):
+    gr = (np.sqrt(5.0) - 1.0) / 2.0
+    c = b - gr * (b - a)
+    d = a + gr * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > tol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - gr * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + gr * (b - a)
+            fd = f(d)
+    mid = 0.5 * (a + b)
+    return mid, f(mid)
+
+
+def theta_star_reference(n, alpha, tolerance=1e-10):
+    """theta* by golden-section minimization, three brackets."""
+    objective = lambda th: closed_form_rotation_distance(r_theta_coeffs(n, th), alpha)
+    best = None
+    for a, b in ((0.0, pi / 3), (pi / 3, 2 * pi / 3), (2 * pi / 3, pi)):
+        x, v = golden_min_reference(objective, a, b, tolerance)
+        if best is None or v < best[1]:
+            best = (x, v)
+    return float(best[0])
+
+
+@pytest.mark.parametrize("n", [2, 4, 8, 16])
+def test_theta_star_equals_golden_min(n):
+    for alpha in np.linspace(0.0, pi, 9):
+        assert theta_star(n, float(alpha)) == theta_star_reference(n, float(alpha))
 
 
 def test_domain_classification():

@@ -1,3 +1,4 @@
+import itertools
 from math import comb, e as euler_e, log
 
 import numpy as np
@@ -23,6 +24,7 @@ from reflectron import (
     twirl,
 )
 from reflectron.repthy import (
+    _permutation_parity,
     _reflection_signs,
     ensemble_rank,
     ensemble_state,
@@ -392,6 +394,49 @@ def test_young_blocks_d3():
     assert young_symmetrizer_block((2, 1), 3).shape == (27, 8)
     B = young_symmetrizer_block((2, 1), 3)
     assert np.abs(B.T @ B - np.eye(8)).max() < 1e-10
+
+
+def young_block_reference(shape, d):
+    """First-tableau Young block with each slot permutation read off a base-d digit map."""
+    n = sum(shape)
+    dim = d**n
+    tableau, x = [], 0
+    for r in shape:
+        tableau.append(list(range(x, x + r)))
+        x += r
+    cols = [[row[c] for row in tableau if len(row) > c] for c in range(shape[0])]
+    idx = np.arange(dim)
+    digits = [(idx // d ** (n - 1 - s)) % d for s in range(n)]
+
+    def perm_rows(pm):
+        return sum(digits[s] * d ** (n - 1 - pm[s]) for s in range(n))
+
+    def set_perms(sets):
+        for prods in itertools.product(*[itertools.permutations(s) for s in sets]):
+            pm = list(range(n))
+            for group, perm in zip(sets, prods):
+                for a, b in zip(group, perm):
+                    pm[a] = b
+            yield tuple(pm)
+
+    row_sym = np.zeros((dim, dim))
+    for pm in set_perms(tableau):
+        row_sym[perm_rows(pm), idx] += 1.0
+    col_anti = np.zeros((dim, dim))
+    for pm in set_perms(cols):
+        col_anti[perm_rows(pm), idx] += _permutation_parity(pm)
+    u, svals, _ = np.linalg.svd(col_anti @ row_sym)
+    return u[:, : int(np.sum(svals > 1e-9 * svals[0]))]
+
+
+def test_young_blocks_equal_digit_map_construction():
+    # every partition with d^n <= 81
+    for d in range(2, 10):
+        n = 1
+        while d**n <= 81:
+            for lam in partitions(n, d):
+                assert np.array_equal(young_symmetrizer_block(lam, d), young_block_reference(lam, d))
+            n += 1
 
 
 def test_maximize_entropy_d2_recovers_solved_weights():
