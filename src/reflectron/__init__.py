@@ -1,6 +1,6 @@
 """Numerical workbench for programmable reflections and rotations about an
 unknown pure state: closed-form diamond distances, optimization landscapes,
-gate-level circuits, commutant twirls, and program-dimension bounds."""
+gate-level circuits, Schur-basis twirls, and program-dimension bounds."""
 
 __version__ = "0.1.0"
 
@@ -71,13 +71,11 @@ from .optima import (
     theta_star,
 )
 from .repthy import (
-    CommutantBasis,
     GTPattern,
     ProbeSpec,
     SpinLabel,
     build_probe_d2,
     cg_su2,
-    commutant_basis,
     conjecture_system_d2,
     ensemble_entropy,
     final_lower_bound,

@@ -5,6 +5,7 @@ and BLAS thread count."""
 import argparse
 import json
 import sys
+from functools import lru_cache
 from math import pi
 
 import numpy as np
@@ -342,7 +343,9 @@ def cmd_selftest(args) -> int:
     return 0 if failures == 0 else 2
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process; parsing leaves it unchanged."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--out", type=str, default=None)

@@ -1,13 +1,13 @@
 """Lower-bound machinery: SU(2) Clebsch-Gordan coefficients, the
-flat-spectrum probe systems, exact Haar twirling (in the total-spin basis
-for d = 2, over the partially transposed permutation commutant for
-d >= 3), Holevo entropies, and the final program-dimension bounds.
+flat-spectrum probe systems, exact Haar twirling and ensemble spectra in
+one highest-weight Schur basis of U^{xn} x Ubar^{xn} for every d, Holevo
+entropies, and the final program-dimension bounds.
 
 Spin arguments are doubled half-integers (two_j, two_m) throughout.
 """
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, isfinite, log, log2, exp, e as _e
@@ -18,10 +18,7 @@ from scipy.optimize import minimize
 from .config import ensure_operator_budget, ensure_vector_budget
 from .tensor_core import PureState, as_vector, permutation_operator
 
-COMMUTANT_MAX_GROUP = 720  # (2n)! cap
-COMMUTANT_MAX_DIM = 2**10  # d^{2n} cap
 EIG_CUTOFF = 1e-12
-GRAM_RCOND = 1e-10
 
 
 def _check_d(d: int) -> None:
@@ -270,7 +267,111 @@ def solve_q_d2(n: int):
 
 
 # ---------------------------------------------------------------------------
-# commutant of U^{xn} x Ubar^{xn} and the exact Haar twirl
+# highest-weight Schur basis of U^{xk} x Ubar^{xl} and the exact Haar twirl
+
+
+def _ladder(vecs, i: int, k: int, l: int, d: int, lower: bool) -> np.ndarray:
+    """E_{i,i+1}, or E_{i+1,i} when lower, on each row of an m x d^{k+l} stack.
+
+    The first k slots carry U and act by E: raising maps |i+1> to |i>. The
+    last l slots carry Ubar and act by -E^T: raising maps |i> to -|i+1>.
+    Both actions are real, so lowering is the transpose of raising.
+    """
+    tensor = vecs.reshape((vecs.shape[0],) + (d,) * (k + l))
+    out = np.zeros_like(tensor)
+    for s in range(k + l):
+        src = np.moveaxis(tensor, s + 1, 1)
+        dst = np.moveaxis(out, s + 1, 1)
+        to, frm = (i, i + 1) if (s < k) != lower else (i + 1, i)
+        if s < k:
+            dst[:, to] += src[:, frm]
+        else:
+            dst[:, to] -= src[:, frm]
+    return out.reshape(vecs.shape)
+
+
+@lru_cache(maxsize=None)
+def _schur_basis(k: int, l: int, d: int) -> dict:
+    """Real orthonormal highest-weight basis of U^{xk} x Ubar^{xl}, read-only.
+
+    Returns {lam: E} with E of shape (d_lam, m_lam, d^{k+l}); lam is a
+    dominant weight summing to k - l (entries may be negative) and E[:, t]
+    spans copy t of that irrep. The highest-weight vectors are the common
+    kernel of the raising operators on the weight-lam kets. Copy 0 is
+    lowered word by word and orthonormalised (two Gram-Schmidt passes per
+    weight space); every copy takes copy 0's coefficients, so all copies
+    carry the same matrices of the group action. No operator is built.
+    """
+    dim = d ** (k + l)
+    ensure_operator_budget(dim, "Schur basis")
+    digits = (np.arange(dim)[:, None] // d ** np.arange(k + l - 1, -1, -1)) % d
+    onehot = digits[:, :, None] == np.arange(d)
+    weights = onehot[:, :k].sum(axis=1) - onehot[:, k:].sum(axis=1)
+    dominant = np.all(np.diff(weights, axis=1) <= 0, axis=1)
+    basis = {}
+    for lam in np.unique(weights[dominant], axis=0)[::-1]:
+        sel = np.flatnonzero(np.all(weights == lam, axis=1))
+        kets = np.zeros((sel.size, dim))
+        kets[np.arange(sel.size), sel] = 1.0
+        raised = np.concatenate([_ladder(kets, i, k, l, d, False) for i in range(d - 1)], axis=1)
+        raised = raised[:, np.any(raised != 0, axis=0)]
+        _, svals, vt = np.linalg.svd(raised.T, full_matrices=True)
+        rank = int(np.sum(svals > 1e-10))
+        if rank == sel.size:
+            continue
+        vecs = [vt[rank:] @ kets]
+        labels = [tuple(int(x) for x in lam)]
+        by_weight = {labels[0]: [0]}
+        pos = 0
+        while pos < len(vecs):
+            for i in range(d - 1):
+                w = _ladder(vecs[pos], i, k, l, d, True)
+                wt = list(labels[pos])
+                wt[i] -= 1
+                wt[i + 1] += 1
+                same = by_weight.setdefault(tuple(wt), [])
+                for _ in range(2):
+                    for j in same:
+                        w = w - (vecs[j][0] @ w[0]) * vecs[j]
+                norm = np.linalg.norm(w[0])
+                if norm > 1e-10:
+                    same.append(len(vecs))
+                    vecs.append(w / norm)
+                    labels.append(tuple(wt))
+            pos += 1
+        E = np.stack(vecs)
+        expected = weyl_dim(tuple(int(x) + l for x in lam), d)
+        if E.shape[0] != expected:
+            raise RuntimeError(f"Schur block {labels[0]} has {E.shape[0]} rows, Weyl dimension {expected}")
+        E.setflags(write=False)
+        basis[labels[0]] = E
+    total = sum(E.shape[0] * E.shape[1] for E in basis.values())
+    if total != dim:
+        raise RuntimeError(f"Schur blocks span {total} of {dim} dimensions")
+    return basis
+
+
+def twirl(X, n: int, d: int) -> np.ndarray:
+    """Haar average of (U^{xn} x Ubar^{xn}) X (.)^dag, exactly, over the Schur blocks.
+
+    In each irrep block the group factor becomes I/d_lam times its trace
+    and the multiplicity factor is kept; blocks coupling different irreps
+    vanish.
+    """
+    _check_d(d)
+    X = np.asarray(X)
+    out = np.zeros(X.shape, dtype=np.result_type(X, float))
+    for E in _schur_basis(n, n, d).values():
+        size, mult, dim = E.shape
+        F = E.reshape(-1, dim)
+        block = (F @ X @ F.T).reshape(size, mult, size, mult)
+        K = np.einsum("mtms->ts", block) / size
+        out += F.T @ (K @ E).reshape(-1, dim)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# block bases: highest-weight chains for d = 2, Young symmetrizers for d >= 3
 
 
 def _cycle_count(perm) -> int:
@@ -284,193 +385,6 @@ def _cycle_count(perm) -> int:
                 seen[j] = True
                 j = perm[j]
     return count
-
-
-@dataclass
-class CommutantBasis:
-    """Partially transposed permutation operators spanning the commutant.
-
-    Each operator is stored as its nonzero coordinate pairs (one per column
-    of the underlying permutation matrix); the Gram matrix of Hilbert-Schmidt
-    inner products comes from the cycle-count identity
-    tr(eta_pi^dag eta_sigma) = d^{cycles(pi^{-1} sigma)}.
-    """
-
-    n: int
-    d: int
-    perms: list
-    pairs: list
-    gram: np.ndarray
-    gram_pinv: np.ndarray = field(repr=False, default=None)
-
-    def op_dense(self, k: int) -> np.ndarray:
-        dim = self.d ** (2 * self.n)
-        out = np.zeros((dim, dim), dtype=complex)
-        rows, cols = self.pairs[k]
-        out[rows, cols] = 1.0
-        return out
-
-
-@lru_cache(maxsize=None)
-def commutant_basis(n: int, d: int) -> CommutantBasis:
-    k2 = 2 * n
-    if factorial(k2) > COMMUTANT_MAX_GROUP or d**k2 > COMMUTANT_MAX_DIM:
-        raise ValueError(
-            f"commutant basis budget: need (2n)! <= {COMMUTANT_MAX_GROUP} and "
-            f"d^(2n) <= {COMMUTANT_MAX_DIM}"
-        )
-    perms = list(itertools.permutations(range(k2)))
-    dim = d**k2
-    idx = np.arange(dim)
-    digits = [(idx // d ** (k2 - 1 - s)) % d for s in range(k2)]
-    # eta[(a,e),(c,b)] = P[(a,b),(c,e)] for column x = (c,e) and row y = pi(x) = (a,b):
-    # the partial transpose swaps the row/column roles of the last n slots
-    pairs = []
-    for pm in perms:
-        ydig = [None] * k2
-        for s in range(k2):
-            ydig[pm[s]] = digits[s]
-        rows = np.zeros(dim, dtype=np.int64)
-        cols = np.zeros(dim, dtype=np.int64)
-        for s in range(k2):
-            w = d ** (k2 - 1 - s)
-            if s < n:
-                rows += ydig[s] * w
-                cols += digits[s] * w
-            else:
-                rows += digits[s] * w
-                cols += ydig[s] * w
-        pairs.append((rows, cols))
-    m = len(perms)
-    gram = np.zeros((m, m))
-    index = {pm: i for i, pm in enumerate(perms)}
-    cycles = np.array([_cycle_count(pm) for pm in perms])
-    arr = np.array(perms)
-    for i, pm in enumerate(perms):
-        inv = np.argsort(np.asarray(pm))
-        comp_ids = [index[tuple(row[inv])] for row in arr]
-        gram[i, :] = np.power(float(d), cycles[comp_ids])
-    pinv = np.linalg.pinv(gram, rcond=GRAM_RCOND)
-    return CommutantBasis(n=n, d=d, perms=perms, pairs=pairs, gram=gram, gram_pinv=pinv)
-
-
-def twirl(X, basis: CommutantBasis) -> np.ndarray:
-    """Orthogonal projection of X onto the span of the eta operators.
-
-    Coincides with the Haar average of (U^{xn} x Ubar^{xn}) X (.)^dag; the
-    rank-deficient Gram matrix (d < 2n) is inverted by SVD pseudo-inverse.
-    """
-    X = np.asarray(X, dtype=complex)
-    overlaps = np.array([X[rows, cols].sum() for rows, cols in basis.pairs])
-    coeffs = basis.gram_pinv @ overlaps
-    out = np.zeros_like(X)
-    for cf, (rows, cols) in zip(coeffs, basis.pairs):
-        np.add.at(out, (rows, cols), cf)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# block bases: spin chains for d = 2, Young symmetrizers for d >= 3
-
-
-def _spin_ops(n: int):
-    dim = 2**n
-    Jp = np.zeros((dim, dim))
-    for i in range(n):
-        # sigma^+ on qubit i: |0><1| with bit value 1 meaning m = -1/2
-        stride = 2 ** (n - 1 - i)
-        for x in range(dim):
-            if (x // stride) % 2 == 1:
-                Jp[x - stride, x] += 1.0
-    return Jp
-
-
-@lru_cache(maxsize=None)
-def spin_chain_blocks(n: int) -> dict:
-    """For each two_j, the list of lowering chains of the spin blocks.
-
-    Chain t is a (2j+1, 2^n) real array whose rows are |j, m, t> for
-    m = j..-j, built by orthonormalizing the highest-weight space of ker J+
-    and lowering with nonnegative matrix elements. Chains are U(2)-invariant
-    subspaces, so pairing chain t with itself realizes the maximally
-    entangled block states.
-    """
-    dim = 2**n
-    Jp = _spin_ops(n)
-    Jm = Jp.T
-    popcount = np.array([bin(x).count("1") for x in range(dim)])
-    blocks = {}
-    for two_j in range(n % 2, n + 1, 2):
-        ones = (n - two_j) // 2  # S_z eigenvalue j has (n - 2j)/2 down spins
-        sel = np.where(popcount == ones)[0]
-        basis = np.zeros((dim, sel.size))
-        basis[sel, np.arange(sel.size)] = 1.0
-        raised = Jp @ basis
-        _, svals, vt = np.linalg.svd(raised, full_matrices=True)
-        rank = int(np.sum(svals > 1e-10))
-        null = vt[rank:].T
-        highest = basis @ null
-        chains = []
-        for t in range(highest.shape[1]):
-            v = highest[:, t]
-            v = v / np.linalg.norm(v)
-            chain = [v]
-            for _ in range(two_j):
-                v = Jm @ v
-                v = v / np.linalg.norm(v)
-                chain.append(v)
-            chains.append(np.stack(chain))
-        blocks[two_j] = chains
-    return blocks
-
-
-@lru_cache(maxsize=None)
-def _schur_basis_d2(n: int) -> dict:
-    """For each two_J, the rows (I x Y^{xn})|J, M, t> as a (2J+1, mult, 4^n) array.
-
-    For U in SU(2), Ubar = Y U Y, so the U^{xn} x Ubar^{xn} twirl is the
-    U^{x2n} twirl conjugated by I x Y^{xn}; these rows carry the spin basis
-    of `spin_chain_blocks(2n)` through that conjugation. Y enters as the
-    real matrix -iY, whose phase cancels in a conjugation.
-    """
-    half = 2**n
-    y_n = np.ones((1, 1))
-    for _ in range(n):
-        y_n = np.kron(y_n, [[0.0, -1.0], [1.0, 0.0]])
-    basis = {}
-    for two_J, chains in spin_chain_blocks(2 * n).items():
-        spin = np.stack(chains, axis=1)
-        basis[two_J] = (spin.reshape(-1, half, half) @ y_n.T).reshape(spin.shape)
-    return basis
-
-
-def _schur_twirl_d2(X, n: int) -> np.ndarray:
-    """Haar twirl of X under U^{xn} x Ubar^{xn} for d = 2, in the total-spin basis.
-
-    In each total-spin block the spin factor becomes I/(2J+1) times its
-    trace over M and the multiplicity factor is kept; blocks coupling
-    different J vanish. Equals twirl(X, commutant_basis(n, 2)) without
-    enumerating S_{2n}.
-    """
-    ensure_operator_budget(4**n, "d=2 Schur twirl")
-    X = np.asarray(X)
-    out = np.zeros(X.shape, dtype=np.result_type(X, float))
-    for E in _schur_basis_d2(n).values():
-        size, mult, dim = E.shape
-        F = E.reshape(-1, dim)
-        block = (F @ X @ F.T).reshape(size, mult, size, mult)
-        K = np.einsum("mtms->ts", block) / size
-        out += F.T @ (K @ E).reshape(-1, dim)
-    return out
-
-
-def _ensemble_twirl(n: int, d: int):
-    """The exact twirl for (n, d): total-spin basis for d = 2, commutant for d >= 3."""
-    _check_d(d)
-    if d == 2:
-        return lambda X: _schur_twirl_d2(X, n)
-    basis = commutant_basis(n, d)
-    return lambda X: twirl(X, basis)
 
 
 def _permutation_parity(pm) -> int:
@@ -523,9 +437,13 @@ def young_symmetrizer_block(shape: tuple, d: int) -> np.ndarray:
 
 
 def block_basis(n: int, d: int) -> dict:
-    """First multiplicity copy of each irrep block, as real orthonormal columns."""
+    """First multiplicity copy of each irrep block, as real orthonormal columns.
+
+    For d = 2 the block of spin two_j = lam_0 - lam_1 is copy 0 of the
+    highest-weight basis of U^{xn}, its columns |j, m> for m = j..-j.
+    """
     if d == 2:
-        return {two_j: chains[0].T for two_j, chains in spin_chain_blocks(n).items()}
+        return {lam[0] - lam[1]: E[:, 0].T for lam, E in _schur_basis(n, 0, 2).items()}
     return {lam: young_symmetrizer_block(lam, d) for lam in partitions(n, d)}
 
 
@@ -575,10 +493,42 @@ def _reflection_signs(n: int, d: int) -> np.ndarray:
 
 def ensemble_state(n: int, d: int, probe) -> np.ndarray:
     """Haar average of the reflected probe, rho = twirl(R Phi R)."""
-    vec = as_vector(probe)
-    twirl_nd = _ensemble_twirl(n, d)
-    reflected = _reflection_signs(n, d) * vec
-    return twirl_nd(np.outer(reflected, reflected.conj()))
+    reflected = _reflection_signs(n, d) * as_vector(probe)
+    return twirl(np.outer(reflected, reflected.conj()), n, d)
+
+
+def _block_grams(n: int, d: int, vecs: np.ndarray):
+    """Per-block Gram stack of the reflected probe vectors v_a (rows of vecs).
+
+    With c_a = E_lam (R^{xn} x I) v_a of shape (d_lam, m_lam), the block
+    twirl of |R v_a><R v_b| is I_{d_lam} x K^{ab}_lam with
+    K^{ab}_lam = sum over the d_lam index of c_a c_b^dag, over d_lam.
+    Returns K of shape (A, A, L, m_max, m_max), zero-padded past m_lam,
+    and the block dimensions d_lam.
+    """
+    basis = _schur_basis(n, n, d)
+    reflected = vecs * _reflection_signs(n, d)
+    m_max = max(E.shape[1] for E in basis.values())
+    K = np.zeros((len(vecs), len(vecs), len(basis), m_max, m_max), dtype=reflected.dtype)
+    for i, E in enumerate(basis.values()):
+        size, mult, dim = E.shape
+        c = (reflected @ E.reshape(-1, dim).T).reshape(-1, size, mult)
+        K[:, :, i, :mult, :mult] = np.einsum("amt,bms->abts", c, c.conj()) / size
+    return K, np.array([E.shape[0] for E in basis.values()])
+
+
+def _block_spectrum(K: np.ndarray, dims: np.ndarray, q) -> np.ndarray:
+    """Spectrum of sum_ab sqrt(q_a q_b) K^{ab}, each block's eigenvalues d_lam times."""
+    w = np.sqrt(q)
+    mixed = np.outer(w, w).reshape(-1) @ K.reshape(w.size**2, -1)
+    eig = np.linalg.eigvalsh(mixed.reshape(K.shape[2:]))
+    return np.repeat(eig, dims, axis=0).ravel()
+
+
+def ensemble_spectrum(n: int, d: int, probe) -> np.ndarray:
+    """Eigenvalues of the ensemble state from its Schur blocks, zero-padded."""
+    K, dims = _block_grams(n, d, as_vector(probe)[None])
+    return _block_spectrum(K, dims, np.ones(1))
 
 
 def _entropy_bits(eig: np.ndarray) -> float:
@@ -588,7 +538,7 @@ def _entropy_bits(eig: np.ndarray) -> float:
 
 def ensemble_entropy_rank(n: int, d: int, probe) -> tuple:
     """Entropy in bits and rank of the ensemble state, from one spectrum."""
-    eig = np.linalg.eigvalsh(ensemble_state(n, d, probe))
+    eig = ensemble_spectrum(n, d, probe)
     return _entropy_bits(eig), int(np.sum(eig > EIG_CUTOFF))
 
 
@@ -644,49 +594,23 @@ def _character_reflection(lam, d: int) -> float:
 def maximize_entropy_over_q(n: int, d: int, restarts: int = 20, seed: int = 0) -> EntropyReport:
     """Nelder-Mead search over the weight simplex for the ensemble entropy.
 
-    The entropy is evaluated on the joint support of the pairwise twirled
-    block outer products, which is exact and keeps an evaluation cheap. A
-    persistent gap below target is reported, not raised: it is evidence
-    about the flat-spectrum conjecture, and for (n, d) in {(2, 3), (3, 3)}
-    the trivial-sector weight sum_lam q_lam (chi_lam(R)/dim_lam)^2 pins the
-    spectrum away from flat for every q.
+    The entropy is evaluated per Schur block (`_block_grams`), which is
+    exact and keeps an evaluation cheap. A persistent gap below target is
+    reported, not raised: it is evidence about the flat-spectrum
+    conjecture, and for (n, d) in {(2, 3), (3, 3)} the trivial-sector
+    weight sum_lam q_lam (chi_lam(R)/dim_lam)^2 pins the spectrum away from
+    flat for every q.
     """
-    twirl_nd = _ensemble_twirl(n, d)
+    _check_d(d)
     blocks = block_basis(n, d)
     keys = sorted(blocks)
     basis_name = "spin-chain" if d == 2 else "young-symmetrizer"
-    signs = _reflection_signs(n, d)
-    sides = {}
-    for key in keys:
-        B = blocks[key]
-        dlam = B.shape[1]
-        v = np.zeros(d ** (2 * n))
-        for t in range(dlam):
-            v += np.kron(B[:, t], B[:, t]) / np.sqrt(dlam)
-        sides[key] = signs * v
-    twirled = {}
-    for a in keys:
-        for b in keys:
-            twirled[(a, b)] = twirl_nd(np.outer(sides[a], sides[b]))
-    support = sum(twirled[(a, a)] for a in keys)
-    for a in keys:
-        for b in keys:
-            support = support + twirled[(a, b)] @ twirled[(a, b)].conj().T
-    eigval, eigvec = np.linalg.eigh(support)
-    Q = eigvec[:, eigval > 1e-12 * max(eigval.max(), 1.0)]
-    reduced = {k: Q.conj().T @ v @ Q for k, v in twirled.items()}
-
-    def entropy_of(qvec):
-        rho = sum(
-            np.sqrt(qvec[i] * qvec[j]) * reduced[(keys[i], keys[j])]
-            for i in range(len(keys))
-            for j in range(len(keys))
-        )
-        return _entropy_bits(np.linalg.eigvalsh(rho))
+    sides = np.array([_probe_vector(n, d, {key: 1.0}, blocks) for key in keys])
+    grams, dims = _block_grams(n, d, sides)
 
     def negent(x):
         expd = np.exp(x - x.max())
-        return -entropy_of(expd / expd.sum())
+        return -_entropy_bits(_block_spectrum(grams, dims, expd / expd.sum()))
 
     rng = np.random.default_rng(seed)
     best_x, best_val = None, np.inf
@@ -702,11 +626,11 @@ def maximize_entropy_over_q(n: int, d: int, restarts: int = 20, seed: int = 0) -
             best_x, best_val = res.x, res.fun
     expd = np.exp(best_x - best_x.max())
     qvec = expd / expd.sum()
-    entropy = entropy_of(qvec)
+    eig = _block_spectrum(grams, dims, qvec)
+    entropy = _entropy_bits(eig)
+    rank = int(np.sum(eig > EIG_CUTOFF))
     target = entropy_target(n, d)
     probe = ProbeSpec(n=n, d=d, q={k: float(w) for k, w in zip(keys, qvec)})
-    full_probe = build_probe(n, d, probe.q)
-    rank = ensemble_rank(n, d, full_probe)
     pinned = sum(
         probe.q[k] * (_character_reflection(k, d) / blocks[k].shape[1]) ** 2 for k in keys
     )

@@ -26,14 +26,12 @@ from .distances import (
     trace_norm,
 )
 from .repthy import (
-    _reflection_signs,
     build_probe_d2,
-    commutant_basis,
     ensemble_entropy,
+    ensemble_spectrum,
     ensemble_state,
     lambert_w0,
     solve_q_d2,
-    twirl,
 )
 from .tensor_core import (
     haar_random_state,
@@ -107,11 +105,23 @@ def _checks():
         spec, residual = solve_q_d2(2)
         probe = build_probe_d2(2, spec)
         entropy = ensemble_entropy(2, 2, probe)
-        # the total-spin twirl against the permutation-commutant oracle
-        reflected = _reflection_signs(2, 2) * probe.amplitudes
-        exact = twirl(np.outer(reflected, reflected.conj()), commutant_basis(2, 2))
-        twirl_err = np.abs(ensemble_state(2, 2, probe) - exact).max()
-        return residual < 1e-8 and abs(entropy - np.log2(6)) < 1e-6 and twirl_err < 1e-12
+        # the Schur-block spectrum against the dense state's, which must be
+        # a U^{x2} x Ubar^{x2}-invariant density matrix
+        rho = ensemble_state(2, 2, probe)
+        blocks = np.sort(ensemble_spectrum(2, 2, probe))[-rho.shape[0] :]
+        spectrum_err = np.abs(blocks - np.linalg.eigvalsh(rho)).max()
+        invariance_err = 0.0
+        for seed in range(3):
+            U = haar_random_unitary(2, seed).entries
+            W = np.kron(np.kron(U, U), np.kron(U.conj(), U.conj()))
+            invariance_err = max(invariance_err, np.abs(W @ rho - rho @ W).max())
+        return (
+            residual < 1e-8
+            and abs(entropy - np.log2(6)) < 1e-6
+            and spectrum_err < 1e-12
+            and invariance_err < 1e-12
+            and abs(np.trace(rho) - 1.0) < 1e-12
+        )
 
     def lambert_fixed_points():
         return abs(lambert_w0(np.e) - 1.0) < 1e-12 and abs(lambert_w0(0.0)) < 1e-12

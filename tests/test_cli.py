@@ -128,6 +128,8 @@ def test_lowerbound_invalid_input_exit_code(argv, capsys):
     [
         ["circuit", "verify", "--n", "31"],  # 2^37-amplitude circuit state
         ["lowerbound", "twirl", "--n", "6", "--d", "2"],  # 4096-dim twirl
+        ["lowerbound", "twirl", "--n", "4", "--d", "3"],  # 6561-dim twirl
+        ["lowerbound", "twirl", "--n", "2", "--d", "7"],  # 2401-dim twirl
     ],
 )
 def test_budget_error_exit_code(argv, capsys):
@@ -142,6 +144,28 @@ def test_circuit_verify_without_dense_operator(capsys):
     code, out, _ = run(["circuit", "verify", "--n", "15"], capsys)
     assert code == 0
     assert json.loads(out)["passed"] is True
+
+
+def test_lowerbound_twirl_below_budget_edge(capsys):
+    # d^(2n) = 1296, within the 2048 that the default budget admits
+    code, out, _ = run(["lowerbound", "twirl", "--n", "2", "--d", "6", "--restarts", "2"], capsys)
+    payload = json.loads(out)
+    assert code == 0
+    assert payload["rank"] <= payload["rank_bound"] == 441
+    assert payload["entropy"] <= payload["target"] + 1e-9
+
+
+def test_cached_parser_output_matches_fresh_parser(capsys):
+    first = ["distance", "--n", "3", "--alpha", "pi/2", "--algo", "theta", "--theta", "pi/3"]
+    second = ["lowerbound", "solve-q", "--n", "5", "--seed", "3"]
+    fresh = []
+    for argv in (first, second):
+        cli.build_parser.cache_clear()
+        fresh.append(run(argv, capsys))
+    cached = [run(argv, capsys) for argv in (first, second, first)]
+    assert cli.build_parser() is cli.build_parser()
+    assert cached == [fresh[0], fresh[1], fresh[0]]
+    assert fresh[0][0] == 0 and fresh[0][1]
 
 
 def test_usage_error_exit_code(capsys):

@@ -1,4 +1,5 @@
 import itertools
+from functools import lru_cache
 from math import comb, e as euler_e, log
 
 import numpy as np
@@ -10,7 +11,6 @@ from reflectron import (
     SpinLabel,
     build_probe_d2,
     cg_su2,
-    commutant_basis,
     conjecture_system_d2,
     ensemble_entropy,
     final_lower_bound,
@@ -24,15 +24,19 @@ from reflectron import (
     twirl,
 )
 from reflectron.repthy import (
+    _cycle_count,
     _permutation_parity,
     _reflection_signs,
+    _schur_basis,
+    block_basis,
+    build_probe,
+    ensemble_entropy_rank,
     ensemble_rank,
     ensemble_state,
     entropy_target,
     gt_patterns,
     lambert_sandwich_holds,
     partitions,
-    spin_chain_blocks,
     support_bound,
     weyl_dim,
     young_symmetrizer_block,
@@ -210,12 +214,79 @@ def test_solve_q_large_n():
     assert abs(q.sum() - 1.0) < 1e-9
 
 
-# --- commutant basis and twirl ---------------------------------------------
+# --- commutant reference, Schur basis and twirl ----------------------------
+
+
+@lru_cache(maxsize=None)
+def commutant_reference(n, d):
+    """Partially transposed permutations spanning the commutant of U^{xn} x Ubar^{xn}.
+
+    Returns (perms, pairs, gram): each operator as its nonzero coordinate
+    pairs (one per column of the underlying permutation matrix), and the
+    Hilbert-Schmidt Gram matrix from the cycle-count identity
+    tr(eta_pi^dag eta_sigma) = d^{cycles(pi^{-1} sigma)}.
+    """
+    k2 = 2 * n
+    perms = list(itertools.permutations(range(k2)))
+    dim = d**k2
+    idx = np.arange(dim)
+    digits = [(idx // d ** (k2 - 1 - s)) % d for s in range(k2)]
+    # eta[(a,e),(c,b)] = P[(a,b),(c,e)] for column x = (c,e) and row y = pi(x) = (a,b):
+    # the partial transpose swaps the row/column roles of the last n slots
+    pairs = []
+    for pm in perms:
+        ydig = [None] * k2
+        for s in range(k2):
+            ydig[pm[s]] = digits[s]
+        rows = np.zeros(dim, dtype=np.int64)
+        cols = np.zeros(dim, dtype=np.int64)
+        for s in range(k2):
+            w = d ** (k2 - 1 - s)
+            if s < n:
+                rows += ydig[s] * w
+                cols += digits[s] * w
+            else:
+                rows += digits[s] * w
+                cols += ydig[s] * w
+        pairs.append((rows, cols))
+    m = len(perms)
+    gram = np.zeros((m, m))
+    index = {pm: i for i, pm in enumerate(perms)}
+    cycles = np.array([_cycle_count(pm) for pm in perms])
+    arr = np.array(perms)
+    for i, pm in enumerate(perms):
+        inv = np.argsort(np.asarray(pm))
+        comp_ids = [index[tuple(row[inv])] for row in arr]
+        gram[i, :] = np.power(float(d), cycles[comp_ids])
+    return perms, pairs, gram
+
+
+def commutant_op_dense(n, d, k):
+    out = np.zeros((d ** (2 * n),) * 2, dtype=complex)
+    rows, cols = commutant_reference(n, d)[1][k]
+    out[rows, cols] = 1.0
+    return out
+
+
+def commutant_twirl_reference(X, n, d):
+    """Orthogonal projection of X onto the span of the eta operators.
+
+    Coincides with the Haar average of (U^{xn} x Ubar^{xn}) X (.)^dag; the
+    rank-deficient Gram matrix (d < 2n) is inverted by SVD pseudo-inverse.
+    """
+    _, pairs, gram = commutant_reference(n, d)
+    X = np.asarray(X, dtype=complex)
+    overlaps = np.array([X[rows, cols].sum() for rows, cols in pairs])
+    coeffs = np.linalg.pinv(gram, rcond=1e-10) @ overlaps
+    out = np.zeros_like(X)
+    for cf, (rows, cols) in zip(coeffs, pairs):
+        np.add.at(out, (rows, cols), cf)
+    return out
 
 
 def test_commutant_n1_d2_operators():
-    basis = commutant_basis(1, 2)
-    dense = {tuple(p): basis.op_dense(i) for i, p in enumerate(basis.perms)}
+    perms = commutant_reference(1, 2)[0]
+    dense = {tuple(p): commutant_op_dense(1, 2, i) for i, p in enumerate(perms)}
     ident = dense[(0, 1)]
     swap_pt = dense[(1, 0)]
     assert np.abs(ident - np.eye(4)).max() == 0
@@ -225,55 +296,97 @@ def test_commutant_n1_d2_operators():
 
 
 def test_commutant_gram_matches_dense_and_trace_pattern():
-    basis = commutant_basis(1, 2)
+    perms, _, gram = commutant_reference(1, 2)
     for i in range(2):
         for j in range(2):
-            dense = np.trace(basis.op_dense(i).conj().T @ basis.op_dense(j)).real
-            assert abs(dense - basis.gram[i, j]) < 1e-10
-    idx_swap = basis.perms.index((1, 0))
-    assert basis.gram[idx_swap, idx_swap] == 4
-    assert basis.gram[basis.perms.index((0, 1)), idx_swap] == 2
-    eig = np.linalg.eigvalsh(basis.gram)
+            dense = np.trace(commutant_op_dense(1, 2, i).conj().T @ commutant_op_dense(1, 2, j)).real
+            assert abs(dense - gram[i, j]) < 1e-10
+    idx_swap = perms.index((1, 0))
+    assert gram[idx_swap, idx_swap] == 4
+    assert gram[perms.index((0, 1)), idx_swap] == 2
+    eig = np.linalg.eigvalsh(gram)
     assert eig.min() > -1e-9
 
 
 def test_commutant_gram_matches_dense_n2():
     rng = np.random.default_rng(0)
-    basis = commutant_basis(2, 2)
+    perms, _, gram = commutant_reference(2, 2)
     for _ in range(10):
-        i, j = rng.integers(0, len(basis.perms), size=2)
-        dense = np.trace(basis.op_dense(int(i)).conj().T @ basis.op_dense(int(j))).real
-        assert abs(dense - basis.gram[int(i), int(j)]) < 1e-10
+        i, j = rng.integers(0, len(perms), size=2)
+        dense = np.trace(commutant_op_dense(2, 2, int(i)).conj().T @ commutant_op_dense(2, 2, int(j))).real
+        assert abs(dense - gram[int(i), int(j)]) < 1e-10
 
 
 def test_commutant_ops_commute_with_haar_action():
-    basis = commutant_basis(1, 3)
-    for k in range(len(basis.perms)):
-        eta = basis.op_dense(k)
+    for k in range(len(commutant_reference(1, 3)[0])):
+        eta = commutant_op_dense(1, 3, k)
         for seed in range(20):
             U = haar_random_unitary(3, seed).entries
             W = np.kron(U, U.conj())
             assert np.abs(W @ eta - eta @ W).max() < 1e-10
 
 
+def _haar_action(U, k, l):
+    W = np.ones((1, 1))
+    for factor in [U] * k + [U.conj()] * l:
+        W = np.kron(W, factor)
+    return W
+
+
+@pytest.mark.parametrize("n, d", [(1, 2), (2, 2), (3, 2), (1, 3), (2, 3), (2, 4), (3, 3)])
+def test_twirl_matches_commutant_reference(n, d):
+    rng = np.random.default_rng(10 * n + d)
+    dim = d ** (2 * n)
+    X = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    assert np.abs(twirl(X, n, d) - commutant_twirl_reference(X, n, d)).max() < 1e-12
+
+
+@pytest.mark.parametrize("k, l, d", [(3, 0, 2), (5, 0, 2), (3, 3, 2), (2, 1, 3), (2, 2, 3), (3, 3, 3), (2, 2, 4)])
+def test_schur_basis_orthonormal_weyl_blocks_with_equal_copies(k, l, d):
+    basis = _schur_basis(k, l, d)
+    F = np.concatenate([E.reshape(-1, E.shape[-1]) for E in basis.values()])
+    assert F.shape == (d ** (k + l),) * 2
+    assert np.abs(F @ F.T - np.eye(F.shape[0])).max() < 1e-12
+    W = _haar_action(haar_random_unitary(d, 3).entries, k, l)
+    for lam, E in basis.items():
+        assert sum(lam) == k - l
+        assert E.shape[0] == weyl_dim(tuple(x + l for x in lam), d)
+        action = [E[:, t] @ W @ E[:, t].T for t in range(E.shape[1])]
+        # each copy is an invariant subspace carrying the same matrices
+        assert abs(np.linalg.norm(action[0]) ** 2 - E.shape[0]) < 1e-12
+        for other in action[1:]:
+            assert np.abs(other - action[0]).max() < 1e-12
+
+
+@pytest.mark.parametrize("n, d", [(1, 2), (3, 2), (4, 2), (2, 3), (3, 3), (2, 4)])
+def test_ensemble_entropy_rank_matches_dense_spectrum(n, d):
+    rng = np.random.default_rng(n + 7 * d)
+    keys = list(block_basis(n, d))
+    weights = rng.dirichlet(np.ones(len(keys)))
+    probe = build_probe(n, d, dict(zip(keys, weights)))
+    eig = np.linalg.eigvalsh(ensemble_state(n, d, probe))
+    entropy, rank = ensemble_entropy_rank(n, d, probe)
+    dense = eig[eig > 1e-12]
+    assert abs(entropy + np.sum(dense * np.log2(dense))) < 1e-12
+    assert rank == dense.size
+
+
 def test_twirl_projection_properties():
     rng = np.random.default_rng(1)
-    basis = commutant_basis(2, 2)
     X = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
-    t1 = twirl(X, basis)
-    t2 = twirl(t1, basis)
+    t1 = twirl(X, 2, 2)
+    t2 = twirl(t1, 2, 2)
     assert np.abs(t1 - t2).max() < 1e-9
     assert abs(np.trace(t1) - np.trace(X)) < 1e-9
     # elements of the span are fixed
-    span_elem = 0.3 * basis.op_dense(0) + 1.7j * basis.op_dense(5)
-    assert np.abs(twirl(span_elem, basis) - span_elem).max() < 1e-10
+    span_elem = 0.3 * commutant_op_dense(2, 2, 0) + 1.7j * commutant_op_dense(2, 2, 5)
+    assert np.abs(twirl(span_elem, 2, 2) - span_elem).max() < 1e-10
 
 
 def test_twirl_invariance_under_group_action():
     rng = np.random.default_rng(2)
-    basis = commutant_basis(1, 2)
     X = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    t = twirl(X, basis)
+    t = twirl(X, 1, 2)
     for seed in range(20):
         U = haar_random_unitary(2, seed).entries
         W = np.kron(U, U.conj())
@@ -285,7 +398,7 @@ def test_twirl_matches_monte_carlo_haar_average():
     for n, d in [(1, 2), (2, 2)]:
         dim = d ** (2 * n)
         X = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        exact = twirl(X, commutant_basis(n, d))
+        exact = twirl(X, n, d)
         samples = 10_000
         acc = np.zeros_like(X)
         for s in range(samples):
@@ -304,7 +417,7 @@ def test_twirl_matches_monte_carlo_haar_average():
 def test_twirl_example_00_projector():
     X = np.zeros((4, 4), dtype=complex)
     X[0, 0] = 1.0
-    out = twirl(X, commutant_basis(1, 2))
+    out = twirl(X, 1, 2)
     bell = np.zeros(4)
     bell[0] = bell[3] = 1 / np.sqrt(2)
     P = np.outer(bell, bell)
@@ -317,10 +430,16 @@ def test_twirl_example_00_projector():
 # --- probes and entropies ---------------------------------------------------
 
 
+def spin_chains(n):
+    """Every copy of each d = 2 spin block, as (2j+1, 2^n) arrays of rows |j, m, t>."""
+    return {lam[0] - lam[1]: [E[:, t] for t in range(E.shape[1])] for lam, E in _schur_basis(n, 0, 2).items()}
+
+
 def test_spin_chain_blocks_multiplicities():
-    blocks = spin_chain_blocks(3)
+    blocks = spin_chains(3)
     assert {tj: len(ch) for tj, ch in blocks.items()} == {3: 1, 1: 2}
     for tj, chains in blocks.items():
+        assert np.array_equal(block_basis(3, 2)[tj], chains[0].T)
         for chain in chains:
             gram = chain @ chain.T
             assert np.abs(gram - np.eye(tj + 1)).max() < 1e-10
@@ -333,7 +452,7 @@ def test_reflection_diagonal_in_chain_basis():
     Rn = R
     for _ in range(n - 1):
         Rn = np.kron(Rn, R)
-    blocks = spin_chain_blocks(n)
+    blocks = spin_chains(n)
     for tj, chains in blocks.items():
         for chain in chains:
             B = chain.T  # columns are |j, m>
@@ -372,13 +491,12 @@ def test_ensemble_state_d2_matches_commutant_twirl(n):
     spec, _ = solve_q_d2(n)
     probe = build_probe_d2(n, spec)
     reflected = _reflection_signs(n, 2) * probe.amplitudes
-    exact = twirl(np.outer(reflected, reflected.conj()), commutant_basis(n, 2))
+    exact = commutant_twirl_reference(np.outer(reflected, reflected.conj()), n, 2)
     assert np.abs(ensemble_state(n, 2, probe) - exact).max() < 1e-12
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_entropy_twirl_path_equals_formula_path(n):
-    # n = 4, 5 lie beyond the commutant's (2n)! <= 720 reach
     spec, _ = solve_q_d2(n)
     probe = build_probe_d2(n, spec)
     entropy = ensemble_entropy(n, 2, probe)
@@ -477,8 +595,6 @@ def test_maximize_entropy_n3_d3_reports_structural_gap():
 
 def test_entropy_support_bound_any_q():
     for q in ({(2,): 1.0}, {(1, 1): 1.0}, {(2,): 0.5, (1, 1): 0.5}):
-        from reflectron.repthy import build_probe
-
         probe = build_probe(2, 3, q)
         assert ensemble_entropy(2, 3, probe) <= 2 * np.log2(6) + 1e-9
 
