@@ -90,6 +90,8 @@ def _emit_json(args, payload: dict):
 
 
 def _algo_element(args, n: int, alpha: float):
+    if n < 1:
+        raise CliError("need n >= 1")
     if args.algo == "optimal":
         return optimal_reflection_coeffs(n), optimal_angle(n)
     if args.algo == "theta":
@@ -97,7 +99,7 @@ def _algo_element(args, n: int, alpha: float):
         return r_theta_coeffs(n, theta), theta
     if args.algo == "lmr":
         theta = parse_angle(args.theta) if args.theta is not None else alpha / n
-        return lmr_coeffs(np.full(n, theta)), theta
+        return lmr_coeffs(np.broadcast_to(theta, n)), theta
     raise CliError(f"unknown algo {args.algo}")
 
 

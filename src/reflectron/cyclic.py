@@ -16,6 +16,13 @@ from .tensor_core import DenseOperator
 UNITARY_TOL = 1e-10
 
 
+def _coefficients(n: int, fill: complex = 0.0) -> np.ndarray:
+    """The n + 1 coefficients of a new element, checked against the budget
+    before they are allocated."""
+    ensure_vector_budget(n + 1, "cyclic element coefficients")
+    return np.full(n + 1, fill, dtype=complex)
+
+
 @dataclass
 class CyclicElement:
     n: int
@@ -28,7 +35,7 @@ class CyclicElement:
 
     @classmethod
     def identity(cls, n: int) -> "CyclicElement":
-        c = np.zeros(n + 1, dtype=complex)
+        c = _coefficients(n)
         c[0] = 1.0
         return cls(n, c)
 
@@ -65,8 +72,9 @@ def is_channel_element(e: CyclicElement, tol: float = UNITARY_TOL) -> bool:
     the sequential-interaction coefficient families qualify without being
     unitary elements of the algebra.
     """
-    ct0 = np.sum(e.coeffs)
-    total = np.sum(np.abs(e.coeffs) ** 2)
+    c = e.coeffs
+    ct0 = complex(c.sum())
+    total = np.vdot(c, c).real
     return bool(abs(abs(ct0) - 1.0) <= tol and abs(total - 1.0) <= tol)
 
 
@@ -84,7 +92,7 @@ def r_theta_coeffs(n: int, theta: float) -> CyclicElement:
     if n < 1:
         raise ValueError("need n >= 1")
     phase = np.exp(1j * theta)
-    c = np.full(n + 1, (phase - 1.0) / (n + 1), dtype=complex)
+    c = _coefficients(n, (phase - 1.0) / (n + 1))
     c[0] = (n + phase) / (n + 1)
     return CyclicElement(n, c)
 
@@ -96,17 +104,26 @@ def optimal_reflection_coeffs(n: int, sign: int = +1) -> CyclicElement:
 
 
 def lmr_coeffs(thetas) -> CyclicElement:
-    """Coefficients of the sequential swap-rotation algorithm."""
+    """Coefficients of the sequential swap-rotation algorithm, in O(n).
+
+    For angles theta_0 .. theta_{n-1}:
+
+        c_0 = prod_j cos theta_j
+        c_l = i e^{i sum_{j>=l} theta_j} sin theta_{l-1} prod_{j<l-1} cos theta_j
+
+    for l = 1..n. The products are prefix products of the cosines and the
+    phases are tail sums of the angles, one cumulative pass each.
+    """
     thetas = np.asarray(thetas, dtype=float).reshape(-1)
     n = thetas.size
     if n < 1:
         raise ValueError("need at least one angle")
-    c = np.zeros(n + 1, dtype=complex)
-    cosines = np.cos(thetas)
-    c[0] = np.prod(cosines)
-    for l in range(1, n + 1):
-        tail_phase = np.exp(1j * np.sum(thetas[l:]))
-        c[l] = tail_phase * 1j * np.sin(thetas[l - 1]) * np.prod(cosines[: l - 1])
+    c = _coefficients(n)
+    # prefix[l] = prod_{j<l} cos theta_j, tails[l-1] = sum_{j>=l} theta_j
+    prefix = np.cumprod(np.concatenate(([1.0], np.cos(thetas))))
+    tails = np.append(np.cumsum(thetas[::-1])[-2::-1], 0.0)
+    c[0] = prefix[n]
+    c[1:] = np.exp(1j * tails) * 1j * np.sin(thetas) * prefix[:n]
     return CyclicElement(n, c)
 
 

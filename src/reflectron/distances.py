@@ -5,8 +5,10 @@ phi_p; every closed form here is cross-checked against a dense evaluation
 on C^{d^2}, and a grid guards the analytic critical point.
 """
 
+import cmath
 from dataclasses import dataclass
-from math import isqrt
+from functools import lru_cache
+from math import isqrt, sqrt
 
 import numpy as np
 
@@ -106,9 +108,9 @@ def _element_invariants(e: CyclicElement, alpha: float):
         raise NonChannelElementError(
             "distance formulas require a trace-preserving cyclic element"
         )
-    c0 = e.coeffs[0]
-    ct0 = np.sum(e.coeffs)
-    gap = abs(ct0 * np.conj(c0) - np.exp(1j * alpha))
+    c0 = complex(e.coeffs[0])
+    ct0 = complex(e.coeffs.sum())
+    gap = abs(ct0 * c0.conjugate() - cmath.exp(1j * alpha))
     return abs(c0) ** 2, gap
 
 
@@ -124,8 +126,12 @@ def _dense_distance_at_p(e: CyclicElement, alpha: float, p: float, psi: PureStat
     return float(_probe_distances(K, PhiP(p, psi, psi.dim).vector()[None])[0])
 
 
+@lru_cache(maxsize=None)
 def _default_psi(d: int) -> PureState:
-    return haar_random_state(d, _DEFAULT_PSI_SEED)
+    """The seeded default probe state, built once per d and shared read-only."""
+    state = haar_random_state(d, _DEFAULT_PSI_SEED)
+    state.amplitudes.flags.writeable = False
+    return state
 
 
 def distance_at_p(e: CyclicElement, alpha: float, p: float, psi=None, check: bool = True) -> float:
@@ -183,7 +189,8 @@ def diamond_covariant(e: CyclicElement, alpha: float, psi=None) -> tuple:
 
 
 def _golden_max(f, a, b, tol=1e-12):
-    gr = (np.sqrt(5.0) - 1.0) / 2.0
+    a, b = float(a), float(b)
+    gr = (sqrt(5.0) - 1.0) / 2.0
     c = b - gr * (b - a)
     d = a + gr * (b - a)
     fc, fd = f(c), f(d)

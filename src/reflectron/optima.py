@@ -125,7 +125,8 @@ def lmr_equal_angle_distance(n: int, alpha: float, theta: float | None = None) -
     if n < 1:
         raise ValueError("need n >= 1")
     theta = alpha / n if theta is None else theta
-    return closed_form_rotation_distance(lmr_coeffs(np.full(n, theta)), alpha)
+    # a read-only view: nothing of size n exists before lmr_coeffs checks the budget
+    return closed_form_rotation_distance(lmr_coeffs(np.broadcast_to(theta, n)), alpha)
 
 
 def lmr_improved_angle(n: int, alpha: float) -> float:

@@ -196,6 +196,8 @@ def test_selftest_subcommand(capsys):
         ["universal", "verify", "--d", "1", "--eps", "0.2"],
         ["universal", "budget", "--d", "1", "--eps", "0.1"],
         ["distance", "--n", "2", "--alpha", "nan"],
+        ["distance", "--n", "0", "--algo", "lmr"],  # was a ZeroDivisionError traceback
+        ["distance", "--n", "-3", "--algo", "lmr", "--theta", "1"],
     ],
 )
 def test_invalid_size_and_angle_exit_code(argv, capsys):
@@ -215,3 +217,23 @@ def test_lowerbound_twirl_d2_matches_separate_entropy_and_rank(n, capsys):
     assert code == 0
     assert payload["entropy"] == ensemble_entropy(n, 2, probe)
     assert payload["rank"] == ensemble_rank(n, 2, probe)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lmr", "--n", "{n}", "--alpha", "1"],
+        ["distance", "--n", "{n}", "--alpha", "1", "--algo", "lmr"],
+        ["distance", "--n", "{n}", "--alpha", "1", "--algo", "optimal"],
+        ["distance", "--n", "{n}", "--alpha", "pi", "--algo", "theta", "--theta", "2"],
+    ],
+)
+def test_coefficient_vector_budget(argv, capsys, monkeypatch):
+    # n + 1 coefficients: n = 63 fills a 64-entry budget, n = 64 exceeds it
+    monkeypatch.setenv("REFLECTRON_BUDGET", "64")
+    code, out, _ = run([a.format(n=63) for a in argv], capsys)
+    assert code == 0 and json.loads(out)["n"] == 63
+    code, out, err = run([a.format(n=64) for a in argv], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: budget: cyclic element coefficients of dimension 65")
+    assert "Traceback" not in err

@@ -225,3 +225,45 @@ def test_apply_element_budget(monkeypatch):
     assert apply_element(e, 2, np.ones(64)).shape == (64,)
     with pytest.raises(DimensionBudgetError):
         apply_element(e, 2, np.ones((2, 64)))
+
+
+def lmr_coeffs_reference(thetas):
+    """The O(n^2) loop: one product and one tail sum per coefficient."""
+    thetas = np.asarray(thetas, dtype=float)
+    n = thetas.size
+    c = np.zeros(n + 1, dtype=complex)
+    cosines = np.cos(thetas)
+    c[0] = np.prod(cosines)
+    for l in range(1, n + 1):
+        tail_phase = np.exp(1j * np.sum(thetas[l:]))
+        c[l] = tail_phase * 1j * np.sin(thetas[l - 1]) * np.prod(cosines[: l - 1])
+    return c
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 64, 1024, 4096])
+def test_lmr_coeffs_matches_quadratic_loop(n):
+    for alpha in (pi, 2.5, 0.3):
+        thetas = np.full(n, alpha / n)
+        assert np.abs(lmr_coeffs(thetas).coeffs - lmr_coeffs_reference(thetas)).max() <= 1e-15
+    # tail sums reach ~6400 rad at n = 4096; the two summation orders drift apart
+    thetas = np.random.default_rng(n).uniform(0.0, pi, size=n)
+    e = lmr_coeffs(thetas)
+    assert np.abs(e.coeffs - lmr_coeffs_reference(thetas)).max() <= 1e-11
+    if n == 4096:
+        assert is_channel_element(e)
+        assert is_channel_element(lmr_coeffs(np.full(n, pi / n)))
+
+
+def test_coefficient_constructors_check_budget(monkeypatch):
+    monkeypatch.setenv("REFLECTRON_BUDGET", "64")
+    assert r_theta_coeffs(63, 0.4).coeffs.size == 64
+    assert lmr_coeffs(np.full(63, 0.1)).coeffs.size == 64
+    assert CyclicElement.identity(63).coeffs.size == 64
+    for make in (
+        lambda: r_theta_coeffs(64, 0.4),
+        lambda: optimal_reflection_coeffs(64),
+        lambda: lmr_coeffs(np.full(64, 0.1)),
+        lambda: CyclicElement.identity(64),
+    ):
+        with pytest.raises(DimensionBudgetError):
+            make()

@@ -19,7 +19,10 @@ from reflectron import (
     sampled_diamond_lower_bound,
     trace_norm,
 )
+import reflectron.cli as cli
+from reflectron import distances
 from reflectron.channels import effective_channel, make_rotation_channel, rotation_unitary
+from reflectron.config import ConsistencyError
 
 
 def test_trace_norm_basics():
@@ -433,3 +436,65 @@ def test_mr_d3_matches_scalar_path(n, seed):
     )
     assert abs(value - ref_value) < 1e-12
     assert abs(p_best - ref_p) < 1e-6
+
+
+def _scaled(factory, scale):
+    """factory with every channel it returns multiplied by scale."""
+
+    def make(*args):
+        channel = factory(*args)
+        return lambda X: scale * np.asarray(channel(X))
+
+    return make
+
+
+@pytest.mark.parametrize("name", ["effective_channel", "make_rotation_channel"])
+def test_dense_oracle_catches_perturbed_channel(name, monkeypatch, capsys):
+    monkeypatch.setattr(distances, name, _scaled(getattr(distances, name), 1.0 + 1e-6))
+    e = optimal_reflection_coeffs(3)
+    with pytest.raises(ConsistencyError, match="phi_p distance mismatch"):
+        diamond_covariant(e, pi)
+    with pytest.raises(ConsistencyError, match="phi_p distance mismatch"):
+        distance_at_p(e, 1.1, 0.3, check=True)
+    assert distance_at_p(e, 1.1, 0.3, check=False) > 0.0  # only the oracle sees the channels
+    assert cli.main(["distance", "--n", "3", "--alpha", "pi"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: consistency: phi_p distance mismatch")
+
+
+def test_grid_check_catches_perturbed_maximization(monkeypatch):
+    golden = distances._golden_max
+
+    def off_by_1e7(*args, **kwargs):
+        p, value = golden(*args, **kwargs)
+        return p, value + 1e-7
+
+    monkeypatch.setattr(distances, "_golden_max", off_by_1e7)
+    with pytest.raises(ConsistencyError, match="diamond maximization mismatch"):
+        diamond_covariant(r_theta_coeffs(4, 2.0), 1.7)
+
+
+def test_diamond_covariant_runs_every_check_on_every_call(monkeypatch):
+    counts = {"_golden_max": 0, "_dense_distance_at_p": 0}
+    for name in counts:
+        original = getattr(distances, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(distances, name, counted)
+    e = lmr_coeffs(np.full(5, 0.4))
+    results = {diamond_covariant(e, 2.0) for _ in range(3)}
+    assert len(results) == 1
+    assert counts == {"_golden_max": 3, "_dense_distance_at_p": 3}
+
+
+def test_default_probe_is_built_once_and_read_only():
+    psi = distances._default_psi(2)
+    assert distances._default_psi(2) is psi
+    assert np.array_equal(psi.amplitudes, haar_random_state(2, 2024).amplitudes)
+    with pytest.raises(ValueError):
+        psi.amplitudes[0] = 1.0
+    with pytest.raises(ValueError):
+        psi.amplitudes *= 2.0
