@@ -16,7 +16,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .config import ensure_operator_budget, ensure_vector_budget
-from .tensor_core import PureState, as_vector, permutation_operator
+from .tensor_core import PureState, as_vector
 
 EIG_CUTOFF = 1e-12
 
@@ -100,23 +100,6 @@ def weyl_dim(lam, d: int) -> int:
             num *= w[i] - w[j] + j - i
             den *= j - i
     return num // den
-
-
-def partitions(n: int, max_rows: int) -> list:
-    """Partitions of n into at most max_rows parts, lexicographically decreasing."""
-    out = []
-
-    def rec(remaining, maxpart, prefix):
-        if remaining == 0:
-            out.append(tuple(prefix))
-            return
-        if len(prefix) == max_rows:
-            return
-        for part in range(min(maxpart, remaining), 0, -1):
-            rec(remaining - part, part, prefix + [part])
-
-    rec(n, n, [])
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +214,7 @@ def conjecture_system_d2(n: int):
 
 @dataclass
 class ProbeSpec:
-    """Block weights q over irrep labels (two_j for d=2, partitions for d>2)."""
+    """Block weights q over the keys of `block_basis` (two_j for d=2, partitions for d>2)."""
 
     n: int
     d: int
@@ -371,80 +354,19 @@ def twirl(X, n: int, d: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# block bases: highest-weight chains for d = 2, Young symmetrizers for d >= 3
-
-
-def _cycle_count(perm) -> int:
-    seen = [False] * len(perm)
-    count = 0
-    for i in range(len(perm)):
-        if not seen[i]:
-            count += 1
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                j = perm[j]
-    return count
-
-
-def _permutation_parity(pm) -> int:
-    return 1 if (_cycle_count(pm) - len(pm)) % 2 == 0 else -1
-
-
-@lru_cache(maxsize=None)
-def young_symmetrizer_block(shape: tuple, d: int) -> np.ndarray:
-    """Real orthonormal basis of the first-tableau Young symmetrizer image.
-
-    The image is a U(d)-invariant subspace carrying the irrep once, so its
-    columns serve as one multiplicity copy of the Weyl module.
-    """
-    n = sum(shape)
-    dim = d**n
-    ensure_vector_budget(dim * dim, "Young symmetrizer")
-    tableau = []
-    x = 0
-    for r in shape:
-        tableau.append(list(range(x, x + r)))
-        x += r
-    cols = []
-    for c in range(shape[0]):
-        col = [tableau[r][c] for r in range(len(shape)) if len(tableau[r]) > c]
-        cols.append(col)
-
-    def set_perms(sets):
-        base = list(range(n))
-        for prods in itertools.product(*[itertools.permutations(s) for s in sets]):
-            pm = base[:]
-            for group, perm in zip(sets, prods):
-                for a, b in zip(group, perm):
-                    pm[a] = b
-            yield tuple(pm)
-
-    row_sym = np.zeros((dim, dim))
-    for pm in set_perms(tableau):
-        row_sym += permutation_operator(pm, d).entries.real
-    col_anti = np.zeros((dim, dim))
-    for pm in set_perms(cols):
-        col_anti += _permutation_parity(pm) * permutation_operator(pm, d).entries.real
-    symmetrizer = col_anti @ row_sym
-    u, svals, _ = np.linalg.svd(symmetrizer)
-    rank = int(np.sum(svals > 1e-9 * svals[0]))
-    block = u[:, :rank]
-    expected = weyl_dim(shape, d)
-    if rank != expected:
-        raise RuntimeError(f"Young block rank {rank} != Weyl dimension {expected}")
-    return block
+# probe blocks: copy 0 of the highest-weight basis of U^{xn}
 
 
 def block_basis(n: int, d: int) -> dict:
-    """First multiplicity copy of each irrep block, as real orthonormal columns.
+    """Copy 0 of each irrep block of U^{xn}, as real orthonormal weight-vector columns.
 
-    For d = 2 the block of spin two_j = lam_0 - lam_1 is copy 0 of the
-    highest-weight basis of U^{xn}, its columns |j, m> for m = j..-j.
+    Each block is keyed by its spin two_j = lam_0 - lam_1 at d = 2 and by
+    its partition lam with trailing zeros dropped, e.g. (2,), at d >= 3.
     """
-    if d == 2:
-        return {lam[0] - lam[1]: E[:, 0].T for lam, E in _schur_basis(n, 0, 2).items()}
-    return {lam: young_symmetrizer_block(lam, d) for lam in partitions(n, d)}
+    return {
+        (lam[0] - lam[1] if d == 2 else tuple(x for x in lam if x)): E[:, 0].T
+        for lam, E in _schur_basis(n, 0, d).items()
+    }
 
 
 def _probe_vector(n: int, d: int, weights: dict, blocks: dict) -> np.ndarray:
@@ -461,24 +383,22 @@ def _probe_vector(n: int, d: int, weights: dict, blocks: dict) -> np.ndarray:
     return v
 
 
+def build_probe(n: int, d: int, q: dict) -> PureState:
+    """Probe sum_lam sqrt(q_lam) |Phi+_lam> on (C^d)^{x2n}, over the blocks of `block_basis`."""
+    spec = ProbeSpec(n=n, d=d, q=q)
+    blocks = block_basis(n, d)
+    unknown = set(spec.q) - set(blocks)
+    if unknown:
+        raise ValueError(f"weights on invalid irrep labels {sorted(unknown, key=str)}")
+    v = _probe_vector(n, d, spec.q, blocks)
+    return PureState(v / np.linalg.norm(v), d, 2 * n)
+
+
 def build_probe_d2(n: int, probe: ProbeSpec) -> PureState:
-    """Probe sum_j sqrt(q_j) |Phi+_j> on (C^2)^{x2n} from spin chains."""
+    """`build_probe` at d = 2, from a ProbeSpec over spins two_j."""
     if probe.d != 2:
         raise ValueError("build_probe_d2 expects a d=2 ProbeSpec")
-    blocks = block_basis(n, 2)
-    unknown = set(probe.q) - set(blocks)
-    if unknown:
-        raise ValueError(f"weights on invalid spins {sorted(unknown)}")
-    v = _probe_vector(n, 2, probe.q, blocks)
-    return PureState(v / np.linalg.norm(v), 2, 2 * n)
-
-
-def build_probe(n: int, d: int, q: dict) -> PureState:
-    if d == 2:
-        return build_probe_d2(n, ProbeSpec(n=n, d=2, q=q))
-    blocks = block_basis(n, d)
-    v = _probe_vector(n, d, q, blocks)
-    return PureState(v / np.linalg.norm(v), d, 2 * n)
+    return build_probe(n, 2, probe.q)
 
 
 def _reflection_signs(n: int, d: int) -> np.ndarray:
@@ -576,21 +496,6 @@ class EntropyReport:
     trivial_sector_flat: float
 
 
-def _character_reflection(lam, d: int) -> float:
-    """Character of R = I - 2|d-1><d-1| in the irrep lam (via its block)."""
-    B = young_symmetrizer_block(tuple(lam), d) if d > 2 else None
-    if B is None:
-        # d = 2, lam is two_j: chi = 1 for integer j, 0 for half-integer
-        return 1.0 if lam % 2 == 0 else 0.0
-    n = sum(lam)
-    signs = np.ones(d)
-    signs[d - 1] = -1.0
-    diag = signs
-    for _ in range(n - 1):
-        diag = np.kron(diag, signs)
-    return float(np.einsum("it,i,it->", B, diag, B))
-
-
 def maximize_entropy_over_q(n: int, d: int, restarts: int = 20, seed: int = 0) -> EntropyReport:
     """Nelder-Mead search over the weight simplex for the ensemble entropy.
 
@@ -604,7 +509,6 @@ def maximize_entropy_over_q(n: int, d: int, restarts: int = 20, seed: int = 0) -
     _check_d(d)
     blocks = block_basis(n, d)
     keys = sorted(blocks)
-    basis_name = "spin-chain" if d == 2 else "young-symmetrizer"
     sides = np.array([_probe_vector(n, d, {key: 1.0}, blocks) for key in keys])
     grams, dims = _block_grams(n, d, sides)
 
@@ -631,9 +535,8 @@ def maximize_entropy_over_q(n: int, d: int, restarts: int = 20, seed: int = 0) -
     rank = int(np.sum(eig > EIG_CUTOFF))
     target = entropy_target(n, d)
     probe = ProbeSpec(n=n, d=d, q={k: float(w) for k, w in zip(keys, qvec)})
-    pinned = sum(
-        probe.q[k] * (_character_reflection(k, d) / blocks[k].shape[1]) ** 2 for k in keys
-    )
+    # chi_lam(R) / d_lam = <Phi_lam| R^{xn} x I |Phi_lam> for the unit probe of each block
+    chi_per_dim = np.einsum("ai,ai->a", sides, sides * _reflection_signs(n, d))
     return EntropyReport(
         n=n,
         d=d,
@@ -644,8 +547,8 @@ def maximize_entropy_over_q(n: int, d: int, restarts: int = 20, seed: int = 0) -
         gap=float(target - entropy),
         rank=rank,
         rank_bound=support_bound(n, d),
-        basis=basis_name,
-        trivial_sector_weight=float(pinned),
+        basis="highest-weight",
+        trivial_sector_weight=float(qvec @ chi_per_dim**2),
         trivial_sector_flat=1.0 / support_bound(n, d),
     )
 

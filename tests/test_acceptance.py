@@ -252,7 +252,7 @@ def test_criterion_09_lower_bound_d3():
         assert reached or report.below_target
         if not reached:
             assert report.gap > 0
-            assert report.basis == "young-symmetrizer"
+            assert report.basis == "highest-weight"
             assert abs(report.trivial_sector_weight - 1 / 9) < 1e-9
 
 

@@ -219,6 +219,17 @@ def test_lowerbound_twirl_d2_matches_separate_entropy_and_rank(n, capsys):
     assert payload["rank"] == ensemble_rank(n, 2, probe)
 
 
+def test_lowerbound_twirl_d3_regression_pin(capsys):
+    code, out, _ = run(["lowerbound", "twirl", "--n", "2", "--d", "3"], capsys)
+    payload = json.loads(out)
+    assert code == 0
+    assert abs(payload["entropy"] - 5.062621016504507) < 1e-12
+    assert abs(payload["trivial_sector_weight"] - 1 / 9) < 1e-12
+    assert abs(payload["q"]["(1, 1)"] - 1 / 7) < 1e-6
+    assert abs(payload["q"]["(2,)"] - 6 / 7) < 1e-6
+    assert payload["basis"] == "highest-weight"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -24,8 +24,6 @@ from reflectron import (
     twirl,
 )
 from reflectron.repthy import (
-    _cycle_count,
-    _permutation_parity,
     _reflection_signs,
     _schur_basis,
     block_basis,
@@ -36,10 +34,8 @@ from reflectron.repthy import (
     entropy_target,
     gt_patterns,
     lambert_sandwich_holds,
-    partitions,
     support_bound,
     weyl_dim,
-    young_symmetrizer_block,
 )
 
 
@@ -64,6 +60,16 @@ def test_gt_pattern_count_is_weyl_dimension():
     for lam, d in [((2, 0), 2), ((2, 0, 0), 3), ((2, 1, 0), 3), ((3, 1), 2)]:
         top = lam + (0,) * (d - len(lam))
         assert len(gt_patterns(top)) == weyl_dim(lam, d)
+
+
+def partitions(n, max_rows, largest=None):
+    """Partitions of n into at most max_rows parts, lexicographically decreasing."""
+    if n == 0:
+        return [()]
+    if max_rows == 0:
+        return []
+    top = n if largest is None else min(n, largest)
+    return [(p,) + rest for p in range(top, 0, -1) for rest in partitions(n - p, max_rows - 1, p)]
 
 
 def test_partitions():
@@ -215,6 +221,19 @@ def test_solve_q_large_n():
 
 
 # --- commutant reference, Schur basis and twirl ----------------------------
+
+
+def _cycle_count(perm):
+    seen = [False] * len(perm)
+    count = 0
+    for i in range(len(perm)):
+        if not seen[i]:
+            count += 1
+            j = i
+            while not seen[j]:
+                seen[j] = True
+                j = perm[j]
+    return count
 
 
 @lru_cache(maxsize=None)
@@ -446,20 +465,19 @@ def test_spin_chain_blocks_multiplicities():
 
 
 def test_reflection_diagonal_in_chain_basis():
-    # R^{xn} conjugated into the block basis is diagonal with +-1 entries
+    # R^{xn} conjugated into every copy of every block is diagonal with +-1 entries
     n = 3
-    R = np.diag([1.0, -1.0])
-    Rn = R
-    for _ in range(n - 1):
-        Rn = np.kron(Rn, R)
-    blocks = spin_chains(n)
-    for tj, chains in blocks.items():
-        for chain in chains:
-            B = chain.T  # columns are |j, m>
-            M = B.T @ Rn @ B
-            off = M - np.diag(np.diag(M))
-            assert np.abs(off).max() < 1e-9
-            assert np.abs(np.abs(np.diag(M)) - 1.0).max() < 1e-10
+    for d in (2, 3, 4):
+        R = np.eye(d)
+        R[d - 1, d - 1] = -1.0
+        Rn = _haar_action(R, n, 0)
+        for E in _schur_basis(n, 0, d).values():
+            for t in range(E.shape[1]):
+                B = E[:, t].T  # columns are weight vectors, |j, m> at d = 2
+                M = B.T @ Rn @ B
+                off = M - np.diag(np.diag(M))
+                assert np.abs(off).max() < 1e-9
+                assert np.abs(np.abs(np.diag(M)) - 1.0).max() < 1e-10
 
 
 def test_probe_d2_n1_is_maximally_entangled():
@@ -506,55 +524,47 @@ def test_entropy_twirl_path_equals_formula_path(n):
     assert rank <= support_bound(n, 2)
 
 
-def test_young_blocks_d3():
-    assert young_symmetrizer_block((2,), 3).shape == (9, 6)
-    assert young_symmetrizer_block((1, 1), 3).shape == (9, 3)
-    assert young_symmetrizer_block((2, 1), 3).shape == (27, 8)
-    B = young_symmetrizer_block((2, 1), 3)
-    assert np.abs(B.T @ B - np.eye(8)).max() < 1e-10
+def schur_polynomial(lam, x):
+    """s_lam(x) by the bialternant formula det(x_i^(lam_j + d - j)) / det(x_i^(d - j))."""
+    d = len(x)
+    exps = np.arange(d - 1, -1, -1)
+    top = np.array(tuple(lam) + (0,) * (d - len(lam))) + exps
+    return np.linalg.det(x[:, None] ** top) / np.linalg.det(x[:, None] ** exps)
 
 
-def young_block_reference(shape, d):
-    """First-tableau Young block with each slot permutation read off a base-d digit map."""
-    n = sum(shape)
-    dim = d**n
-    tableau, x = [], 0
-    for r in shape:
-        tableau.append(list(range(x, x + r)))
-        x += r
-    cols = [[row[c] for row in tableau if len(row) > c] for c in range(shape[0])]
-    idx = np.arange(dim)
-    digits = [(idx // d ** (n - 1 - s)) % d for s in range(n)]
-
-    def perm_rows(pm):
-        return sum(digits[s] * d ** (n - 1 - pm[s]) for s in range(n))
-
-    def set_perms(sets):
-        for prods in itertools.product(*[itertools.permutations(s) for s in sets]):
-            pm = list(range(n))
-            for group, perm in zip(sets, prods):
-                for a, b in zip(group, perm):
-                    pm[a] = b
-            yield tuple(pm)
-
-    row_sym = np.zeros((dim, dim))
-    for pm in set_perms(tableau):
-        row_sym[perm_rows(pm), idx] += 1.0
-    col_anti = np.zeros((dim, dim))
-    for pm in set_perms(cols):
-        col_anti[perm_rows(pm), idx] += _permutation_parity(pm)
-    u, svals, _ = np.linalg.svd(col_anti @ row_sym)
-    return u[:, : int(np.sum(svals > 1e-9 * svals[0]))]
-
-
-def test_young_blocks_equal_digit_map_construction():
-    # every partition with d^n <= 81
+def test_block_basis_spans_invariant_blocks_with_schur_characters():
+    # every (n, d) with d^n <= 81; keys are two_j = lam_0 - lam_1 at d = 2
     for d in range(2, 10):
+        U = haar_random_unitary(d, 40 + d).entries
+        eig = np.linalg.eigvals(U)
         n = 1
         while d**n <= 81:
-            for lam in partitions(n, d):
-                assert np.array_equal(young_symmetrizer_block(lam, d), young_block_reference(lam, d))
+            lams = partitions(n, d)
+            keys = [lam[0] - sum(lam[1:]) for lam in lams] if d == 2 else lams
+            blocks = block_basis(n, d)
+            assert list(blocks) == keys
+            W = _haar_action(U, n, 0)
+            for lam, key in zip(lams, keys):
+                B = blocks[key]
+                assert B.shape == (d**n, weyl_dim(lam, d))
+                assert np.abs(B.T @ B - np.eye(B.shape[1])).max() < 1e-12
+                WB = W @ B
+                assert np.abs(WB - B @ (B.T @ WB)).max() <= 1e-12
+                assert abs(np.trace(B.T @ WB) - schur_polynomial(lam, eig)) < 1e-10
             n += 1
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("case", ["negative weight", "weights sum to", "invalid irrep labels"])
+def test_build_probe_rejects_invalid_weights(d, case):
+    sym, anti, invalid = {2: (2, 0, 4), 3: ((2,), (1, 1), (5,))}[d]
+    q = {
+        "negative weight": {sym: -0.5, anti: 1.5},
+        "weights sum to": {sym: 3.0},
+        "invalid irrep labels": {invalid: 1.0},
+    }[case]
+    with pytest.raises(ValueError, match=case):
+        build_probe(2, d, q)
 
 
 def test_maximize_entropy_d2_recovers_solved_weights():
