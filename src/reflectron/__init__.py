@@ -6,8 +6,6 @@ __version__ = "0.1.0"
 
 from .config import ConsistencyError, DimensionBudgetError, NonChannelElementError
 from .tensor_core import (
-    DenseOperator,
-    Isometry,
     PureState,
     cyclic_permutation,
     haar_random_state,

@@ -14,7 +14,7 @@ import numpy as np
 
 from .config import NonChannelElementError, ensure_vector_budget
 from .cyclic import CyclicElement, apply_element, is_channel_element
-from .tensor_core import DenseOperator, PureState, as_matrix, as_vector
+from .tensor_core import PureState, as_state, as_vector
 
 
 def rotation_unitary(psi, alpha: float) -> np.ndarray:
@@ -23,22 +23,25 @@ def rotation_unitary(psi, alpha: float) -> np.ndarray:
     return np.eye(v.size) + (np.exp(1j * alpha) - 1.0) * np.outer(v, v.conj())
 
 
-def rotation_channel(psi, alpha: float, X) -> DenseOperator:
-    v = as_vector(psi)
-    R = rotation_unitary(v, alpha)
-    return DenseOperator(R @ as_matrix(X) @ R.conj().T, v.size, 1)
+def rotation_channel(psi, alpha: float, X) -> np.ndarray:
+    R = rotation_unitary(psi, alpha)
+    return R @ X @ R.conj().T
 
 
-def reflection_channel(psi, X) -> DenseOperator:
+def reflection_channel(psi, X) -> np.ndarray:
     return rotation_channel(psi, np.pi, X)
+
+
+def unitary_channel(U):
+    """The channel X -> U X U^dag as a callable."""
+    U = np.asarray(U, dtype=complex)
+    Ud = U.conj().T
+    return lambda X: U @ X @ Ud
 
 
 def make_rotation_channel(psi, alpha: float):
     """Callable form, X -> R X R^dag."""
-    v = as_vector(psi)
-    R = rotation_unitary(v, alpha)
-    Rd = R.conj().T
-    return lambda X: R @ as_matrix(X) @ Rd
+    return unitary_channel(rotation_unitary(psi, alpha))
 
 
 def _require_channel_element(e: CyclicElement):
@@ -76,7 +79,7 @@ class EffectiveChannel:
         self._projector = self.psi.projector()
 
     def apply(self, X) -> np.ndarray:
-        X = as_matrix(X)
+        X = np.asarray(X, dtype=complex)
         P = self._projector
         return (
             self.a_x * X
@@ -108,8 +111,7 @@ class EffectiveChannel:
 
 def effective_channel(e: CyclicElement, psi) -> EffectiveChannel:
     _require_channel_element(e)
-    if not isinstance(psi, PureState):
-        psi = PureState(as_vector(psi), as_vector(psi).size, 1)
+    psi = as_state(psi)
     c0 = e.coeffs[0]
     s = np.sum(e.coeffs[1:])
     q = float(np.sum(np.abs(e.coeffs[1:]) ** 2))
@@ -124,7 +126,7 @@ def effective_channel(e: CyclicElement, psi) -> EffectiveChannel:
     )
 
 
-def dense_reflection_channel(e: CyclicElement, psi, X) -> DenseOperator:
+def dense_reflection_channel(e: CyclicElement, psi, X) -> np.ndarray:
     """tr_P[ V (X x psi^{xn}) V^dag ] simulated on the full Hilbert space.
 
     V is applied as a sum of axis permutations of tensors, never materialized
@@ -144,13 +146,12 @@ def dense_reflection_channel(e: CyclicElement, psi, X) -> DenseOperator:
     for a in range(d):
         inputs[a, a * d**n : (a + 1) * d**n] = prog
     W = apply_element(e, d, inputs).T
-    WX = (W @ as_matrix(X)).reshape(d, d**n * d)
+    WX = (W @ X).reshape(d, d**n * d)
     Wr = W.reshape(d, d**n * d)
-    out = WX @ Wr.conj().T
-    return DenseOperator(out, d, 1)
+    return WX @ Wr.conj().T
 
 
-def lmr_sequential_dense(thetas, psi, X) -> DenseOperator:
+def lmr_sequential_dense(thetas, psi, X) -> np.ndarray:
     """Sequential e^{i theta SWAP} interactions with fresh program copies.
 
     Only two registers are alive at a time; each step couples the system to
@@ -163,12 +164,12 @@ def lmr_sequential_dense(thetas, psi, X) -> DenseOperator:
     for i in range(d):
         for j in range(d):
             swap[j * d + i, i * d + j] = 1.0
-    rho = as_matrix(X)
+    rho = np.asarray(X, dtype=complex)
     for theta in np.asarray(thetas, dtype=float).reshape(-1):
         U = np.cos(theta) * np.eye(d * d) + 1j * np.sin(theta) * swap
         sigma = U @ np.kron(rho, P) @ U.conj().T
         rho = np.trace(sigma.reshape(d, d, d, d), axis1=1, axis2=3)
-    return DenseOperator(rho, d, 1)
+    return rho
 
 
 def orthonormal_frame(psi) -> np.ndarray:
@@ -202,12 +203,12 @@ class MeasureReflectChannel:
     def __init__(self, psi, n: int):
         if n < 1:
             raise ValueError("need n >= 1")
-        v = as_vector(psi)
+        self.psi = as_state(psi)
+        v = self.psi.amplitudes
         self.d = v.size
         if self.d < 2:
             raise ValueError("need d >= 2")
         self.n = n
-        self.psi = PureState(v, self.d, 1)
         self.basis = np.concatenate([v[:, None], orthonormal_frame(v)], axis=1)
         T = lambda m: comb(m + self.d - 1, self.d - 1)
         t1 = T(n) / T(n + 1)
@@ -220,7 +221,7 @@ class MeasureReflectChannel:
 
     def apply(self, X) -> np.ndarray:
         B = self.basis
-        Y = B.conj().T @ as_matrix(X) @ B
+        Y = B.conj().T @ X @ B
         out = np.empty_like(Y)
         s1 = np.trace(Y[1:, 1:])
         out[0, 0] = self.diag_psi * Y[0, 0] + self.spread * s1
@@ -235,28 +236,25 @@ class MeasureReflectChannel:
         return self.apply(X)
 
 
-def mr_channel(psi, n: int, X) -> DenseOperator:
-    chan = MeasureReflectChannel(psi, n)
-    return DenseOperator(chan.apply(X), chan.d, 1)
+def mr_channel(psi, n: int, X) -> np.ndarray:
+    return MeasureReflectChannel(psi, n).apply(X)
 
 
-def choi(channel, d: int) -> DenseOperator:
+def choi(channel, d: int) -> np.ndarray:
     """sum_ij |i><j| x E(|i><j|)."""
     out = np.zeros((d * d, d * d), dtype=complex)
     for i in range(d):
         for j in range(d):
             unit = np.zeros((d, d), dtype=complex)
             unit[i, j] = 1.0
-            out[i * d : (i + 1) * d, j * d : (j + 1) * d] = as_matrix(channel(unit))
-    return DenseOperator(out, d, 2)
+            out[i * d : (i + 1) * d, j * d : (j + 1) * d] = channel(unit)
+    return out
 
 
-def group_twirl_state(rho, psi) -> DenseOperator:
+def group_twirl_state(rho, psi) -> np.ndarray:
     """Average of rho over unitaries fixing psi up to phase."""
     v = as_vector(psi)
     d = v.size
     P = np.outer(v, v.conj())
     Pperp = np.eye(d) - P
-    mat = as_matrix(rho)
-    out = np.trace(P @ mat) * P + np.trace(Pperp @ mat) * Pperp / (d - 1)
-    return DenseOperator(out, d, 1)
+    return np.trace(P @ rho) * P + np.trace(Pperp @ rho) * Pperp / (d - 1)

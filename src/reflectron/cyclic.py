@@ -11,7 +11,6 @@ from math import acos
 import numpy as np
 
 from .config import ensure_operator_budget, ensure_vector_budget
-from .tensor_core import DenseOperator
 
 UNITARY_TOL = 1e-10
 
@@ -145,9 +144,9 @@ def apply_element(e: CyclicElement, d: int, vecs) -> np.ndarray:
     return out.reshape(vecs.shape)
 
 
-def dense_element(e: CyclicElement, d: int) -> DenseOperator:
+def dense_element(e: CyclicElement, d: int) -> np.ndarray:
     """Materialize sum_l c_l C^l on (C^d)^{x(n+1)}; row x of the action on
     the identity is the image of basis ket x."""
     k = e.n + 1
     ensure_operator_budget(d**k, "dense cyclic element")
-    return DenseOperator(apply_element(e, d, np.eye(d**k, dtype=complex)).T, d, k)
+    return apply_element(e, d, np.eye(d**k, dtype=complex)).T

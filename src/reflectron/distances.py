@@ -12,7 +12,7 @@ from math import isqrt, sqrt
 
 import numpy as np
 
-from .config import ConsistencyError, NonChannelElementError
+from .config import ConsistencyError, NonChannelElementError, ensure_vector_budget
 from .channels import (
     MeasureReflectChannel,
     choi,
@@ -21,7 +21,7 @@ from .channels import (
     orthonormal_frame,
 )
 from .cyclic import CyclicElement, is_channel_element
-from .tensor_core import PureState, as_matrix, as_vector, haar_random_state
+from .tensor_core import PureState, as_state, haar_random_state
 
 CLOSED_FORM_TOL = 1e-9
 GRID_TOL = 1e-8
@@ -33,7 +33,7 @@ _PROBE_CHUNK = 256
 
 def trace_norm(X) -> float:
     """Sum of singular values."""
-    return float(np.sum(np.linalg.svd(as_matrix(X), compute_uv=False)))
+    return float(np.sum(np.linalg.svd(np.asarray(X, dtype=complex), compute_uv=False)))
 
 
 @dataclass
@@ -74,7 +74,7 @@ def _choi_difference(channel_a, channel_b, d: int) -> np.ndarray:
     This is the Choi matrix with its two middle indices swapped, so that
     applying the map to a stack of operators is one matrix product.
     """
-    J = choi(lambda X: as_matrix(channel_a(X)) - as_matrix(channel_b(X)), d).entries
+    J = choi(lambda X: channel_a(X) - channel_b(X), d)
     return J.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
 
 
@@ -143,20 +143,13 @@ def distance_at_p(e: CyclicElement, alpha: float, p: float, psi=None, check: boo
     c0sq, gap = _element_invariants(e, alpha)
     value = float(_closed_distance_at_p(c0sq, gap, p))
     if check:
-        state = _default_psi(2) if psi is None else _coerce_state(psi)
+        state = _default_psi(2) if psi is None else as_state(psi)
         dense = _dense_distance_at_p(e, alpha, p, state)
         if abs(dense - value) > CLOSED_FORM_TOL:
             raise ConsistencyError(
                 f"phi_p distance mismatch: closed {value} vs dense {dense}"
             )
     return value
-
-
-def _coerce_state(psi) -> PureState:
-    if isinstance(psi, PureState):
-        return psi
-    v = as_vector(psi)
-    return PureState(v, v.size, 1)
 
 
 def diamond_covariant(e: CyclicElement, alpha: float, psi=None) -> tuple:
@@ -183,7 +176,7 @@ def diamond_covariant(e: CyclicElement, alpha: float, psi=None) -> tuple:
         raise ConsistencyError(
             f"diamond maximization mismatch: analytic {value} vs grid {refined}"
         )
-    state = _default_psi(2) if psi is None else _coerce_state(psi)
+    state = _default_psi(2) if psi is None else as_state(psi)
     distance_at_p(e, alpha, p_star, psi=state, check=True)
     return value, p_star
 
@@ -238,8 +231,8 @@ def linear_bound(n: int, alpha: float) -> float:
 
 def diamond_unitary_channels(U, V) -> float:
     """Diamond distance of two unitary channels via the spectral arc."""
-    U = as_matrix(U)
-    V = as_matrix(V)
+    U = np.asarray(U, dtype=complex)
+    V = np.asarray(V, dtype=complex)
     for M in (U, V):
         dev = np.abs(M @ M.conj().T - np.eye(M.shape[0])).max()
         if dev > 1e-10:
@@ -259,7 +252,7 @@ def dense_diamond_covariant(channel_a, channel_b, psi, num_grid: int = 201) -> t
     Dense evaluation on C^{d^2}; used for channels without coefficient
     closed forms (the measure-and-reflect baseline).
     """
-    psi = _coerce_state(psi)
+    psi = as_state(psi)
     K = _choi_difference(channel_a, channel_b, psi.dim)
     phi_p = _phi_p_builder(psi)
 
@@ -277,7 +270,7 @@ def dense_diamond_covariant(channel_a, channel_b, psi, num_grid: int = 201) -> t
 
 def mr_diamond_distance(psi, n: int) -> tuple:
     """Diamond distance of measure-and-reflect from the exact reflection."""
-    psi = _coerce_state(psi)
+    psi = as_state(psi)
     chan = MeasureReflectChannel(psi, n)
     rot = make_rotation_channel(psi, np.pi)
     return dense_diamond_covariant(rot, chan, psi)
@@ -288,6 +281,7 @@ def sampled_diamond_lower_bound(channel_a, channel_b, d: int, trials: int, seed=
 
     A lower bound on the diamond distance, nondecreasing in ``trials``.
     """
+    ensure_vector_budget(trials * d * d, "diamond probes")
     rng = np.random.default_rng(seed)
     probes = np.empty((trials, d * d), dtype=complex)
     for t in range(trials):

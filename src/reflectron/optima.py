@@ -6,6 +6,7 @@ from enum import Enum
 
 import numpy as np
 
+from .config import ensure_vector_budget
 from .cyclic import CyclicElement, lmr_coeffs, r_theta_coeffs
 from .distances import _golden_max, closed_form_rotation_distance
 
@@ -53,6 +54,7 @@ def landscape_point(n: int, r: float, u: float) -> LandscapePoint:
 
 def landscape(n: int, grid_r: int = 513, grid_u: int = 513) -> np.ndarray:
     """Record array (r, u, value) over the [0,1] x [0,2pi) grid, row-major in r."""
+    ensure_vector_budget(grid_r * grid_u, "landscape grid")
     rs = np.linspace(0.0, 1.0, grid_r)
     us = np.linspace(0.0, 2.0 * np.pi, grid_u)
     R, U = np.meshgrid(rs, us, indexing="ij")

@@ -199,10 +199,12 @@ def conjecture_system_d2(n: int):
     A[J, j] = |sum_m C^{J0}_{jm,j-m}|^2 / (2j+1), b[J] = (2J+1)/binom(n+2,2).
     Entries with J > 2j vanish by the triangle rule. Each column comes from
     one eigendecomposition of the J^2 matrix on the M = 0 sector of
-    spin j x spin j (`_m0_cg_weights`), cached per two_j for every n.
+    spin j x spin j (`_m0_cg_weights`), cached per two_j for every n; the
+    last column's (n + 1) x (n + 1) matrix is checked against the budget.
     """
     if n < 1:
         raise ValueError("need n >= 1")
+    ensure_operator_budget(n + 1, "M = 0 sector J^2 matrix")
     two_js = list(range(n % 2, n + 1, 2))
     Js = list(range(n % 2, n + 1, 2))
     A = np.zeros((len(Js), len(two_js)))
@@ -398,6 +400,8 @@ def build_probe_d2(n: int, probe: ProbeSpec) -> PureState:
     """`build_probe` at d = 2, from a ProbeSpec over spins two_j."""
     if probe.d != 2:
         raise ValueError("build_probe_d2 expects a d=2 ProbeSpec")
+    if probe.n != n:
+        raise ValueError(f"ProbeSpec is for n = {probe.n}, not n = {n}")
     return build_probe(n, 2, probe.q)
 
 
@@ -464,10 +468,6 @@ def ensemble_entropy_rank(n: int, d: int, probe) -> tuple:
 
 def ensemble_entropy(n: int, d: int, probe) -> float:
     return ensemble_entropy_rank(n, d, probe)[0]
-
-
-def ensemble_rank(n: int, d: int, probe) -> int:
-    return ensemble_entropy_rank(n, d, probe)[1]
 
 
 def entropy_target(n: int, d: int) -> float:

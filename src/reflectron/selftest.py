@@ -63,31 +63,31 @@ def _checks():
         psi = haar_random_state(2, rng)
         X = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         e = r_theta_coeffs(4, 0.7)
-        dense = dense_reflection_channel(e, psi, X).entries
+        dense = dense_reflection_channel(e, psi, X)
         return np.abs(dense - effective_channel(e, psi)(X)).max() < 1e-10
 
     def lmr_paths_agree():
         psi = haar_random_state(2, rng)
         X = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         thetas = rng.uniform(0, pi / 2, size=4)
-        seq = lmr_sequential_dense(thetas, psi, X).entries
+        seq = lmr_sequential_dense(thetas, psi, X)
         return np.abs(seq - effective_channel(lmr_coeffs(thetas), psi)(X)).max() < 1e-10
 
     def rotation_two_case():
         return abs(equal_angle_distance(4, pi / 2) - 0.64) < 1e-12
 
     def projector_trace():
-        return abs(np.trace(symmetric_projector(3, 2).entries) - comb(4, 1)) < 1e-11
+        return abs(np.trace(symmetric_projector(3, 2)) - comb(4, 1)) < 1e-11
 
     def ptrace_product():
         rho = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         sig = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         joint = np.kron(rho, sig)
-        red = partial_trace(joint, keep=[0], d=2, factors=2).entries
+        red = partial_trace(joint, keep=[0], d=2, factors=2)
         return np.abs(red - rho * np.trace(sig)).max() < 1e-12
 
     def haar_unitary_ok():
-        U = haar_random_unitary(5, rng).entries
+        U = haar_random_unitary(5, rng)
         return np.abs(U @ U.conj().T - np.eye(5)).max() < 1e-10
 
     def power_state_norm():
@@ -112,7 +112,7 @@ def _checks():
         spectrum_err = np.abs(blocks - np.linalg.eigvalsh(rho)).max()
         invariance_err = 0.0
         for seed in range(3):
-            U = haar_random_unitary(2, seed).entries
+            U = haar_random_unitary(2, seed)
             W = np.kron(np.kron(U, U), np.kron(U.conj(), U.conj()))
             invariance_err = max(invariance_err, np.abs(W @ rho - rho @ W).max())
         return (

@@ -6,7 +6,7 @@ Permutations are tuples ``perm`` of length k with ``perm[s]`` the slot that
 receives the contents of slot ``s``.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 
 import numpy as np
@@ -14,7 +14,6 @@ import numpy as np
 from .config import ensure_operator_budget, ensure_vector_budget
 
 NORM_TOL = 1e-12
-ISOMETRY_TOL = 1e-10
 
 
 @dataclass
@@ -52,73 +51,21 @@ class PureState:
         return PureState(vec, self.local_dim, self.factors * n)
 
 
-@dataclass
-class DenseOperator:
-    """Square complex matrix on (C^d)^{x factors}."""
-
-    entries: np.ndarray
-    local_dim: int
-    factors: int = 1
-
-    def __post_init__(self):
-        self.entries = np.asarray(self.entries, dtype=complex)
-        if self.entries.ndim != 2 or self.entries.shape[0] != self.entries.shape[1]:
-            raise ValueError(f"operator must be square, got shape {self.entries.shape}")
-        dim = self.local_dim**self.factors
-        if self.entries.shape[0] != dim:
-            raise ValueError(
-                f"operator dimension {self.entries.shape[0]} != "
-                f"{self.local_dim}^{self.factors}"
-            )
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-    def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.entries, dtype=dtype)
-
-
-@dataclass
-class Isometry:
-    """Matrix with orthonormal columns, checked at construction."""
-
-    entries: np.ndarray
-    check: bool = field(default=True, repr=False)
-
-    def __post_init__(self):
-        self.entries = np.asarray(self.entries, dtype=complex)
-        if self.check:
-            g = self.entries.conj().T @ self.entries
-            dev = np.abs(g - np.eye(g.shape[0])).max()
-            if dev > ISOMETRY_TOL:
-                raise ValueError(f"columns not orthonormal, deviation {dev}")
-
-    @property
-    def dim_in(self) -> int:
-        return self.entries.shape[1]
-
-    @property
-    def dim_out(self) -> int:
-        return self.entries.shape[0]
-
-    def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.entries, dtype=dtype)
-
-
-def as_matrix(X) -> np.ndarray:
-    if isinstance(X, DenseOperator):
-        return X.entries
-    return np.asarray(X, dtype=complex)
-
-
 def as_vector(psi) -> np.ndarray:
     if isinstance(psi, PureState):
         return psi.amplitudes
     return np.asarray(psi, dtype=complex).reshape(-1)
 
 
-def permutation_operator(perm, d: int) -> DenseOperator:
+def as_state(psi) -> PureState:
+    """psi itself if it is a PureState, else a one-factor state of its amplitudes."""
+    if isinstance(psi, PureState):
+        return psi
+    v = as_vector(psi)
+    return PureState(v, v.size, 1)
+
+
+def permutation_operator(perm, d: int) -> np.ndarray:
     """0/1 matrix sending |i_0 ... i_{k-1}> to the permuted basis ket."""
     perm = tuple(perm)
     k = len(perm)
@@ -136,7 +83,7 @@ def permutation_operator(perm, d: int) -> DenseOperator:
         rows += digits[s] * d ** (k - 1 - perm[s])
     entries = np.zeros((dim, dim), dtype=complex)
     entries[rows, idx] = 1.0
-    return DenseOperator(entries, d, k)
+    return entries
 
 
 def cyclic_perm_tuple(k: int, power: int = 1) -> tuple:
@@ -144,22 +91,16 @@ def cyclic_perm_tuple(k: int, power: int = 1) -> tuple:
     return tuple((s + power) % k for s in range(k))
 
 
-def cyclic_permutation(k: int, d: int) -> DenseOperator:
+def cyclic_permutation(k: int, d: int) -> np.ndarray:
     return permutation_operator(cyclic_perm_tuple(k), d)
 
 
-def partial_trace(X, keep, d: int | None = None, factors: int | None = None) -> DenseOperator:
+def partial_trace(X, keep, d: int, factors: int) -> np.ndarray:
     """Trace out all factors not listed in ``keep`` (0-based indices)."""
-    if isinstance(X, DenseOperator):
-        d = X.local_dim if d is None else d
-        factors = X.factors if factors is None else factors
-    mat = as_matrix(X)
-    if d is None or factors is None:
-        raise ValueError("d and factors required for raw arrays")
     keep = sorted(set(int(i) for i in keep))
     if not keep or any(i < 0 or i >= factors for i in keep):
         raise ValueError(f"keep indices {keep} invalid for {factors} factors")
-    tensor = mat.reshape((d,) * (2 * factors))
+    tensor = np.asarray(X, dtype=complex).reshape((d,) * (2 * factors))
     traced = 0
     for i in range(factors):
         if i in keep:
@@ -169,7 +110,7 @@ def partial_trace(X, keep, d: int | None = None, factors: int | None = None) -> 
         tensor = np.trace(tensor, axis1=offset, axis2=live + offset)
         traced += 1
     dim = d ** len(keep)
-    return DenseOperator(tensor.reshape(dim, dim), d, len(keep))
+    return tensor.reshape(dim, dim)
 
 
 def sym_dim(n: int, d: int) -> int:
@@ -179,8 +120,8 @@ def sym_dim(n: int, d: int) -> int:
     return comb(n + d - 1, d - 1)
 
 
-def symmetric_encoder(n: int, d: int) -> Isometry:
-    """Isometry from sorted multi-index kets to symmetrized basis vectors.
+def symmetric_encoder(n: int, d: int) -> np.ndarray:
+    """The isometry from sorted multi-index kets to symmetrized basis vectors.
 
     Column order is lexicographic in the sorted multi-index; each column is
     the equal-weight superposition of the distinct arrangements. A ket joins
@@ -196,13 +137,13 @@ def symmetric_encoder(n: int, d: int) -> Isometry:
     arrangements = np.bincount(column)
     entries = np.zeros((dim, arrangements.size), dtype=complex)
     entries[np.arange(dim), column] = 1.0 / np.sqrt(arrangements)[column]
-    return Isometry(entries)
+    return entries
 
 
-def symmetric_projector(n: int, d: int) -> DenseOperator:
-    enc = symmetric_encoder(n, d).entries
+def symmetric_projector(n: int, d: int) -> np.ndarray:
+    enc = symmetric_encoder(n, d)
     ensure_operator_budget(d**n, "symmetric projector")
-    return DenseOperator(enc @ enc.conj().T, d, n)
+    return enc @ enc.conj().T
 
 
 def _as_rng(seed) -> np.random.Generator:
@@ -217,14 +158,14 @@ def haar_random_state(d: int, seed=0) -> PureState:
     return PureState(v / np.linalg.norm(v), d, 1)
 
 
-def haar_random_unitary(d: int, seed=0) -> DenseOperator:
+def haar_random_unitary(d: int, seed=0) -> np.ndarray:
     """Haar unitary via QR with R-diagonal phase correction (Mezzadri)."""
     rng = _as_rng(seed)
     z = (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))) / np.sqrt(2)
     q, r = np.linalg.qr(z)
     phases = np.diag(r).copy()
     phases /= np.abs(phases)
-    return DenseOperator(q * phases[None, :], d, 1)
+    return q * phases[None, :]
 
 
 def random_permutation(k: int, seed=0) -> tuple:

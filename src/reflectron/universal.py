@@ -8,10 +8,10 @@ from math import ceil, log2, pi
 import numpy as np
 import scipy.linalg
 
-from .channels import effective_channel
+from .channels import effective_channel, unitary_channel
 from .cyclic import r_theta_coeffs
 from .distances import linear_bound, sampled_diamond_lower_bound
-from .tensor_core import PureState, as_matrix, haar_random_unitary, sym_dim
+from .tensor_core import PureState, haar_random_unitary, sym_dim
 
 UNITARY_TOL = 1e-10
 
@@ -23,7 +23,7 @@ def eigendecompose_target(U) -> list:
     orthonormal vectors; pairs are stably sorted by phase, then the first
     pair's phase is rotated to zero and the rest mapped to (-pi, pi].
     """
-    U = as_matrix(U)
+    U = np.asarray(U, dtype=complex)
     d = U.shape[0]
     dev = np.abs(U @ U.conj().T - np.eye(d)).max()
     if dev > UNITARY_TOL:
@@ -131,9 +131,8 @@ def assemble_universal_channel(U, epsilon: float):
     through the closed-form effective channel with n_j program copies, so
     copy counts in the hundreds cost nothing.
     """
-    U = as_matrix(U)
-    d = U.shape[0]
     pairs = eigendecompose_target(U)
+    d = len(pairs)
     alphas = [alpha for _, alpha in pairs[1:]]
     report = budget(d, epsilon, alphas)
     rotations = []
@@ -147,7 +146,7 @@ def assemble_universal_channel(U, epsilon: float):
         channels.append(effective_channel(r_theta_coeffs(n_j, theta_j), psi))
 
     def composed(X):
-        out = as_matrix(X)
+        out = np.asarray(X, dtype=complex)
         for chan in channels:
             out = chan(out)
         return out
@@ -176,10 +175,10 @@ def verify_budget(U, epsilon: float, trials: int = 200, seed: int = 0) -> Verify
     into thirds, with the encoder third identically zero here because the
     symmetric encoder is exact in this artifact.
     """
-    U = as_matrix(U)
+    U = np.asarray(U, dtype=complex)
     d = U.shape[0]
     program, composed = assemble_universal_channel(U, epsilon)
-    target = make_rotation_channel_product(U)
+    target = unitary_channel(U)
     sampled = sampled_diamond_lower_bound(target, composed, d, trials, seed)
     per_rot = [linear_bound(r.n_copies, abs(pi * r.a)) for r in program.rotations]
     return VerifyReport(
@@ -193,12 +192,6 @@ def verify_budget(U, epsilon: float, trials: int = 200, seed: int = 0) -> Verify
         encoder_error_budget=0.0,
         per_rotation_linear_bounds=per_rot,
     )
-
-
-def make_rotation_channel_product(U):
-    U = as_matrix(U)
-    Ud = U.conj().T
-    return lambda X: U @ as_matrix(X) @ Ud
 
 
 def lower_bound_via_universal(d: int, epsilon: float, constant: float = 1.0) -> float:

@@ -71,7 +71,7 @@ def test_criterion_01_optimal_reflection_distance():
                 assert abs(value - expected) < 1e-9
                 # dense and effective channel paths agree on random inputs
                 X = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-                dense = dense_reflection_channel(element, psi, X).entries
+                dense = dense_reflection_channel(element, psi, X)
                 closed = effective_channel(element, psi)(X)
                 assert np.abs(dense - closed).max() < 1e-10
 
@@ -109,7 +109,7 @@ def test_criterion_04_lmr_channels():
             psi = haar_random_state(d, rng)
             X = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
             thetas = rng.uniform(0, pi, size=n)
-            seq = lmr_sequential_dense(thetas, psi, X).entries
+            seq = lmr_sequential_dense(thetas, psi, X)
             closed = effective_channel(lmr_coeffs(thetas), psi)(X)
             assert np.abs(seq - closed).max() < 1e-10
         # the closed form 2(1 - cos^{2n}(alpha/n)) is the Domain-A value,
@@ -163,7 +163,7 @@ def test_criterion_04_improved_angle_asymptote():
         target = make_rotation_channel(psi, alpha)
         for theta in (alpha / n, lmr_improved_angle(n, alpha)):
             def channel(X, theta=theta):
-                return lmr_sequential_dense(np.full(n, theta), psi, X).entries
+                return lmr_sequential_dense(np.full(n, theta), psi, X)
 
             value, _ = dense_diamond_covariant(channel, target, psi, num_grid=51)
             assert abs(value - lmr_equal_angle_distance(n, alpha, theta)) < 1e-9
@@ -205,7 +205,7 @@ def test_criterion_06_circuit_counts_and_equivalence():
             state = np.zeros(2**circ.total_qubits, dtype=complex)
             state[: inp.size] = inp
             out = apply_circuit(circ, state)
-            ref = dense_element(r_theta_coeffs(n, theta), 2).entries @ inp
+            ref = dense_element(r_theta_coeffs(n, theta), 2) @ inp
             assert np.abs(out[: inp.size] - ref).max() < 1e-10
             assert np.linalg.norm(out[inp.size :]) < 1e-10
 
@@ -259,11 +259,11 @@ def test_criterion_09_lower_bound_d3():
 def test_criterion_10_universal_budget():
     with criterion("criterion 10: universal verification and accounting", 300.0):
         for k in range(20):
-            U = haar_random_unitary(2, 100 + k).entries
+            U = haar_random_unitary(2, 100 + k)
             rep = verify_budget(U, 0.2, trials=40, seed=k)
             assert rep.passed, f"d=2 target {k}: sampled {rep.sampled_distance}"
         for k in range(10):
-            U = haar_random_unitary(3, 200 + k).entries
+            U = haar_random_unitary(3, 200 + k)
             rep = verify_budget(U, 0.5, trials=40, seed=k)
             assert rep.passed, f"d=3 target {k}: sampled {rep.sampled_distance}"
         slope, _ = scaling_fit(ds=(2, 3, 4), k_values=range(6, 25, 2))

@@ -21,7 +21,7 @@ from reflectron import (
     rotation_channel,
 )
 from reflectron.channels import orthonormal_frame
-from reflectron.tensor_core import as_matrix, as_vector
+from reflectron.tensor_core import as_vector
 
 
 def random_matrix(d, rng):
@@ -44,20 +44,20 @@ def test_rotation_zero_angle_identity():
     rng = np.random.default_rng(0)
     psi = haar_random_state(3, rng)
     X = random_matrix(3, rng)
-    assert np.abs(rotation_channel(psi, 0.0, X).entries - X).max() < 1e-12
+    assert np.abs(rotation_channel(psi, 0.0, X) - X).max() < 1e-12
 
 
 def test_reflection_fixes_axis():
     psi = haar_random_state(2, 1)
     P = psi.projector()
-    assert np.abs(reflection_channel(psi, P).entries - P).max() < 1e-12
+    assert np.abs(reflection_channel(psi, P) - P).max() < 1e-12
 
 
 def test_reflection_flips_cross_terms():
     psi = haar_random_state(3, 2)
     perp = orthonormal_frame(psi.amplitudes)[:, 0]
     cross = np.outer(perp, psi.amplitudes.conj())  # |psi_i><psi|
-    out = reflection_channel(psi, cross).entries
+    out = reflection_channel(psi, cross)
     assert np.abs(out + cross).max() < 1e-12
 
 
@@ -65,7 +65,7 @@ def test_dense_channel_identity_element():
     rng = np.random.default_rng(3)
     psi = haar_random_state(2, rng)
     X = random_matrix(2, rng)
-    out = dense_reflection_channel(CyclicElement.identity(3), psi, X).entries
+    out = dense_reflection_channel(CyclicElement.identity(3), psi, X)
     assert np.abs(out - X).max() < 1e-12
 
 
@@ -73,7 +73,7 @@ def test_dense_channel_swap_replaces_with_program():
     rng = np.random.default_rng(4)
     psi = haar_random_state(2, rng)
     X = random_matrix(2, rng)
-    out = dense_reflection_channel(CyclicElement(1, [0.0, 1.0]), psi, X).entries
+    out = dense_reflection_channel(CyclicElement(1, [0.0, 1.0]), psi, X)
     assert np.abs(out - np.trace(X) * psi.projector()).max() < 1e-12
 
 
@@ -86,7 +86,7 @@ def test_effective_matches_dense(n, d):
         r_theta_coeffs(n, rng.uniform(0, 2 * pi)),
         lmr_coeffs(rng.uniform(0, pi, size=n)),
     ):
-        dense = dense_reflection_channel(element, psi, X).entries
+        dense = dense_reflection_channel(element, psi, X)
         closed = effective_channel(element, psi)(X)
         assert np.abs(dense - closed).max() < 1e-10
 
@@ -109,7 +109,7 @@ def test_effective_matches_dense_exhaustive_small_region():
                 lmr_coeffs(rng.uniform(0, pi, size=n)),
                 inverse_fourier(np.exp(1j * rng.uniform(0, 2 * pi, size=n + 1))),
             ):
-                dense = dense_reflection_channel(element, psi, X).entries
+                dense = dense_reflection_channel(element, psi, X)
                 closed = effective_channel(element, psi)(X)
                 worst = max(worst, np.abs(dense - closed).max())
             n += 1
@@ -123,7 +123,7 @@ def test_effective_matches_dense_large_boundary():
     psi = haar_random_state(2, rng)
     X = random_matrix(2, rng)
     element = r_theta_coeffs(15, 2.1)
-    dense = dense_reflection_channel(element, psi, X).entries
+    dense = dense_reflection_channel(element, psi, X)
     closed = effective_channel(element, psi)(X)
     assert np.abs(dense - closed).max() < 1e-10
 
@@ -148,7 +148,7 @@ def dense_reflection_channel_reference(e, psi, X):
                 continue
             acc += c * np.transpose(tensor, axes=[(t - l) % (n + 1) for t in range(n + 1)])
         W[:, a] = acc.reshape(-1)
-    WX = (W @ as_matrix(X)).reshape(d, d**n * d)
+    WX = (W @ X).reshape(d, d**n * d)
     Wr = W.reshape(d, d**n * d)
     return WX @ Wr.conj().T
 
@@ -164,7 +164,7 @@ def test_dense_channel_equals_column_loop(d, ns):
             lmr_coeffs(rng.uniform(0, pi, size=n)),
             CyclicElement.identity(n),
         ):
-            out = dense_reflection_channel(element, psi, X).entries
+            out = dense_reflection_channel(element, psi, X)
             assert np.array_equal(out, dense_reflection_channel_reference(element, psi, X))
 
 
@@ -175,7 +175,7 @@ def test_dense_channel_budget_counts_isometry(monkeypatch, d, budget, n_max):
     rng = np.random.default_rng(d)
     psi = haar_random_state(d, rng)
     X = random_matrix(d, rng)
-    assert dense_reflection_channel(r_theta_coeffs(n_max, 0.9), psi, X).entries.shape == (d, d)
+    assert dense_reflection_channel(r_theta_coeffs(n_max, 0.9), psi, X).shape == (d, d)
     with pytest.raises(DimensionBudgetError):
         dense_reflection_channel(r_theta_coeffs(n_max + 1, 0.9), psi, X)
 
@@ -212,8 +212,8 @@ def test_lmr_sequential_trivialities():
     rng = np.random.default_rng(8)
     psi = haar_random_state(2, rng)
     X = random_matrix(2, rng)
-    assert np.abs(lmr_sequential_dense([0.0, 0.0], psi, X).entries - X).max() < 1e-12
-    out = lmr_sequential_dense([pi / 2], psi, X).entries
+    assert np.abs(lmr_sequential_dense([0.0, 0.0], psi, X) - X).max() < 1e-12
+    out = lmr_sequential_dense([pi / 2], psi, X)
     assert np.abs(out - np.trace(X) * psi.projector()).max() < 1e-12
 
 
@@ -225,7 +225,7 @@ def test_lmr_sequential_matches_effective():
         psi = haar_random_state(d, rng)
         X = random_matrix(d, rng)
         thetas = rng.uniform(0, pi, size=n)
-        seq = lmr_sequential_dense(thetas, psi, X).entries
+        seq = lmr_sequential_dense(thetas, psi, X)
         closed = effective_channel(lmr_coeffs(thetas), psi)(X)
         assert np.abs(seq - closed).max() < 1e-10
 
@@ -234,7 +234,7 @@ def test_mr_trace_preserving_and_d2_value():
     rng = np.random.default_rng(10)
     psi = haar_random_state(2, rng)
     X = random_matrix(2, rng)
-    out = mr_channel(psi, 4, X).entries
+    out = mr_channel(psi, 4, X)
     assert abs(np.trace(out) - np.trace(X)) < 1e-11
 
 
@@ -262,7 +262,7 @@ def test_effective_covariance():
 
 def test_choi_identity_channel():
     ident = lambda X: X
-    J = choi(ident, 2).entries
+    J = choi(ident, 2)
     eig = np.linalg.eigvalsh(J)
     assert abs(eig[-1] - 2.0) < 1e-12
     assert np.abs(eig[:-1]).max() < 1e-12
@@ -271,7 +271,7 @@ def test_choi_identity_channel():
 def test_choi_swap_channel():
     psi = haar_random_state(2, 13)
     chan = effective_channel(CyclicElement(1, [0.0, 1.0]), psi)
-    J = choi(chan, 2).entries
+    J = choi(chan, 2)
     assert np.abs(J - np.kron(np.eye(2), psi.projector())).max() < 1e-12
 
 
@@ -284,10 +284,10 @@ def test_choi_complete_positivity_random_elements():
         from reflectron import inverse_fourier
 
         chan = effective_channel(inverse_fourier(phases), psi)
-        eig = np.linalg.eigvalsh(choi(chan, 2).entries)
+        eig = np.linalg.eigvalsh(choi(chan, 2))
         assert eig.min() > -1e-9
         # partial trace over the output slot returns the identity
-        J = choi(chan, 2).entries
+        J = choi(chan, 2)
         red = np.trace(J.reshape(2, 2, 2, 2), axis1=1, axis2=3)
         assert np.abs(red - np.eye(2)).max() < 1e-10
 
@@ -306,8 +306,8 @@ def test_group_twirl_fixed_points():
     rng = np.random.default_rng(15)
     psi = haar_random_state(3, rng)
     P = psi.projector()
-    assert np.abs(group_twirl_state(P, psi).entries - P).max() < 1e-12
-    assert np.abs(group_twirl_state(np.eye(3) / 3, psi).entries - np.eye(3) / 3).max() < 1e-12
+    assert np.abs(group_twirl_state(P, psi) - P).max() < 1e-12
+    assert np.abs(group_twirl_state(np.eye(3) / 3, psi) - np.eye(3) / 3).max() < 1e-12
 
 
 def test_group_twirl_output_in_commutant():
@@ -316,7 +316,7 @@ def test_group_twirl_output_in_commutant():
     rho = random_matrix(3, rng)
     rho = rho @ rho.conj().T
     rho /= np.trace(rho)
-    out = group_twirl_state(rho, psi).entries
+    out = group_twirl_state(rho, psi)
     for _ in range(5):
         U = stabilizer_unitary(psi, rng)
         assert np.abs(U @ out - out @ U).max() < 1e-10
@@ -326,7 +326,7 @@ def test_mr_choi_positive_and_trace_preserving():
     for d, n in [(2, 1), (2, 4), (3, 2), (3, 7)]:
         psi = haar_random_state(d, d * 10 + n)
         chan = MeasureReflectChannel(psi, n)
-        J = choi(chan, d).entries
+        J = choi(chan, d)
         assert np.linalg.eigvalsh(J).min() > -1e-9
         red = np.trace(J.reshape(d, d, d, d), axis1=1, axis2=3)
         assert np.abs(red - np.eye(d)).max() < 1e-11

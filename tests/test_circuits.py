@@ -78,7 +78,7 @@ def test_circuit_equals_cyclic_element_on_program_sector(n):
     state = np.zeros(2**circ.total_qubits, dtype=complex)
     state[: inp.size] = inp  # ancilla |0...0>
     out = apply_circuit(circ, state)
-    reference = dense_element(r_theta_coeffs(n, theta), 2).entries @ inp
+    reference = dense_element(r_theta_coeffs(n, theta), 2) @ inp
     assert np.abs(out[: inp.size] - reference).max() < 1e-10
     # ancilla disentangles exactly
     assert np.linalg.norm(out[inp.size :]) < 1e-10
@@ -90,7 +90,7 @@ def test_circuit_dense_unitary_matches_fig1_n1():
     U = circuit_to_dense(circ)
     # on the ancilla-zero block the unitary acts as the cyclic element
     block = U[:4, :4]
-    expected = dense_element(r_theta_coeffs(1, theta), 2).entries
+    expected = dense_element(r_theta_coeffs(1, theta), 2)
     assert np.abs(block - expected).max() < 1e-12
 
 

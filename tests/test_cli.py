@@ -209,14 +209,47 @@ def test_invalid_size_and_angle_exit_code(argv, capsys):
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_lowerbound_twirl_d2_matches_separate_entropy_and_rank(n, capsys):
-    from reflectron.repthy import build_probe_d2, ensemble_entropy, ensemble_rank, solve_q_d2
+    from reflectron.repthy import (
+        build_probe_d2,
+        ensemble_entropy,
+        ensemble_entropy_rank,
+        solve_q_d2,
+    )
 
     code, out, _ = run(["lowerbound", "twirl", "--n", str(n), "--d", "2"], capsys)
     payload = json.loads(out)
     probe = build_probe_d2(n, solve_q_d2(n)[0])
     assert code == 0
     assert payload["entropy"] == ensemble_entropy(n, 2, probe)
-    assert payload["rank"] == ensemble_rank(n, 2, probe)
+    assert payload["rank"] == ensemble_entropy_rank(n, 2, probe)[1]
+
+
+@pytest.mark.parametrize(
+    "argv, largest, what",
+    [
+        (["landscape", "--n", "4", "--grid", "{k}"], 31, "landscape grid of dimension 1024"),
+        (
+            ["universal", "verify", "--d", "2", "--eps", "0.2", "--trials", "{k}", "--targets", "1"],
+            250,
+            "diamond probes of dimension 1004",
+        ),
+        (
+            ["lowerbound", "solve-q", "--n", "{k}"],
+            30,
+            "M = 0 sector J^2 matrix of dimension 32x32",
+        ),
+    ],
+    ids=["landscape", "universal-verify", "solve-q"],
+)
+def test_dense_allocation_budget(argv, largest, what, capsys, monkeypatch):
+    # grid^2 landscape rows, trials * d^2 probe amplitudes, an (n+1)^2 matrix
+    monkeypatch.setenv("REFLECTRON_BUDGET", "1000")
+    code, out, _ = run([a.format(k=largest) for a in argv], capsys)
+    assert code == 0 and out
+    code, out, err = run([a.format(k=largest + 1) for a in argv], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: budget: {what}")
+    assert "Traceback" not in err
 
 
 def test_lowerbound_twirl_d3_regression_pin(capsys):

@@ -65,7 +65,7 @@ def test_unitary_flag_matches_dense_check():
         phases = np.exp(1j * rng.uniform(0, 2 * pi, size=n + 1))
         e = inverse_fourier(phases)
         assert is_unitary_element(e)
-        V = dense_element(e, d).entries
+        V = dense_element(e, d)
         assert np.abs(V @ V.conj().T - np.eye(d ** (n + 1))).max() < 1e-10
 
 
@@ -139,13 +139,13 @@ def test_lmr_equal_angle_ratio_structure():
 
 
 def test_dense_element_identity():
-    assert np.abs(dense_element(CyclicElement.identity(2), 2).entries - np.eye(8)).max() == 0
+    assert np.abs(dense_element(CyclicElement.identity(2), 2) - np.eye(8)).max() == 0
 
 
 def test_dense_element_reflection_eigencheck():
     # n=1, theta=pi: I - (I + SWAP)/1... acts with eigenvalue -1 on |psi psi>
     e = r_theta_coeffs(1, pi)
-    V = dense_element(e, 2).entries
+    V = dense_element(e, 2)
     psi = haar_random_state(2, 7)
     vec = np.kron(psi.amplitudes, psi.amplitudes)
     assert np.abs(V @ vec + vec).max() < 1e-12
@@ -155,7 +155,7 @@ def test_unitary_elements_preserve_program_sector_norm():
     rng = np.random.default_rng(4)
     for n, d in [(2, 2), (3, 2), (2, 3)]:
         e = r_theta_coeffs(n, rng.uniform(0, pi))
-        V = dense_element(e, d).entries
+        V = dense_element(e, d)
         phi = haar_random_state(d, rng)
         psi = haar_random_state(d, rng)
         vec = np.kron(phi.amplitudes, psi.tensor_power(n).amplitudes)
@@ -167,7 +167,7 @@ def test_lmr_restriction_is_isometric():
     # on the physical phi x psi^n sector
     rng = np.random.default_rng(5)
     e = lmr_coeffs(rng.uniform(0, pi, size=3))
-    V = dense_element(e, 2).entries
+    V = dense_element(e, 2)
     phi = haar_random_state(2, rng)
     psi = haar_random_state(2, rng)
     vec = np.kron(phi.amplitudes, psi.tensor_power(3).amplitudes)
@@ -193,7 +193,7 @@ def dense_element_reference(e, d):
     for l, c in enumerate(e.coeffs):
         if c == 0:
             continue
-        acc += c * permutation_operator(cyclic_perm_tuple(k, l), d).entries
+        acc += c * permutation_operator(cyclic_perm_tuple(k, l), d)
     return acc
 
 
@@ -203,7 +203,7 @@ def test_dense_element_equals_permutation_operator_sum(n, d):
     coeffs = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
     coeffs[-1] = 0.0
     for e in (CyclicElement(n, coeffs), r_theta_coeffs(n, 1.234), CyclicElement.identity(n)):
-        assert np.array_equal(dense_element(e, d).entries, dense_element_reference(e, d))
+        assert np.array_equal(dense_element(e, d), dense_element_reference(e, d))
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -212,7 +212,7 @@ def test_apply_element_matches_dense_product(n, d):
     rng = np.random.default_rng(100 * d + n)
     e = CyclicElement(n, rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1))
     dim = d ** (n + 1)
-    V = dense_element(e, d).entries
+    V = dense_element(e, d)
     vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     stack = rng.normal(size=(3, dim)) + 1j * rng.normal(size=(3, dim))
     assert np.abs(apply_element(e, d, vec) - V @ vec).max() < 1e-13

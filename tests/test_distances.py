@@ -387,12 +387,13 @@ def _sampled_loop(channel_a, channel_b, d, trials, seed):
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_sampled_bound_equals_loop_reference(d):
-    from reflectron.universal import make_rotation_channel_product, assemble_universal_channel
+    from reflectron.channels import unitary_channel
+    from reflectron.universal import assemble_universal_channel
     from reflectron import haar_random_unitary
 
     U = haar_random_unitary(d, 3)
     _, composed = assemble_universal_channel(U, 0.2)
-    target = make_rotation_channel_product(U)
+    target = unitary_channel(U)
     for trials, seed in ((20, 1003), (50, 7)):
         got = sampled_diamond_lower_bound(target, composed, d, trials, seed)
         assert abs(got - _sampled_loop(target, composed, d, trials, seed)) < 1e-13

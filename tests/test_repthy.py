@@ -29,7 +29,6 @@ from reflectron.repthy import (
     block_basis,
     build_probe,
     ensemble_entropy_rank,
-    ensemble_rank,
     ensemble_state,
     entropy_target,
     gt_patterns,
@@ -340,7 +339,7 @@ def test_commutant_ops_commute_with_haar_action():
     for k in range(len(commutant_reference(1, 3)[0])):
         eta = commutant_op_dense(1, 3, k)
         for seed in range(20):
-            U = haar_random_unitary(3, seed).entries
+            U = haar_random_unitary(3, seed)
             W = np.kron(U, U.conj())
             assert np.abs(W @ eta - eta @ W).max() < 1e-10
 
@@ -366,7 +365,7 @@ def test_schur_basis_orthonormal_weyl_blocks_with_equal_copies(k, l, d):
     F = np.concatenate([E.reshape(-1, E.shape[-1]) for E in basis.values()])
     assert F.shape == (d ** (k + l),) * 2
     assert np.abs(F @ F.T - np.eye(F.shape[0])).max() < 1e-12
-    W = _haar_action(haar_random_unitary(d, 3).entries, k, l)
+    W = _haar_action(haar_random_unitary(d, 3), k, l)
     for lam, E in basis.items():
         assert sum(lam) == k - l
         assert E.shape[0] == weyl_dim(tuple(x + l for x in lam), d)
@@ -407,7 +406,7 @@ def test_twirl_invariance_under_group_action():
     X = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     t = twirl(X, 1, 2)
     for seed in range(20):
-        U = haar_random_unitary(2, seed).entries
+        U = haar_random_unitary(2, seed)
         W = np.kron(U, U.conj())
         assert np.abs(W @ t @ W.conj().T - t).max() < 1e-9
 
@@ -421,7 +420,7 @@ def test_twirl_matches_monte_carlo_haar_average():
         samples = 10_000
         acc = np.zeros_like(X)
         for s in range(samples):
-            U = haar_random_unitary(d, rng).entries
+            U = haar_random_unitary(d, rng)
             Un = U
             for _ in range(n - 1):
                 Un = np.kron(Un, U)
@@ -498,6 +497,12 @@ def test_probe_normalized_for_any_valid_q():
         build_probe_d2(2, ProbeSpec(n=2, d=2, q={4: 1.0}))
 
 
+def test_probe_d2_rejects_spec_for_other_n():
+    # two_j = 2 is a block at n = 2 and at n = 4, so only the n check catches this
+    with pytest.raises(ValueError, match="n = 2, not n = 4"):
+        build_probe_d2(4, ProbeSpec(n=2, d=2, q={2: 1.0}))
+
+
 def test_entropy_n1_maximally_entangled():
     spec = ProbeSpec(n=1, d=2, q={1: 1.0})
     probe = build_probe_d2(1, spec)
@@ -519,7 +524,7 @@ def test_entropy_twirl_path_equals_formula_path(n):
     probe = build_probe_d2(n, spec)
     entropy = ensemble_entropy(n, 2, probe)
     assert abs(entropy - np.log2(comb(n + 2, 2))) < 1e-10
-    rank = ensemble_rank(n, 2, probe)
+    rank = ensemble_entropy_rank(n, 2, probe)[1]
     assert rank == comb(n + 2, 2)
     assert rank <= support_bound(n, 2)
 
@@ -535,7 +540,7 @@ def schur_polynomial(lam, x):
 def test_block_basis_spans_invariant_blocks_with_schur_characters():
     # every (n, d) with d^n <= 81; keys are two_j = lam_0 - lam_1 at d = 2
     for d in range(2, 10):
-        U = haar_random_unitary(d, 40 + d).entries
+        U = haar_random_unitary(d, 40 + d)
         eig = np.linalg.eigvals(U)
         n = 1
         while d**n <= 81:

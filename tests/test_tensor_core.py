@@ -22,11 +22,11 @@ from reflectron.tensor_core import cyclic_perm_tuple, random_permutation
 
 def test_permutation_identity():
     op = permutation_operator((0, 1), 2)
-    assert np.abs(op.entries - np.eye(4)).max() == 0
+    assert np.abs(op - np.eye(4)).max() == 0
 
 
 def test_permutation_swap_defining_property():
-    swap = permutation_operator((1, 0), 2).entries
+    swap = permutation_operator((1, 0), 2)
     ket01 = np.zeros(4)
     ket01[1] = 1  # |01>
     ket10 = np.zeros(4)
@@ -36,7 +36,7 @@ def test_permutation_swap_defining_property():
 
 def test_permutation_cycle_direct_bookkeeping():
     # cycle pushing right: |100> -> |010>
-    op = permutation_operator(cyclic_perm_tuple(3), 2).entries
+    op = permutation_operator(cyclic_perm_tuple(3), 2)
     ket100 = np.zeros(8)
     ket100[4] = 1
     ket010 = np.zeros(8)
@@ -58,21 +58,21 @@ def test_permutation_homomorphism():
         sigma = random_permutation(k, rng)
         tau = random_permutation(k, rng)
         combined = tuple(sigma[tau[s]] for s in range(k))
-        lhs = permutation_operator(sigma, d).entries @ permutation_operator(tau, d).entries
-        rhs = permutation_operator(combined, d).entries
+        lhs = permutation_operator(sigma, d) @ permutation_operator(tau, d)
+        rhs = permutation_operator(combined, d)
         assert np.abs(lhs - rhs).max() < 1e-12
 
 
 def test_cyclic_swap_and_order():
-    assert np.abs(cyclic_permutation(2, 2).entries - permutation_operator((1, 0), 2).entries).max() == 0
-    C = cyclic_permutation(3, 2).entries
+    assert np.abs(cyclic_permutation(2, 2) - permutation_operator((1, 0), 2)).max() == 0
+    C = cyclic_permutation(3, 2)
     assert np.abs(np.linalg.matrix_power(C, 3) - np.eye(8)).max() < 1e-13
 
 
 def test_cyclic_fixes_symmetric_states():
     psi = haar_random_state(2, 11)
     vec = psi.tensor_power(3).amplitudes
-    C = cyclic_permutation(3, 2).entries
+    C = cyclic_permutation(3, 2)
     assert np.abs(C @ vec - vec).max() < 1e-12
 
 
@@ -81,9 +81,9 @@ def test_partial_trace_product_states():
     rho = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     sigma = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     joint = np.kron(rho, sigma)
-    kept = partial_trace(joint, keep=[0], d=2, factors=2).entries
+    kept = partial_trace(joint, keep=[0], d=2, factors=2)
     assert np.abs(kept - rho * np.trace(sigma)).max() < 1e-12
-    other = partial_trace(joint, keep=[1], d=2, factors=2).entries
+    other = partial_trace(joint, keep=[1], d=2, factors=2)
     assert np.abs(other - sigma * np.trace(rho)).max() < 1e-12
 
 
@@ -91,7 +91,7 @@ def test_partial_trace_maximally_entangled():
     bell = np.zeros(4)
     bell[0] = bell[3] = 1 / np.sqrt(2)
     rho = np.outer(bell, bell)
-    red = partial_trace(rho, keep=[1], d=2, factors=2).entries
+    red = partial_trace(rho, keep=[1], d=2, factors=2)
     assert np.abs(red - np.eye(2) / 2).max() < 1e-12
 
 
@@ -99,8 +99,8 @@ def test_partial_trace_preserves_trace_and_validates():
     rng = np.random.default_rng(1)
     X = rng.normal(size=(27, 27)) + 1j * rng.normal(size=(27, 27))
     red = partial_trace(X, keep=[0, 2], d=3, factors=3)
-    assert abs(np.trace(red.entries) - np.trace(X)) < 1e-12
-    assert red.dim == 9
+    assert abs(np.trace(red) - np.trace(X)) < 1e-12
+    assert red.shape == (9, 9)
     with pytest.raises(ValueError):
         partial_trace(X, keep=[3], d=3, factors=3)
 
@@ -123,7 +123,7 @@ def test_sym_dim_stars_and_bars_oracle():
 
 def test_symmetric_projector_properties():
     for n, d in [(2, 2), (3, 2), (2, 3)]:
-        P = symmetric_projector(n, d).entries
+        P = symmetric_projector(n, d)
         assert np.abs(P @ P - P).max() < 1e-11
         assert np.abs(P - P.conj().T).max() < 1e-12
         assert abs(np.trace(P) - comb(n + d - 1, d - 1)) < 1e-10
@@ -132,7 +132,7 @@ def test_symmetric_projector_properties():
 def test_symmetric_projector_fixes_power_states():
     psi = haar_random_state(3, 5)
     vec = psi.tensor_power(2).amplitudes
-    P = symmetric_projector(2, 3).entries
+    P = symmetric_projector(2, 3)
     assert np.abs(P @ vec - vec).max() < 1e-12
 
 
@@ -140,13 +140,13 @@ def test_symmetric_projector_equals_group_average():
     for n, d in [(2, 2), (3, 2), (4, 2), (3, 3)]:
         acc = np.zeros((d**n, d**n), dtype=complex)
         for perm in itertools.permutations(range(n)):
-            acc += permutation_operator(perm, d).entries
+            acc += permutation_operator(perm, d)
         acc /= factorial(n)
-        assert np.abs(acc - symmetric_projector(n, d).entries).max() < 1e-11
+        assert np.abs(acc - symmetric_projector(n, d)).max() < 1e-11
 
 
 def test_symmetric_encoder_two_term_column():
-    enc = symmetric_encoder(2, 2).entries
+    enc = symmetric_encoder(2, 2)
     # sorted multi-indices in lex order: (0,0), (0,1), (1,1)
     expected = np.zeros(4)
     expected[1] = expected[2] = 1 / np.sqrt(2)
@@ -154,11 +154,11 @@ def test_symmetric_encoder_two_term_column():
 
 
 def test_symmetric_encoder_isometry_and_range():
-    for n, d in [(2, 2), (3, 2), (2, 3), (3, 3)]:
-        enc = symmetric_encoder(n, d).entries
+    for n, d in [(2, 2), (3, 2), (2, 3), (3, 3), (9, 2), (4, 3)]:
+        enc = symmetric_encoder(n, d)
         assert enc.shape[1] == sym_dim(n, d)
         assert np.abs(enc.conj().T @ enc - np.eye(enc.shape[1])).max() < 1e-10
-        P = symmetric_projector(n, d).entries
+        P = symmetric_projector(n, d)
         assert np.abs(enc @ enc.conj().T - P).max() < 1e-11
 
 
@@ -177,23 +177,23 @@ def _encoder_by_enumeration(n, d):
 
 @pytest.mark.parametrize("n, d", [(8, 2), (4, 3), (3, 4), (6, 3), (1, 5)])
 def test_symmetric_encoder_equals_enumeration(n, d):
-    assert np.array_equal(symmetric_encoder(n, d).entries, _encoder_by_enumeration(n, d))
+    assert np.array_equal(symmetric_encoder(n, d), _encoder_by_enumeration(n, d))
 
 
 def test_symmetric_encoder_power_state_in_range():
     psi = haar_random_state(2, 9)
     vec = psi.tensor_power(3).amplitudes
-    enc = symmetric_encoder(3, 2).entries
+    enc = symmetric_encoder(3, 2)
     assert abs(np.linalg.norm(enc.conj().T @ vec) - 1.0) < 1e-10
 
 
 def test_haar_state_and_unitary():
     psi = haar_random_state(4, 0)
     assert abs(np.linalg.norm(psi.amplitudes) - 1.0) < 1e-12
-    U = haar_random_unitary(4, 0).entries
+    U = haar_random_unitary(4, 0)
     assert np.abs(U @ U.conj().T - np.eye(4)).max() < 1e-10
     # determinism per seed
-    again = haar_random_unitary(4, 0).entries
+    again = haar_random_unitary(4, 0)
     assert np.abs(U - again).max() == 0
 
 
@@ -203,7 +203,7 @@ def test_haar_moment():
     samples = 100_000
     vals = np.empty(samples)
     for k in range(samples):
-        vals[k] = abs(haar_random_unitary(d, rng).entries[0, 0]) ** 2
+        vals[k] = abs(haar_random_unitary(d, rng)[0, 0]) ** 2
     stderr = vals.std() / np.sqrt(samples)
     assert abs(vals.mean() - 1 / d) < 3 * stderr
 

@@ -36,7 +36,7 @@ def test_eigendecompose_diagonal():
 def test_eigendecompose_reconstruction():
     for seed in range(5):
         for d in (2, 3, 4):
-            U = haar_random_unitary(d, seed).entries
+            U = haar_random_unitary(d, seed)
             pairs = eigendecompose_target(U)
             rebuilt = np.eye(d, dtype=complex)
             for psi, alpha in pairs:
@@ -117,14 +117,14 @@ def test_assemble_identity_target():
 
 
 def test_assembled_channel_trace_preserving_and_cp():
-    U = haar_random_unitary(3, 1).entries
+    U = haar_random_unitary(3, 1)
     _, chan = assemble_universal_channel(U, 0.8)
     rng = np.random.default_rng(1)
     X = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     assert abs(np.trace(chan(X)) - np.trace(X)) < 1e-10
     from reflectron import choi
 
-    eig = np.linalg.eigvalsh(choi(chan, 3).entries)
+    eig = np.linalg.eigvalsh(choi(chan, 3))
     assert eig.min() > -1e-9
 
 
@@ -150,7 +150,7 @@ def test_single_rotation_reduction_d2():
 def test_program_record_invariants():
     # binary truncation error per rotation stays within the encoder share
     for d, eps, seed in ((2, 0.2, 0), (3, 0.4, 1)):
-        U = haar_random_unitary(d, seed).entries
+        U = haar_random_unitary(d, seed)
         program, _ = assemble_universal_channel(U, eps)
         for rec in program.rotations:
             assert abs(rec.alpha - pi * rec.a) <= eps / (6 * (d - 1)) + 1e-12
@@ -165,10 +165,10 @@ def test_verify_budget_identity():
 
 def test_verify_budget_haar_targets_small():
     for seed in range(3):
-        U = haar_random_unitary(2, seed).entries
+        U = haar_random_unitary(2, seed)
         rep = verify_budget(U, 0.2, trials=60, seed=seed)
         assert rep.passed, rep
-    U = haar_random_unitary(3, 0).entries
+    U = haar_random_unitary(3, 0)
     rep = verify_budget(U, 0.5, trials=40, seed=0)
     assert rep.passed, rep
 
