@@ -1,9 +1,10 @@
 """Channel constructions: rotations, approximate reflections, sequential
 swap-interaction channels, and the measure-and-reflect baseline.
 
-Every channel here acts on d x d operators and is covariant with respect to
-the unitaries fixing its axis state, which is what the distance module's
-one-parameter reduction relies on.
+Every channel here acts on d x d operators, and on a (..., d, d) stack of
+them slice by slice, and is covariant with respect to the unitaries fixing
+its axis state, which is what the distance module's one-parameter reduction
+relies on.
 """
 
 import json
@@ -81,12 +82,14 @@ class EffectiveChannel:
     def apply(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=complex)
         P = self._projector
+        tr_x = np.trace(X, axis1=-2, axis2=-1)[..., None, None]
+        tr_px = np.trace(P @ X, axis1=-2, axis2=-1)[..., None, None]
         return (
             self.a_x * X
             + self.a_px * (P @ X)
             + self.a_xp * (X @ P)
-            + self.a_tr * np.trace(X) * P
-            + self.a_trp * np.trace(P @ X) * P
+            + self.a_tr * tr_x * P
+            + self.a_trp * tr_px * P
         )
 
     def __call__(self, X) -> np.ndarray:
@@ -165,10 +168,13 @@ def lmr_sequential_dense(thetas, psi, X) -> np.ndarray:
         for j in range(d):
             swap[j * d + i, i * d + j] = 1.0
     rho = np.asarray(X, dtype=complex)
+    lead = rho.shape[:-2]
     for theta in np.asarray(thetas, dtype=float).reshape(-1):
         U = np.cos(theta) * np.eye(d * d) + 1j * np.sin(theta) * swap
-        sigma = U @ np.kron(rho, P) @ U.conj().T
-        rho = np.trace(sigma.reshape(d, d, d, d), axis1=1, axis2=3)
+        # rho x P on each slice of the stack, entry by entry as np.kron builds it
+        joint = (rho[..., :, None, :, None] * P[:, None, :]).reshape(lead + (d * d, d * d))
+        sigma = U @ joint @ U.conj().T
+        rho = np.trace(sigma.reshape(lead + (d,) * 4), axis1=-3, axis2=-1)
     return rho
 
 
@@ -223,13 +229,13 @@ class MeasureReflectChannel:
         B = self.basis
         Y = B.conj().T @ X @ B
         out = np.empty_like(Y)
-        s1 = np.trace(Y[1:, 1:])
-        out[0, 0] = self.diag_psi * Y[0, 0] + self.spread * s1
-        out[0, 1:] = self.off_psi * Y[0, 1:]
-        out[1:, 0] = self.off_psi * Y[1:, 0]
-        out[1:, 1:] = self.off_perp * Y[1:, 1:]
+        s1 = np.trace(Y[..., 1:, 1:], axis1=-2, axis2=-1)
+        out[..., 0, 0] = self.diag_psi * Y[..., 0, 0] + self.spread * s1
+        out[..., 0, 1:] = self.off_psi * Y[..., 0, 1:]
+        out[..., 1:, 0] = self.off_psi * Y[..., 1:, 0]
+        out[..., 1:, 1:] = self.off_perp * Y[..., 1:, 1:]
         idx = np.arange(1, self.d)
-        out[idx, idx] += self.spread * Y[0, 0] + self.spread_perp * s1
+        out[..., idx, idx] += (self.spread * Y[..., 0, 0] + self.spread_perp * s1)[..., None]
         return B @ out @ B.conj().T
 
     def __call__(self, X) -> np.ndarray:
@@ -240,15 +246,27 @@ def mr_channel(psi, n: int, X) -> np.ndarray:
     return MeasureReflectChannel(psi, n).apply(X)
 
 
+def unit_images(channel, d: int) -> np.ndarray:
+    """E(|i><j|) at row i d + j, from one call of E on the (d^2, d, d) unit stack.
+
+    A callable that does not act slice by slice on a (..., d, d) stack
+    would give a wrong Choi matrix; the shape check catches the usual ways
+    of getting that wrong (a transpose of all axes, a trace over the stack).
+    """
+    units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
+    images = np.asarray(channel(units), dtype=complex)
+    if images.shape != units.shape:
+        raise ValueError(
+            f"channel maps the {units.shape} matrix-unit stack to shape "
+            f"{images.shape}; it must act on a (..., d, d) stack slice by slice"
+        )
+    return images
+
+
 def choi(channel, d: int) -> np.ndarray:
     """sum_ij |i><j| x E(|i><j|)."""
-    out = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            unit = np.zeros((d, d), dtype=complex)
-            unit[i, j] = 1.0
-            out[i * d : (i + 1) * d, j * d : (j + 1) * d] = channel(unit)
-    return out
+    images = unit_images(channel, d).reshape(d, d, d, d)
+    return images.transpose(0, 2, 1, 3).reshape(d * d, d * d)
 
 
 def group_twirl_state(rho, psi) -> np.ndarray:

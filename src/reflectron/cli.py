@@ -280,6 +280,8 @@ def cmd_u_budget(args) -> int:
 
 
 def cmd_u_verify(args) -> int:
+    if args.targets < 1:
+        raise CliError(f"need --targets >= 1, got {args.targets}")
     reports = []
     for k, U in enumerate(haar_targets(args.d, args.targets, args.seed)):
         reports.append(verify_budget(U, args.eps, trials=args.trials, seed=args.seed + 1000 + k))

@@ -15,10 +15,10 @@ import numpy as np
 from .config import ConsistencyError, NonChannelElementError, ensure_vector_budget
 from .channels import (
     MeasureReflectChannel,
-    choi,
     effective_channel,
     make_rotation_channel,
     orthonormal_frame,
+    unit_images,
 )
 from .cyclic import CyclicElement, is_channel_element
 from .tensor_core import PureState, as_state, haar_random_state
@@ -29,6 +29,9 @@ GRID_TOL = 1e-8
 _DEFAULT_PSI_SEED = 2024
 # probes per reference-extended contraction; bounds memory at O(d^4 * chunk)
 _PROBE_CHUNK = 256
+# the p grid that guards the analytic argmax in diamond_covariant
+_P_GRID = np.linspace(0.0, 1.0, 1001)
+_P_GRID.flags.writeable = False
 
 
 def trace_norm(X) -> float:
@@ -69,13 +72,12 @@ def _phi_p_builder(psi: PureState):
 
 
 def _choi_difference(channel_a, channel_b, d: int) -> np.ndarray:
-    """K[(a, b), (c, e)] = (A - B)(|a><b|)[c, e], from 2 d^2 channel calls.
+    """K[(a, b), (c, e)] = (A - B)(|a><b|)[c, e], from one stacked call of each.
 
     This is the Choi matrix with its two middle indices swapped, so that
     applying the map to a stack of operators is one matrix product.
     """
-    J = choi(lambda X: channel_a(X) - channel_b(X), d)
-    return J.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    return (unit_images(channel_a, d) - unit_images(channel_b, d)).reshape(d * d, d * d)
 
 
 def _reference_extended(K: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -114,9 +116,14 @@ def _element_invariants(e: CyclicElement, alpha: float):
     return abs(c0) ** 2, gap
 
 
-def _closed_distance_at_p(c0sq: float, gap: float, p) -> np.ndarray:
+def _closed_distance_at_p(c0sq: float, gap: float, p):
+    """The phi_p trace distance; a float for a float p, an array for an array.
+
+    math.sqrt and np.sqrt are both correctly rounded, so both give the same bits.
+    """
+    sqrt_ = np.sqrt if isinstance(p, np.ndarray) else sqrt
     a = (1.0 - p) * (1.0 - c0sq)
-    return a + np.sqrt(a * a + 4.0 * p * (1.0 - p) * gap * gap)
+    return a + sqrt_(a * a + 4.0 * p * (1.0 - p) * gap * gap)
 
 
 def _dense_distance_at_p(e: CyclicElement, alpha: float, p: float, psi: PureState) -> float:
@@ -140,6 +147,8 @@ def distance_at_p(e: CyclicElement, alpha: float, p: float, psi=None, check: boo
     When ``check`` is set the value is recomputed on C^{d^2} through the
     effective channel; disagreement beyond 1e-9 raises ConsistencyError.
     """
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("p must lie in [0, 1]")
     c0sq, gap = _element_invariants(e, alpha)
     value = float(_closed_distance_at_p(c0sq, gap, p))
     if check:
@@ -166,11 +175,10 @@ def diamond_covariant(e: CyclicElement, alpha: float, psi=None) -> tuple:
     else:
         p_star = 0.0
         value = 2.0 * A
-    ps = np.linspace(0.0, 1.0, 1001)
-    grid_vals = _closed_distance_at_p(c0sq, gap, ps)
+    grid_vals = _closed_distance_at_p(c0sq, gap, _P_GRID)
     k = int(np.argmax(grid_vals))
-    lo = ps[max(k - 1, 0)]
-    hi = ps[min(k + 1, len(ps) - 1)]
+    lo = _P_GRID[max(k - 1, 0)]
+    hi = _P_GRID[min(k + 1, len(_P_GRID) - 1)]
     _, refined = _golden_max(lambda p: _closed_distance_at_p(c0sq, gap, p), lo, hi)
     if abs(refined - value) > GRID_TOL:
         raise ConsistencyError(
@@ -281,6 +289,8 @@ def sampled_diamond_lower_bound(channel_a, channel_b, d: int, trials: int, seed=
 
     A lower bound on the diamond distance, nondecreasing in ``trials``.
     """
+    if trials < 0:
+        raise ValueError(f"need trials >= 0, got trials = {trials}")
     ensure_vector_budget(trials * d * d, "diamond probes")
     rng = np.random.default_rng(seed)
     probes = np.empty((trials, d * d), dtype=complex)

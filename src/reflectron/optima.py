@@ -26,6 +26,11 @@ class Domain(Enum):
     BOUNDARY = "Boundary"
 
 
+def _check_n(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"need n >= 1 program copies, got n = {n}")
+
+
 def _landscape_invariants(n: int, r, u):
     """(|c_0|^2, reflection-target gap) at the landscape point (r, u).
 
@@ -54,6 +59,9 @@ def landscape_point(n: int, r: float, u: float) -> LandscapePoint:
 
 def landscape(n: int, grid_r: int = 513, grid_u: int = 513) -> np.ndarray:
     """Record array (r, u, value) over the [0,1] x [0,2pi) grid, row-major in r."""
+    _check_n(n)
+    if grid_r < 1 or grid_u < 1:
+        raise ValueError(f"need a grid of at least 1 x 1 points, got {grid_r} x {grid_u}")
     ensure_vector_budget(grid_r * grid_u, "landscape grid")
     rs = np.linspace(0.0, 1.0, grid_r)
     us = np.linspace(0.0, 2.0 * np.pi, grid_u)
@@ -74,6 +82,7 @@ def critical_u(n: int, r: float) -> float:
 
 def boundary_curve(n: int, num: int = 257) -> np.ndarray:
     """Domain A/B boundary points (r, u), bisected along r for each u."""
+    _check_n(n)
 
     def margin(r, u):
         c0sq, gap = _landscape_invariants(n, r, u)

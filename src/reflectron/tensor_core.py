@@ -109,6 +109,8 @@ def partial_trace(X, keep, d: int, factors: int) -> np.ndarray:
         live = factors - traced
         tensor = np.trace(tensor, axis1=offset, axis2=live + offset)
         traced += 1
+    if not traced:  # nothing traced out: tensor may still be a view of X
+        tensor = tensor.copy()
     dim = d ** len(keep)
     return tensor.reshape(dim, dim)
 

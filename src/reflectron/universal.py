@@ -11,6 +11,7 @@ import scipy.linalg
 from .channels import effective_channel, unitary_channel
 from .cyclic import r_theta_coeffs
 from .distances import linear_bound, sampled_diamond_lower_bound
+from .repthy import _check_eps
 from .tensor_core import PureState, haar_random_unitary, sym_dim
 
 UNITARY_TOL = 1e-10
@@ -93,8 +94,7 @@ def budget(d: int, epsilon: float, alphas) -> BudgetReport:
     """
     if d < 2:
         raise ValueError("need d >= 2")
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    _check_eps(epsilon)
     alphas = [float(a) for a in alphas]
     K = ceil(log2(6 * pi * (d - 1) / epsilon))
     n_copies = [ceil(9 * (d - 1) * abs(a) / epsilon) for a in alphas]

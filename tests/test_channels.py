@@ -337,3 +337,71 @@ def test_mr_tr_pn_ratio_consistency():
     d, n = 3, 5
     T = lambda m: comb(m + d - 1, d - 1)
     assert T(n + 2) * (n + 2) == T(n + 1) * (n + d + 1)
+
+
+def _per_unit_choi(channel, d):
+    """The per-unit Choi loop: one channel call per matrix unit |i><j|."""
+    out = np.zeros((d * d, d * d), dtype=complex)
+    for i in range(d):
+        for j in range(d):
+            unit = np.zeros((d, d), dtype=complex)
+            unit[i, j] = 1.0
+            out[i * d : (i + 1) * d, j * d : (j + 1) * d] = channel(unit)
+    return out
+
+
+def _library_channels(d):
+    from reflectron import haar_random_unitary
+    from reflectron.channels import make_rotation_channel
+    from reflectron.universal import assemble_universal_channel
+
+    psi = haar_random_state(d, 40 + d)
+    _, composed = assemble_universal_channel(haar_random_unitary(d, 40 + d), 0.2)
+    return {
+        "rotation": make_rotation_channel(psi, 1.3),
+        "effective": effective_channel(r_theta_coeffs(3, 2.1), psi),
+        "measure-reflect": MeasureReflectChannel(psi, 5),
+        "universal": composed,
+        "sequential": lambda X: lmr_sequential_dense([0.3, 0.7, 1.1], psi, X),
+    }
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_stacked_choi_equals_per_unit_loop(d):
+    from reflectron.distances import _choi_difference
+
+    chans = _library_channels(d)
+    for name, chan in chans.items():
+        assert np.array_equal(choi(chan, d), _per_unit_choi(chan, d)), name
+        for other in chans.values():
+            J = _per_unit_choi(lambda X: chan(X) - other(X), d)
+            K = J.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+            assert np.array_equal(_choi_difference(chan, other, d), K), name
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_library_channels_act_on_stacks_slice_by_slice(d):
+    rng = np.random.default_rng(50 + d)
+    stack = rng.normal(size=(5, d, d)) + 1j * rng.normal(size=(5, d, d))
+    for name, chan in _library_channels(d).items():
+        assert np.array_equal(chan(stack), [chan(X) for X in stack]), name
+        deep = stack.reshape(5, 1, d, d)
+        assert np.array_equal(chan(deep), chan(stack)[:, None]), name
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_unit_images_rejects_channel_that_mishandles_a_stack(d):
+    from reflectron.channels import unit_images
+    from reflectron.distances import _choi_difference
+
+    ident = lambda X: X
+    for bad in (lambda X: X.T, lambda X: np.trace(X) * np.eye(d) / d):
+        # both are fine on a single d x d matrix ...
+        assert bad(np.eye(d)).shape == (d, d)
+        # ... but not slice by slice on the unit stack
+        with pytest.raises(ValueError, match="slice by slice"):
+            unit_images(bad, d)
+        with pytest.raises(ValueError, match="slice by slice"):
+            choi(bad, d)
+        with pytest.raises(ValueError, match="slice by slice"):
+            _choi_difference(ident, bad, d)

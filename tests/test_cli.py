@@ -207,6 +207,28 @@ def test_invalid_size_and_angle_exit_code(argv, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["universal", "verify", "--d", "2", "--eps", "inf", "--trials", "4"], "epsilon"),
+        (["universal", "budget", "--d", "2", "--eps", "inf"], "epsilon"),
+        (["universal", "budget", "--d", "2", "--eps", "nan"], "epsilon"),
+        (["universal", "verify", "--d", "2", "--eps", "nan"], "epsilon"),
+        (["universal", "verify", "--d", "2", "--eps", "0.2", "--trials", "-1"], "trials"),
+        (["universal", "verify", "--d", "2", "--eps", "0.2", "--targets", "0"], "targets"),
+        (["universal", "verify", "--d", "2", "--eps", "0.2", "--targets", "-2"], "targets"),
+        (["landscape", "--n", "0", "--grid", "5"], "need n >= 1"),
+        (["landscape", "--n", "-3", "--grid", "3"], "need n >= 1"),
+        (["landscape", "--n", "4", "--grid", "0"], "grid"),
+    ],
+)
+def test_universal_and_landscape_invalid_input_exit_code(argv, named, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: validation:") and named in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("n", range(1, 6))
 def test_lowerbound_twirl_d2_matches_separate_entropy_and_rank(n, capsys):
     from reflectron.repthy import (

@@ -499,3 +499,31 @@ def test_default_probe_is_built_once_and_read_only():
         psi.amplitudes[0] = 1.0
     with pytest.raises(ValueError):
         psi.amplitudes *= 2.0
+
+
+def test_sampled_bound_rejects_negative_trials():
+    chan = make_rotation_channel(haar_random_state(2, 0), 1.0)
+    with pytest.raises(ValueError, match="need trials >= 0"):
+        sampled_diamond_lower_bound(chan, chan, 2, -1)
+
+
+def test_closed_distance_float_path_matches_array_path_bit_for_bit():
+    ps = distances._P_GRID
+    assert np.array_equal(ps, np.linspace(0.0, 1.0, 1001))
+    with pytest.raises(ValueError):
+        ps[0] = 0.5
+    rng = np.random.default_rng(7)
+    for c0sq, gap in rng.uniform(0.0, 1.0, size=(20, 2)):
+        c0sq, gap = float(c0sq), float(gap)
+        on_grid = distances._closed_distance_at_p(c0sq, gap, ps)
+        one_by_one = [distances._closed_distance_at_p(c0sq, gap, float(p)) for p in ps]
+        assert all(type(v) is float for v in one_by_one)
+        assert np.array_equal(on_grid, one_by_one)
+
+
+def test_distance_at_p_rejects_p_outside_unit_interval():
+    e = r_theta_coeffs(3, 1.1)
+    for p in (-0.5, 1.5, float("nan")):
+        for check in (True, False):
+            with pytest.raises(ValueError, match=r"p must lie in \[0, 1\]"):
+                distance_at_p(e, pi, p, check=check)

@@ -187,3 +187,15 @@ def test_lmr_large_n_leading_order():
     assert abs(lmr_equal_angle_distance(n, alpha) / lead - 1.0) < 1e-2
     improved = lmr_equal_angle_distance(n, alpha, lmr_improved_angle(n, alpha))
     assert abs(improved / lead - 1.0) < 1e-2
+
+
+def test_landscape_and_boundary_reject_processor_without_copies():
+    for n in (0, -3):
+        with pytest.raises(ValueError, match="need n >= 1"):
+            landscape(n, 5, 5)
+        with pytest.raises(ValueError, match="need n >= 1"):
+            boundary_curve(n)
+    for grid_r, grid_u in ((0, 5), (5, 0)):
+        with pytest.raises(ValueError, match="grid"):
+            landscape(4, grid_r, grid_u)
+    assert landscape(1, 1, 1).shape == (1,)

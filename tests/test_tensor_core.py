@@ -105,6 +105,16 @@ def test_partial_trace_preserves_trace_and_validates():
         partial_trace(X, keep=[3], d=3, factors=3)
 
 
+@pytest.mark.parametrize("dtype", [complex, float])
+def test_partial_trace_keeping_every_factor_returns_a_copy(dtype):
+    X = np.arange(16, dtype=dtype).reshape(4, 4)
+    Y = partial_trace(X, keep=[0, 1], d=2, factors=2)
+    assert np.array_equal(Y, X) and Y.dtype == complex
+    assert not np.shares_memory(Y, X)
+    Y[0, 0] = 99
+    assert X[0, 0] == 0
+
+
 @pytest.mark.parametrize("n,d,expected", [(2, 2, 3), (3, 2, 4), (0, 5, 1), (4, 3, 15)])
 def test_sym_dim(n, d, expected):
     assert sym_dim(n, d) == expected

@@ -220,3 +220,11 @@ def test_lower_bound_scaling_inside_log():
     red = lower_bound_via_universal(d, eps)
     red_shift = lower_bound_via_universal(d, eps / 2)
     assert red_shift - red == pytest.approx((d + 1) / 2, rel=1e-12)
+
+
+@pytest.mark.parametrize("eps", [float("inf"), float("nan"), 0.0, -0.1])
+def test_budget_rejects_eps_that_is_not_finite_and_positive(eps):
+    with pytest.raises(ValueError, match="epsilon must be finite and positive"):
+        budget(2, eps, [pi])
+    with pytest.raises(ValueError, match="epsilon must be finite and positive"):
+        verify_budget(haar_random_unitary(2, 0), eps, trials=4)
