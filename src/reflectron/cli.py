@@ -76,10 +76,17 @@ def parse_angle(token: str) -> float:
         raise CliError(f"cannot parse angle {token!r}") from exc
 
 
+def _write_file(path: str, text: str):
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _emit(args, text: str):
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        _write_file(args.out, text)
     else:
         sys.stdout.write(text)
 
@@ -87,6 +94,12 @@ def _emit(args, text: str):
 def _emit_json(args, payload: dict):
     payload = {"schema": SCHEMA, **payload}
     _emit(args, json.dumps(payload, sort_keys=True) + "\n")
+
+
+def _check_d(d: int):
+    """Reject a local dimension below 2 before any state of that size is built."""
+    if d < 2:
+        raise CliError(f"need --d >= 2, got {d}")
 
 
 def _algo_element(args, n: int, alpha: float):
@@ -130,12 +143,13 @@ def cmd_landscape(args) -> int:
     lines.extend(
         f"{float(p['r'])!r},{float(p['u'])!r},{float(p['value'])!r}" for p in points
     )
-    _emit(args, "\n".join(lines) + "\n")
+    # the boundary file is written first, so a path that cannot be written
+    # fails before any of the surface reaches stdout
     if args.boundary_out:
-        with open(args.boundary_out, "w") as fh:
-            fh.write("r,u\n")
-            for r, u in boundary_curve(args.n):
-                fh.write(f"{float(r)!r},{float(u)!r}\n")
+        boundary = ["r,u"]
+        boundary.extend(f"{float(r)!r},{float(u)!r}" for r, u in boundary_curve(args.n))
+        _write_file(args.boundary_out, "\n".join(boundary) + "\n")
+    _emit(args, "\n".join(lines) + "\n")
     return 0
 
 
@@ -168,6 +182,7 @@ def cmd_lmr(args) -> int:
 
 
 def cmd_mr(args) -> int:
+    _check_d(args.d)
     psi = haar_random_state(args.d, args.seed)
     value, p_best = mr_diamond_distance(psi, args.n)
     _emit_json(
@@ -280,6 +295,7 @@ def cmd_u_budget(args) -> int:
 
 
 def cmd_u_verify(args) -> int:
+    _check_d(args.d)
     if args.targets < 1:
         raise CliError(f"need --targets >= 1, got {args.targets}")
     reports = []
@@ -343,7 +359,9 @@ def cmd_c_verify(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    failures = _selftest.run(verbose=True)
+    lines = []
+    failures = _selftest.run(write=lines.append)
+    _emit(args, "".join(line + "\n" for line in lines))
     return 0 if failures == 0 else 2
 
 

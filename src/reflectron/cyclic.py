@@ -64,17 +64,24 @@ def is_unitary_element(e: CyclicElement, tol: float = UNITARY_TOL) -> bool:
     return bool(np.max(np.abs(np.abs(fourier(e)) - 1.0)) <= tol)
 
 
-def is_channel_element(e: CyclicElement, tol: float = UNITARY_TOL) -> bool:
+def channel_sums(e: CyclicElement) -> tuple:
+    """(ct_0, sum_l |c_l|^2), one pass over the coefficients each: the two
+    sums the channel condition tests."""
+    c = e.coeffs
+    return complex(c.sum()), float(np.vdot(c, c).real)
+
+
+def is_channel_element(e: CyclicElement, tol: float = UNITARY_TOL, sums=None) -> bool:
     """True iff the element defines a trace-preserving reflection channel.
 
     Needs |ct_0| = 1 and sum_l |c_l|^2 = 1. Unitary elements always qualify;
     the sequential-interaction coefficient families qualify without being
-    unitary elements of the algebra.
+    unitary elements of the algebra. A caller that already holds
+    ``channel_sums(e)`` passes it as ``sums`` so the coefficients are not
+    read again.
     """
-    c = e.coeffs
-    ct0 = complex(c.sum())
-    total = np.vdot(c, c).real
-    return bool(abs(abs(ct0) - 1.0) <= tol and abs(total - 1.0) <= tol)
+    ct0, total = channel_sums(e) if sums is None else sums
+    return abs(abs(ct0) - 1.0) <= tol and abs(total - 1.0) <= tol
 
 
 def f_opt(n: int) -> float:

@@ -8,7 +8,7 @@ on C^{d^2}, and a grid guards the analytic critical point.
 import cmath
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isqrt, sqrt
+from math import isfinite, isqrt, sqrt
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from .channels import (
     orthonormal_frame,
     unit_images,
 )
-from .cyclic import CyclicElement, is_channel_element
+from .cyclic import CyclicElement, channel_sums, is_channel_element
 from .tensor_core import PureState, as_state, haar_random_state
 
 CLOSED_FORM_TOL = 1e-9
@@ -104,14 +104,15 @@ def _probe_distances(K: np.ndarray, probes: np.ndarray) -> np.ndarray:
 
 
 def _element_invariants(e: CyclicElement, alpha: float):
-    if not np.isfinite(alpha):
+    if not isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha}")
-    if not is_channel_element(e):
+    sums = channel_sums(e)
+    if not is_channel_element(e, sums=sums):
         raise NonChannelElementError(
             "distance formulas require a trace-preserving cyclic element"
         )
     c0 = complex(e.coeffs[0])
-    ct0 = complex(e.coeffs.sum())
+    ct0 = sums[0]
     gap = abs(ct0 * c0.conjugate() - cmath.exp(1j * alpha))
     return abs(c0) ** 2, gap
 
@@ -127,10 +128,12 @@ def _closed_distance_at_p(c0sq: float, gap: float, p):
 
 
 def _dense_distance_at_p(e: CyclicElement, alpha: float, p: float, psi: PureState) -> float:
+    d = psi.dim
     chan = effective_channel(e, psi)
     rot = make_rotation_channel(psi, alpha)
-    K = _choi_difference(rot, chan, psi.dim)
-    return float(_probe_distances(K, PhiP(p, psi, psi.dim).vector()[None])[0])
+    K = _choi_difference(rot, chan, d)
+    phi_p = _default_phi_p(d) if psi is _default_psi(d) else _phi_p_builder(psi)
+    return float(_probe_distances(K, phi_p([p]))[0])
 
 
 @lru_cache(maxsize=None)
@@ -139,6 +142,12 @@ def _default_psi(d: int) -> PureState:
     state = haar_random_state(d, _DEFAULT_PSI_SEED)
     state.amplitudes.flags.writeable = False
     return state
+
+
+@lru_cache(maxsize=None)
+def _default_phi_p(d: int):
+    """The phi_p builder of _default_psi(d); its frame is built once per d."""
+    return _phi_p_builder(_default_psi(d))
 
 
 def distance_at_p(e: CyclicElement, alpha: float, p: float, psi=None, check: bool = True) -> float:

@@ -35,10 +35,12 @@ def _landscape_invariants(n: int, r, u):
     """(|c_0|^2, reflection-target gap) at the landscape point (r, u).
 
     No asarray here: boundary_curve bisects with plain floats, and 0-d
-    array arithmetic made it 1.8x slower.
+    array arithmetic made it 1.8x slower. r and u broadcast, so an r column
+    against a u row takes its cosine and sine on the u axis alone.
     """
-    c0sq = (1.0 + 2.0 * n * r * np.cos(u) + (n * r) ** 2) / (n + 1) ** 2
-    gap = np.sqrt((n + 2 + n * r * np.cos(u)) ** 2 + (n * r * np.sin(u)) ** 2) / (n + 1)
+    cos_u = np.cos(u)
+    c0sq = (1.0 + 2.0 * n * r * cos_u + (n * r) ** 2) / (n + 1) ** 2
+    gap = np.sqrt((n + 2 + n * r * cos_u) ** 2 + (n * r * np.sin(u)) ** 2) / (n + 1)
     return c0sq, gap
 
 
@@ -65,12 +67,10 @@ def landscape(n: int, grid_r: int = 513, grid_u: int = 513) -> np.ndarray:
     ensure_vector_budget(grid_r * grid_u, "landscape grid")
     rs = np.linspace(0.0, 1.0, grid_r)
     us = np.linspace(0.0, 2.0 * np.pi, grid_u)
-    R, U = np.meshgrid(rs, us, indexing="ij")
-    V = landscape_value(n, R, U)
-    out = np.zeros(R.size, dtype=[("r", float), ("u", float), ("value", float)])
-    out["r"] = R.reshape(-1)
-    out["u"] = U.reshape(-1)
-    out["value"] = V.reshape(-1)
+    out = np.zeros(grid_r * grid_u, dtype=[("r", float), ("u", float), ("value", float)])
+    out["r"] = np.repeat(rs, grid_u)
+    out["u"] = np.tile(us, grid_r)
+    out["value"] = landscape_value(n, rs[:, None], us[None, :]).reshape(-1)
     return out
 
 
@@ -91,14 +91,16 @@ def boundary_curve(n: int, num: int = 257) -> np.ndarray:
     pts = []
     for u in np.linspace(0.0, 2.0 * np.pi, num):
         lo, hi = 0.0, 1.0
-        if margin(lo, u) * margin(hi, u) > 0:
+        m_lo = margin(lo, u)
+        if m_lo * margin(hi, u) > 0:
             continue
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            if margin(lo, u) * margin(mid, u) <= 0:
+            m_mid = margin(mid, u)
+            if m_lo * m_mid <= 0:
                 hi = mid
             else:
-                lo = mid
+                lo, m_lo = mid, m_mid
         pts.append((0.5 * (lo + hi), u))
     return np.array(pts, dtype=float)
 

@@ -149,16 +149,17 @@ def _checks():
     ]
 
 
-def run(verbose: bool = False) -> int:
+def run(write=None) -> int:
+    """Run the battery; each report line goes to ``write`` when one is given."""
     failures = 0
     for name, check in _checks():
         try:
             ok = bool(check())
         except Exception as exc:  # surfaced, counted as failure
             ok = False
-            if verbose:
-                print(f"[ERROR] {name}: {exc}")
-        if verbose:
-            print(f"[{'PASS' if ok else 'FAIL'}] {name}")
+            if write:
+                write(f"[ERROR] {name}: {exc}")
+        if write:
+            write(f"[{'PASS' if ok else 'FAIL'}] {name}")
         failures += 0 if ok else 1
     return failures

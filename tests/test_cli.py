@@ -220,6 +220,12 @@ def test_invalid_size_and_angle_exit_code(argv, capsys):
         (["landscape", "--n", "0", "--grid", "5"], "need n >= 1"),
         (["landscape", "--n", "-3", "--grid", "3"], "need n >= 1"),
         (["landscape", "--n", "4", "--grid", "0"], "grid"),
+        (["mr", "--n", "3", "--d", "0"], "need --d >= 2"),
+        (["mr", "--n", "3", "--d", "-1"], "need --d >= 2"),
+        (["mr", "--n", "3", "--d", "1"], "need --d >= 2"),
+        (["universal", "verify", "--d", "0", "--eps", "0.2"], "need --d >= 2"),
+        (["universal", "verify", "--d", "-2", "--eps", "0.2"], "need --d >= 2"),
+        (["universal", "verify", "--d", "1", "--eps", "0.2"], "need --d >= 2"),
     ],
 )
 def test_universal_and_landscape_invalid_input_exit_code(argv, named, capsys):
@@ -303,3 +309,46 @@ def test_coefficient_vector_budget(argv, capsys, monkeypatch):
     assert code == 1 and out == ""
     assert err.startswith("error: budget: cyclic element coefficients of dimension 65")
     assert "Traceback" not in err
+
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["distance", "--n", "3", "--alpha", "pi", "--out", "{path}"],
+        ["landscape", "--n", "2", "--grid", "3", "--boundary-out", "{path}"],
+        ["landscape", "--n", "2", "--grid", "3", "--out", "{path}"],
+        ["mr", "--n", "3", "--d", "2", "--out", "{path}"],
+        ["selftest", "--out", "{path}"],
+    ],
+)
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_unwritable_output_path_exit_code(argv, where, tmp_path, capsys):
+    path = str(tmp_path / "missing" / "out.txt") if where == "missing-dir" else str(tmp_path)
+    code, out, err = run([a.format(path=path) for a in argv], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: validation: cannot write {path}: ")
+    assert "Traceback" not in err
+
+
+def test_landscape_boundary_file(tmp_path, capsys):
+    from reflectron import boundary_curve
+
+    boundary = tmp_path / "boundary.csv"
+    code, out, _ = run(["landscape", "--n", "3", "--grid", "9", "--boundary-out", str(boundary)], capsys)
+    assert code == 0 and out.startswith("r,u,value\n") and len(out.splitlines()) == 82
+    rows = boundary.read_text().splitlines()
+    assert rows[0] == "r,u"
+    assert [tuple(map(float, row.split(","))) for row in rows[1:]] == [
+        (float(r), float(u)) for r, u in boundary_curve(3)
+    ]
+
+
+def test_selftest_out_writes_the_battery_to_file(tmp_path, capsys):
+    code, printed, _ = run(["selftest"], capsys)
+    target = tmp_path / "selftest.txt"
+    code_file, out, err = run(["selftest", "--out", str(target)], capsys)
+    assert code == code_file == 0
+    assert out == "" and err == ""
+    assert target.read_text() == printed
+    assert printed.count("[PASS]") == len(printed.splitlines()) > 1

@@ -267,3 +267,20 @@ def test_coefficient_constructors_check_budget(monkeypatch):
     ):
         with pytest.raises(DimensionBudgetError):
             make()
+
+
+def test_channel_sums_feed_is_channel_element():
+    from reflectron.cyclic import channel_sums
+
+    rng = np.random.default_rng(11)
+    elements = [r_theta_coeffs(5, 1.2), lmr_coeffs(rng.uniform(0, pi, 6))]
+    elements += [CyclicElement(3, rng.normal(size=4) + 1j * rng.normal(size=4))]
+    elements += [CyclicElement(1, [0.5, 0.5]), CyclicElement(1, [0.6, -0.8])]
+    for e in elements:
+        ct0, total = channel_sums(e)
+        assert ct0 == complex(e.coeffs.sum())
+        assert total == np.vdot(e.coeffs, e.coeffs).real
+        expected = abs(abs(ct0) - 1.0) <= 1e-10 and abs(total - 1.0) <= 1e-10
+        assert is_channel_element(e) is expected
+        assert is_channel_element(e, sums=(ct0, total)) is expected
+    assert [is_channel_element(e) for e in elements] == [True, True, False, False, False]

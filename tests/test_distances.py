@@ -527,3 +527,66 @@ def test_distance_at_p_rejects_p_outside_unit_interval():
         for check in (True, False):
             with pytest.raises(ValueError, match=r"p must lie in \[0, 1\]"):
                 distance_at_p(e, pi, p, check=check)
+
+
+def test_default_probe_frame_is_built_once(monkeypatch):
+    e = optimal_reflection_coeffs(4)
+    diamond_covariant(e, pi)  # the first default-probe call may build the frame
+    calls = []
+    frame = distances.orthonormal_frame
+
+    def counted(v):
+        calls.append(v)
+        return frame(v)
+
+    monkeypatch.setattr(distances, "orthonormal_frame", counted)
+    first = diamond_covariant(e, pi)
+    for alpha in (pi, 1.1, 0.3):
+        diamond_covariant(e, alpha)
+        distance_at_p(e, alpha, 0.4, check=True)
+    assert calls == []
+    assert diamond_covariant(e, pi) == first
+    # any other state still builds its own frame, on every call
+    psi = haar_random_state(2, 5)
+    diamond_covariant(e, pi, psi=psi)
+    diamond_covariant(e, pi, psi=psi)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("name", ["effective_channel", "make_rotation_channel"])
+def test_dense_oracle_catches_perturbed_channel_on_other_states(name, seed, monkeypatch):
+    psi = haar_random_state(3, seed)
+    e = optimal_reflection_coeffs(3)
+    diamond_covariant(e, pi, psi=psi)
+    monkeypatch.setattr(distances, name, _scaled(getattr(distances, name), 1.0 + 1e-6))
+    with pytest.raises(ConsistencyError, match="phi_p distance mismatch"):
+        diamond_covariant(e, pi, psi=psi)
+    with pytest.raises(ConsistencyError, match="phi_p distance mismatch"):
+        distance_at_p(e, 1.1, 0.3, psi=psi, check=True)
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [[0.5, 0.5], [0.6, -0.8]],
+    ids=["ct0-unit-norm-off", "norm-unit-ct0-off"],
+)
+def test_every_entry_point_rejects_planted_non_channel_element(coeffs):
+    from reflectron import CyclicElement, NonChannelElementError
+
+    bad = CyclicElement(1, coeffs)
+    ct0, total = distances.channel_sums(bad)
+    # exactly one of the two channel conditions fails
+    assert (abs(abs(ct0) - 1.0) < 1e-12) != (abs(total - 1.0) < 1e-12)
+    psi = haar_random_state(2, 7)
+    calls = [
+        lambda: diamond_covariant(bad, pi),
+        lambda: diamond_covariant(bad, pi, psi=psi),
+        lambda: distance_at_p(bad, pi, 0.5, check=True),
+        lambda: distance_at_p(bad, pi, 0.5, check=False),
+        lambda: closed_form_rotation_distance(bad, pi),
+        lambda: effective_channel(bad, psi),
+    ]
+    for call in calls:
+        with pytest.raises(NonChannelElementError):
+            call()

@@ -199,3 +199,56 @@ def test_landscape_and_boundary_reject_processor_without_copies():
         with pytest.raises(ValueError, match="grid"):
             landscape(4, grid_r, grid_u)
     assert landscape(1, 1, 1).shape == (1,)
+
+
+def _meshgrid_landscape(n, grid_r, grid_u):
+    """The landscape evaluated point by point on a full meshgrid."""
+    R, U = np.meshgrid(
+        np.linspace(0.0, 1.0, grid_r), np.linspace(0.0, 2.0 * np.pi, grid_u), indexing="ij"
+    )
+    c0sq = (1.0 + 2.0 * n * R * np.cos(U) + (n * R) ** 2) / (n + 1) ** 2
+    gap = np.sqrt((n + 2 + n * R * np.cos(U)) ** 2 + (n * R * np.sin(U)) ** 2) / (n + 1)
+    A = 1.0 - c0sq
+    V = np.where(gap > A, 2.0 * gap**2 / (2.0 * gap + c0sq - 1.0), 2.0 * A)
+    return R.reshape(-1), U.reshape(-1), V.reshape(-1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 9, 64])
+@pytest.mark.parametrize("grid", [(1, 1), (2, 7), (33, 33), (129, 65)])
+def test_landscape_on_its_axes_equals_meshgrid(n, grid):
+    out = landscape(n, *grid)
+    R, U, V = _meshgrid_landscape(n, *grid)
+    assert np.array_equal(out["r"], R)
+    assert np.array_equal(out["u"], U)
+    assert np.array_equal(out["value"], V)
+
+
+def _two_margin_boundary(n, num):
+    """Bisection that re-evaluates margin(lo) at every step."""
+
+    def margin(r, u):
+        c0sq = (1.0 + 2.0 * n * r * np.cos(u) + (n * r) ** 2) / (n + 1) ** 2
+        gap = np.sqrt((n + 2 + n * r * np.cos(u)) ** 2 + (n * r * np.sin(u)) ** 2) / (n + 1)
+        return (1.0 - c0sq) - gap
+
+    pts = []
+    for u in np.linspace(0.0, 2.0 * np.pi, num):
+        lo, hi = 0.0, 1.0
+        if margin(lo, u) * margin(hi, u) > 0:
+            continue
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if margin(lo, u) * margin(mid, u) <= 0:
+                hi = mid
+            else:
+                lo = mid
+        pts.append((0.5 * (lo + hi), u))
+    return np.array(pts, dtype=float)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 64])
+@pytest.mark.parametrize("num", [5, 257])
+def test_boundary_curve_equals_two_margin_bisection(n, num):
+    got = boundary_curve(n, num)
+    assert got.size > 0
+    assert np.array_equal(got, _two_margin_boundary(n, num))
