@@ -13,7 +13,7 @@ from math import comb
 
 import numpy as np
 
-from .config import NonChannelElementError, ensure_vector_budget
+from .config import NonChannelElementError, ensure_operator_budget, ensure_vector_budget
 from .cyclic import CyclicElement, apply_element, is_channel_element
 from .tensor_core import PureState, as_state, as_vector
 
@@ -252,7 +252,9 @@ def unit_images(channel, d: int) -> np.ndarray:
     A callable that does not act slice by slice on a (..., d, d) stack
     would give a wrong Choi matrix; the shape check catches the usual ways
     of getting that wrong (a transpose of all axes, a trace over the stack).
+    The d^4-entry stack is checked against the budget before it is built.
     """
+    ensure_operator_budget(d * d, "matrix-unit stack")
     units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
     images = np.asarray(channel(units), dtype=complex)
     if images.shape != units.shape:

@@ -15,6 +15,7 @@ from .config import ConsistencyError, DimensionBudgetError, ensure_vector_budget
 from .circuits import apply_circuit, build_rotation_circuit, export_circuit, gate_counts
 from .cyclic import apply_element, lmr_coeffs, optimal_angle, optimal_reflection_coeffs, r_theta_coeffs
 from .distances import (
+    _default_psi,
     closed_form_rotation_distance,
     diamond_covariant,
     mr_diamond_distance,
@@ -117,9 +118,10 @@ def _algo_element(args, n: int, alpha: float):
 
 
 def cmd_distance(args) -> int:
+    _check_d(args.d)
     alpha = parse_angle(args.alpha)
     element, theta = _algo_element(args, args.n, alpha)
-    value, p_star = diamond_covariant(element, alpha)
+    value, p_star = diamond_covariant(element, alpha, psi=_default_psi(args.d))
     _emit_json(
         args,
         {

@@ -12,7 +12,7 @@ from math import isfinite, isqrt, sqrt
 
 import numpy as np
 
-from .config import ConsistencyError, NonChannelElementError, ensure_vector_budget
+from .config import ConsistencyError, NonChannelElementError, budget_entries, ensure_vector_budget
 from .channels import (
     MeasureReflectChannel,
     effective_channel,
@@ -27,7 +27,7 @@ CLOSED_FORM_TOL = 1e-9
 GRID_TOL = 1e-8
 
 _DEFAULT_PSI_SEED = 2024
-# probes per reference-extended contraction; bounds memory at O(d^4 * chunk)
+# most probes per reference-extended contraction; the budget lowers it at large d
 _PROBE_CHUNK = 256
 # the p grid that guards the analytic argmax in diamond_covariant
 _P_GRID = np.linspace(0.0, 1.0, 1001)
@@ -93,10 +93,12 @@ def _reference_extended(K: np.ndarray, rho: np.ndarray) -> np.ndarray:
 
 
 def _probe_distances(K: np.ndarray, probes: np.ndarray) -> np.ndarray:
-    """Trace norms of (I_R x E)(|v><v|) for each row v, in fixed-size chunks."""
+    """Trace norms of (I_R x E)(|v><v|) for each row v, in chunks whose
+    d^2 x d^2 density stack fits the budget."""
+    chunk = max(1, min(_PROBE_CHUNK, budget_entries() // K.size))
     out = np.empty(len(probes))
-    for start in range(0, len(probes), _PROBE_CHUNK):
-        v = probes[start : start + _PROBE_CHUNK]
+    for start in range(0, len(probes), chunk):
+        v = probes[start : start + chunk]
         rho = v[:, :, None] * v[:, None, :].conj()
         eig = np.linalg.eigvalsh(_reference_extended(K, rho))
         out[start : start + len(v)] = np.sum(np.abs(eig), axis=1)

@@ -13,7 +13,6 @@ from functools import lru_cache
 from math import comb, factorial, isfinite, log, log2, exp, e as _e
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .config import ensure_operator_budget, ensure_vector_budget
 from .tensor_core import PureState, as_vector
@@ -496,6 +495,71 @@ class EntropyReport:
     trivial_sector_flat: float
 
 
+@dataclass
+class MinimizeResult:
+    x: np.ndarray
+    fun: float
+    nfev: int
+
+
+def minimize(fun, x0, xatol: float, fatol: float, maxiter: int) -> MinimizeResult:
+    """Nelder-Mead from x0, scipy's non-adaptive method step for step.
+
+    Coefficients rho = 1, chi = 2, psi = sigma = 1/2; the initial simplex
+    moves each nonzero coordinate by 5% and each zero one to 0.00025. The
+    search stops once every vertex lies within xatol of the best and every
+    value within fatol, or after maxiter - 1 steps; function calls are not
+    limited. ``fun`` gets its own copy of each point.
+    """
+    x0 = np.asarray(x0, dtype=float)
+    N = x0.size
+    sim = np.tile(x0, (N + 1, 1))
+    for k in range(N):
+        sim[k + 1, k] = (1 + 0.05) * x0[k] if x0[k] != 0 else 0.00025
+    nfev = 0
+
+    def f(x):
+        nonlocal nfev
+        nfev += 1
+        return fun(np.copy(x))
+
+    fsim = np.array([f(vertex) for vertex in sim], dtype=float)
+    iterations = 1
+    while True:
+        order = np.argsort(fsim)
+        sim, fsim = np.take(sim, order, 0), np.take(fsim, order, 0)
+        if iterations >= maxiter or (
+            np.max(np.abs(sim[1:] - sim[0])) <= xatol and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol
+        ):
+            break
+        iterations += 1
+        xbar = sim[:-1].sum(axis=0) / N
+        xr = 2 * xbar - sim[-1]
+        fxr = f(xr)
+        if fxr < fsim[0]:
+            xe = 3 * xbar - 2 * sim[-1]
+            fxe = f(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:  # contract outside, towards xr
+                xc = 1.5 * xbar - 0.5 * sim[-1]
+                fxc = f(xc)
+                shrink = not fxc <= fxr
+            else:  # contract inside, towards the worst vertex
+                xc = 0.5 * xbar + 0.5 * sim[-1]
+                fxc = f(xc)
+                shrink = not fxc < fsim[-1]
+            if shrink:
+                for j in range(1, N + 1):
+                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                    fsim[j] = f(sim[j])
+            else:
+                sim[-1], fsim[-1] = xc, fxc
+    return MinimizeResult(x=sim[0], fun=np.min(fsim), nfev=nfev)
+
+
 def maximize_entropy_over_q(n: int, d: int, restarts: int = 20, seed: int = 0) -> EntropyReport:
     """Nelder-Mead search over the weight simplex for the ensemble entropy.
 
@@ -520,12 +584,7 @@ def maximize_entropy_over_q(n: int, d: int, restarts: int = 20, seed: int = 0) -
     best_x, best_val = None, np.inf
     for _ in range(max(1, restarts)):
         x0 = rng.normal(size=len(keys))
-        res = minimize(
-            negent,
-            x0,
-            method="Nelder-Mead",
-            options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 2000},
-        )
+        res = minimize(negent, x0, xatol=1e-10, fatol=1e-12, maxiter=2000)
         if res.fun < best_val:
             best_x, best_val = res.x, res.fun
     expd = np.exp(best_x - best_x.max())

@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from math import ceil, log2, pi
 
 import numpy as np
-import scipy.linalg
 
 from .channels import effective_channel, unitary_channel
 from .cyclic import r_theta_coeffs
@@ -20,17 +19,22 @@ UNITARY_TOL = 1e-10
 def eigendecompose_target(U) -> list:
     """Eigenpairs (psi_j, alpha_j) with the global phase fixed on pair 0.
 
-    Uses a complex Schur decomposition so degenerate eigenspaces still give
-    orthonormal vectors; pairs are stably sorted by phase, then the first
-    pair's phase is rotated to zero and the rest mapped to (-pi, pi].
+    The eigenvectors are orthonormalised by a QR factorisation, so a
+    degenerate eigenspace still gives orthonormal vectors; a residual check
+    rejects any vector that QR moved off its eigenspace. Pairs are stably
+    sorted by phase, then the first pair's phase is rotated to zero and the
+    rest mapped to (-pi, pi].
     """
     U = np.asarray(U, dtype=complex)
     d = U.shape[0]
     dev = np.abs(U @ U.conj().T - np.eye(d)).max()
     if dev > UNITARY_TOL:
         raise ValueError(f"input is not unitary, deviation {dev}")
-    T, Z = scipy.linalg.schur(U, output="complex")
-    eigvals = np.diag(T)
+    eigvals, vecs = np.linalg.eig(U)
+    Z, _ = np.linalg.qr(vecs)
+    residual = np.abs(U @ Z - Z * eigvals).max()
+    if residual > UNITARY_TOL:
+        raise ValueError(f"eigenvectors not recovered, residual {residual}")
     phases = np.angle(eigvals)
     order = np.argsort(phases, kind="stable")
     pairs = []

@@ -102,6 +102,42 @@ def test_mr_subcommand(capsys):
     assert abs(payload["value"] - 1.2) < 1e-9
 
 
+def test_distance_checks_at_the_requested_d(capsys, monkeypatch):
+    import reflectron.distances as distances
+
+    argv = ["distance", "--n", "3", "--alpha", "pi"]
+    _, default, _ = run(argv, capsys)
+    assert run(argv + ["--d", "2"], capsys)[1] == default
+    dims = []
+    dense = distances._dense_distance_at_p
+
+    def spy(e, alpha, p, psi):
+        dims.append(psi.dim)
+        return dense(e, alpha, p, psi)
+
+    monkeypatch.setattr(distances, "_dense_distance_at_p", spy)
+    code, out, _ = run(argv + ["--d", "3"], capsys)
+    assert code == 0 and dims == [3]
+    assert json.loads(out) == {**json.loads(default), "d": 3}
+
+
+def test_import_loads_no_scipy():
+    # the library runs on numpy alone; importing scipy.optimize once took most of the import time
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = (
+        "import sys, reflectron, reflectron.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
 def test_validation_error_exit_code(capsys):
     code, _, err = run(["distance", "--n", "2", "--alpha", "three"], capsys)
     assert code == 1
@@ -130,6 +166,8 @@ def test_lowerbound_invalid_input_exit_code(argv, capsys):
         ["lowerbound", "twirl", "--n", "6", "--d", "2"],  # 4096-dim twirl
         ["lowerbound", "twirl", "--n", "4", "--d", "3"],  # 6561-dim twirl
         ["lowerbound", "twirl", "--n", "2", "--d", "7"],  # 2401-dim twirl
+        ["mr", "--n", "2", "--d", "1000"],  # 10^12-entry matrix-unit stack
+        ["distance", "--n", "2", "--d", "1000"],  # the same stack, for the oracle
     ],
 )
 def test_budget_error_exit_code(argv, capsys):
@@ -226,6 +264,9 @@ def test_invalid_size_and_angle_exit_code(argv, capsys):
         (["universal", "verify", "--d", "0", "--eps", "0.2"], "need --d >= 2"),
         (["universal", "verify", "--d", "-2", "--eps", "0.2"], "need --d >= 2"),
         (["universal", "verify", "--d", "1", "--eps", "0.2"], "need --d >= 2"),
+        (["distance", "--n", "3", "--d", "0"], "need --d >= 2"),
+        (["distance", "--n", "3", "--d", "1"], "need --d >= 2"),
+        (["distance", "--n", "3", "--d", "-5"], "need --d >= 2"),
     ],
 )
 def test_universal_and_landscape_invalid_input_exit_code(argv, named, capsys):
@@ -266,8 +307,10 @@ def test_lowerbound_twirl_d2_matches_separate_entropy_and_rank(n, capsys):
             30,
             "M = 0 sector J^2 matrix of dimension 32x32",
         ),
+        (["mr", "--n", "2", "--d", "{k}"], 5, "matrix-unit stack of dimension 36x36"),
+        (["distance", "--n", "2", "--d", "{k}"], 5, "matrix-unit stack of dimension 36x36"),
     ],
-    ids=["landscape", "universal-verify", "solve-q"],
+    ids=["landscape", "universal-verify", "solve-q", "mr", "distance"],
 )
 def test_dense_allocation_budget(argv, largest, what, capsys, monkeypatch):
     # grid^2 landscape rows, trials * d^2 probe amplitudes, an (n+1)^2 matrix

@@ -415,6 +415,22 @@ def test_probe_chunks_cover_every_probe(monkeypatch):
     assert np.abs(D._probe_distances(K, probes) - whole).max() < 1e-13
 
 
+def test_probe_chunks_fit_the_budget(monkeypatch):
+    # d = 3: each d^2 x d^2 density is 81 entries, so a 1000-entry budget takes 12 per chunk
+    import reflectron.distances as D
+
+    chans = _channels(3, seed=1)
+    K = D._choi_difference(chans["rotation"], chans["measure-reflect"], 3)
+    probes = D._phi_p_builder(haar_random_state(3, 1))(np.linspace(0.0, 1.0, 201))
+    whole = D._probe_distances(K, probes)
+    sizes = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: sizes.append(a.size) or eigvalsh(a))
+    monkeypatch.setenv("REFLECTRON_BUDGET", "1000")
+    assert np.array_equal(D._probe_distances(K, probes), whole)
+    assert max(sizes) == 12 * 81 and sum(sizes) == 201 * 81
+
+
 @pytest.mark.parametrize("n", [1, 4, 64, 512])
 def test_mr_distance_is_flat_in_p_at_d2(n):
     from reflectron.channels import MeasureReflectChannel

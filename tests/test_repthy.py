@@ -33,6 +33,7 @@ from reflectron.repthy import (
     entropy_target,
     gt_patterns,
     lambert_sandwich_holds,
+    minimize as repthy_minimize,
     support_bound,
     weyl_dim,
 )
@@ -606,6 +607,74 @@ def test_maximize_entropy_n3_d3_reports_structural_gap():
     # trivial sector pinned at q_(3)/25 + q_(1,1,1) with flat value 1/100
     assert report.trivial_sector_flat == 0.01
     assert report.entropy > 6.4
+
+
+def _scipy_nelder_mead(fun, x0, xatol, fatol, maxiter):
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(
+        fun, x0, method="Nelder-Mead", options={"xatol": xatol, "fatol": fatol, "maxiter": maxiter}
+    )
+
+
+def _rosenbrock(x):
+    return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
+
+
+def _entropy_objectives(n, d, monkeypatch):
+    """The objectives and starts maximize_entropy_over_q hands to minimize."""
+    calls = []
+
+    def spy(fun, x0, **options):
+        calls.append((fun, np.array(x0)))
+        return repthy_minimize(fun, x0, **options)
+
+    monkeypatch.setattr("reflectron.repthy.minimize", spy)
+    maximize_entropy_over_q(n, d, restarts=3, seed=5)
+    monkeypatch.undo()
+    return calls
+
+
+@pytest.mark.parametrize("n, d", [(2, 3), (3, 3), (2, 4), (3, 2)])
+def test_minimize_matches_scipy_on_entropy_objective(n, d, monkeypatch):
+    for fun, x0 in _entropy_objectives(n, d, monkeypatch):
+        ours = repthy_minimize(fun, x0, xatol=1e-10, fatol=1e-12, maxiter=2000)
+        ref = _scipy_nelder_mead(fun, x0, 1e-10, 1e-12, 2000)
+        assert np.array_equal(ours.x, ref.x)
+        assert ours.fun == ref.fun and ours.nfev == ref.nfev
+
+
+@pytest.mark.parametrize("N", [2, 3, 5])
+@pytest.mark.parametrize("maxiter", [40, 2000])
+def test_minimize_matches_scipy_on_rosenbrock(N, maxiter):
+    rng = np.random.default_rng(N)
+    for _ in range(4):
+        x0 = rng.normal(size=N)
+        x0[0] = 0.0  # the 0.00025 simplex step
+        ours = repthy_minimize(_rosenbrock, x0, xatol=1e-10, fatol=1e-12, maxiter=maxiter)
+        ref = _scipy_nelder_mead(_rosenbrock, x0, 1e-10, 1e-12, maxiter)
+        assert np.array_equal(ours.x, ref.x)
+        assert ours.fun == ref.fun and ours.nfev == ref.nfev
+
+
+def test_minimize_hands_each_call_its_own_copy():
+    def scribbler(x):
+        value = _rosenbrock(x)
+        x[:] = 1e9  # writing to the argument must not move the simplex
+        return value
+
+    x0 = np.array([0.3, -0.4])
+    clean = repthy_minimize(_rosenbrock, x0, xatol=1e-10, fatol=1e-12, maxiter=200)
+    dirty = repthy_minimize(scribbler, x0, xatol=1e-10, fatol=1e-12, maxiter=200)
+    assert np.array_equal(clean.x, dirty.x) and clean.nfev == dirty.nfev
+    assert np.array_equal(x0, [0.3, -0.4])
+
+
+@pytest.mark.parametrize("n, d", [(2, 3), (3, 2)])
+def test_maximize_entropy_report_unchanged_under_scipy(n, d, monkeypatch):
+    ours = maximize_entropy_over_q(n, d, restarts=4, seed=1)
+    monkeypatch.setattr("reflectron.repthy.minimize", _scipy_nelder_mead)
+    assert maximize_entropy_over_q(n, d, restarts=4, seed=1) == ours
 
 
 def test_entropy_support_bound_any_q():

@@ -46,6 +46,34 @@ def test_eigendecompose_reconstruction():
                 np.abs(U).argmax() // d, np.abs(U).argmax() % d
             ]
             assert np.abs(U - ratio * rebuilt).max() < 1e-10
+    # degenerate targets whose eigenspaces are not coordinate-aligned
+    targets = []
+    for d in range(2, 7):
+        V = haar_random_unitary(d, 40 + d)
+        phases = np.exp(1j * np.array([0.3] * (d - 1) + [2.0]))
+        targets.append(V @ np.diag(phases) @ V.conj().T)
+    v = haar_random_state(4, 7).amplitudes
+    targets.append(np.eye(4) - 2.0 * np.outer(v, v.conj()))
+    for U in targets:
+        d = U.shape[0]
+        pairs = eigendecompose_target(U)
+        Z = np.stack([psi.amplitudes for psi, _ in pairs], axis=1)
+        assert np.abs(Z.conj().T @ Z - np.eye(d)).max() < 1e-12
+        rebuilt = np.eye(d, dtype=complex)
+        for psi, alpha in pairs:
+            rebuilt = rebuilt @ rotation_unitary(psi, alpha)
+        # pair 0 carries the global phase, its eigenvalue
+        first = pairs[0][0].amplitudes
+        assert np.abs(U - np.vdot(first, U @ first) * rebuilt).max() < 1e-10
+
+
+def test_eigendecompose_rejects_vectors_off_their_eigenspace(monkeypatch):
+    # a unitary whose eigenvectors are not the coordinate axes
+    U = haar_random_unitary(3, 2)
+    eigvals = np.linalg.eigvals(U)
+    monkeypatch.setattr(np.linalg, "eig", lambda _: (eigvals, np.eye(3, dtype=complex)))
+    with pytest.raises(ValueError, match="residual"):
+        eigendecompose_target(U)
 
 
 def test_eigendecompose_rejects_non_unitary():
