@@ -7,7 +7,6 @@ its axis state, which is what the distance module's one-parameter reduction
 relies on.
 """
 
-import json
 from dataclasses import dataclass, field
 from math import comb
 
@@ -22,15 +21,6 @@ def rotation_unitary(psi, alpha: float) -> np.ndarray:
     """e^{i alpha |psi><psi|} = I + (e^{i alpha} - 1) |psi><psi|."""
     v = as_vector(psi)
     return np.eye(v.size) + (np.exp(1j * alpha) - 1.0) * np.outer(v, v.conj())
-
-
-def rotation_channel(psi, alpha: float, X) -> np.ndarray:
-    R = rotation_unitary(psi, alpha)
-    return R @ X @ R.conj().T
-
-
-def reflection_channel(psi, X) -> np.ndarray:
-    return rotation_channel(psi, np.pi, X)
 
 
 def unitary_channel(U):
@@ -79,7 +69,7 @@ class EffectiveChannel:
     def __post_init__(self):
         self._projector = self.psi.projector()
 
-    def apply(self, X) -> np.ndarray:
+    def __call__(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=complex)
         P = self._projector
         tr_x = np.trace(X, axis1=-2, axis2=-1)[..., None, None]
@@ -90,25 +80,6 @@ class EffectiveChannel:
             + self.a_xp * (X @ P)
             + self.a_tr * tr_x * P
             + self.a_trp * tr_px * P
-        )
-
-    def __call__(self, X) -> np.ndarray:
-        return self.apply(X)
-
-    def to_json(self) -> str:
-        def c2(z):
-            return [float(np.real(z)), float(np.imag(z))]
-
-        return json.dumps(
-            {
-                "d": self.d,
-                "psi": [c2(a) for a in self.psi.amplitudes],
-                "a_x": c2(self.a_x),
-                "a_px": c2(self.a_px),
-                "a_xp": c2(self.a_xp),
-                "a_tr": c2(self.a_tr),
-                "a_trp": c2(self.a_trp),
-            }
         )
 
 
@@ -225,7 +196,7 @@ class MeasureReflectChannel:
         self.off_perp = 1.0 - 4 * t1 / (n + 1) + 4 * t2 / ((n + 1) * (n + 2))
         self.spread_perp = 4 * t2 / ((n + 1) * (n + 2))
 
-    def apply(self, X) -> np.ndarray:
+    def __call__(self, X) -> np.ndarray:
         B = self.basis
         Y = B.conj().T @ X @ B
         out = np.empty_like(Y)
@@ -237,13 +208,6 @@ class MeasureReflectChannel:
         idx = np.arange(1, self.d)
         out[..., idx, idx] += (self.spread * Y[..., 0, 0] + self.spread_perp * s1)[..., None]
         return B @ out @ B.conj().T
-
-    def __call__(self, X) -> np.ndarray:
-        return self.apply(X)
-
-
-def mr_channel(psi, n: int, X) -> np.ndarray:
-    return MeasureReflectChannel(psi, n).apply(X)
 
 
 def unit_images(channel, d: int) -> np.ndarray:
@@ -269,12 +233,3 @@ def choi(channel, d: int) -> np.ndarray:
     """sum_ij |i><j| x E(|i><j|)."""
     images = unit_images(channel, d).reshape(d, d, d, d)
     return images.transpose(0, 2, 1, 3).reshape(d * d, d * d)
-
-
-def group_twirl_state(rho, psi) -> np.ndarray:
-    """Average of rho over unitaries fixing psi up to phase."""
-    v = as_vector(psi)
-    d = v.size
-    P = np.outer(v, v.conj())
-    Pperp = np.eye(d) - P
-    return np.trace(P @ rho) * P + np.trace(Pperp @ rho) * Pperp / (d - 1)

@@ -29,7 +29,6 @@ _EXPORT_NAMES = {
     "single_qubit_phase": "PHASE0",
     "multi_controlled_phase": "MCPHASE",
 }
-_IMPORT_KINDS = {v: k for k, v in _EXPORT_NAMES.items()}
 
 
 @dataclass(frozen=True)
@@ -57,12 +56,6 @@ class RotationCircuit:
     @property
     def total_qubits(self) -> int:
         return self.ancilla + 1 + self.n
-
-    def __iter__(self):
-        return iter(self.gates)
-
-    def __len__(self):
-        return len(self.gates)
 
 
 def _gates_of(circ) -> list:
@@ -221,43 +214,3 @@ def export_circuit(circ: RotationCircuit) -> str:
         parts.extend(str(q) for q in g.targets)
         lines.append(" ".join(parts))
     return "\n".join(lines) + "\n"
-
-
-def parse_circuit(text: str) -> RotationCircuit:
-    n = None
-    theta = 0.0
-    gates = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            if "registers:" in line:
-                fields = dict(tok.split("=") for tok in line.split()[2:])
-                n = int(fields["program"])
-            elif "theta:" in line:
-                theta = float(line.split(":", 1)[1])
-            continue
-        parts = line.split()
-        kind = _IMPORT_KINDS[parts[0]]
-        if kind == "h":
-            gates.append(Gate("h", targets=(int(parts[1]),)))
-        elif kind == "swap":
-            gates.append(Gate("swap", targets=(int(parts[1]), int(parts[2]))))
-        elif kind == "cswap":
-            gates.append(
-                Gate("cswap", controls=(int(parts[1]),), targets=(int(parts[2]), int(parts[3])))
-            )
-        elif kind == "single_qubit_phase":
-            gates.append(Gate("single_qubit_phase", targets=(int(parts[2]),), angle=float(parts[1])))
-        else:
-            gates.append(
-                Gate(
-                    "multi_controlled_phase",
-                    targets=tuple(int(x) for x in parts[2:]),
-                    angle=float(parts[1]),
-                )
-            )
-    if n is None:
-        raise ValueError("missing register header")
-    return RotationCircuit(n=n, theta=theta, gates=gates)

@@ -6,7 +6,7 @@ import argparse
 import json
 import sys
 from functools import lru_cache
-from math import pi
+from math import isfinite, pi
 
 import numpy as np
 
@@ -53,28 +53,31 @@ class CliError(ValueError):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a CliError, so it exits 1 with the same
+    `error: validation:` prefix as every other rejected input."""
+
+    def error(self, message):
+        raise CliError(f"{message}\n{self.format_usage().rstrip()}")
+
+
 def parse_angle(token: str) -> float:
-    """Accept 'pi', 'pi/2', '2pi/3', or a decimal literal."""
+    """Accept 'pi', 'pi/2', '2pi/3', or a decimal literal; the angle must be finite."""
     text = str(token).strip().lower().replace(" ", "")
-    if "pi" in text:
-        head, _, tail = text.partition("pi")
-        try:
-            if head in ("", "+"):
-                num = 1.0
-            elif head == "-":
-                num = -1.0
-            else:
-                num = float(head)
-            den = float(tail[1:]) if tail.startswith("/") else 1.0
-        except ValueError as exc:
-            raise CliError(f"cannot parse angle {token!r}") from exc
-        if tail and not tail.startswith("/"):
-            raise CliError(f"cannot parse angle {token!r}")
-        return num * pi / den
+    head, has_pi, tail = text.partition("pi")
     try:
-        return float(text)
-    except ValueError as exc:
+        if not has_pi:
+            value = float(text)
+        elif tail and not tail.startswith("/"):
+            raise ValueError(tail)
+        else:
+            num = float(head) if head not in ("", "+", "-") else -1.0 if head == "-" else 1.0
+            value = num * pi / (float(tail[1:]) if tail else 1.0)
+    except (ValueError, ZeroDivisionError) as exc:
         raise CliError(f"cannot parse angle {token!r}") from exc
+    if not isfinite(value):
+        raise CliError(f"angle must be finite, got {token!r}")
+    return value
 
 
 def _write_file(path: str, text: str):
@@ -113,6 +116,8 @@ def _algo_element(args, n: int, alpha: float):
         return r_theta_coeffs(n, theta), theta
     if args.algo == "lmr":
         theta = parse_angle(args.theta) if args.theta is not None else alpha / n
+        if not isfinite(n * theta):  # the phases of lmr_coeffs are tail sums of the angles
+            raise CliError(f"need a finite total angle n * theta, got {n} * {theta}")
         return lmr_coeffs(np.broadcast_to(theta, n)), theta
     raise CliError(f"unknown algo {args.algo}")
 
@@ -156,6 +161,8 @@ def cmd_landscape(args) -> int:
 
 
 def cmd_theta_star(args) -> int:
+    if not isfinite(args.alpha_max - args.alpha_min):
+        raise CliError(f"need a finite alpha range, got [{args.alpha_min}, {args.alpha_max}]")
     alphas = np.linspace(args.alpha_min, args.alpha_max, args.num)
     lines = ["alpha,theta_star,distance"]
     for alpha in alphas:
@@ -374,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--out", type=str, default=None)
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="reflectron",
         description="Programmable reflections and rotations about unknown states",
     )
@@ -457,14 +464,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse reserves 2 for usage errors; this artifact reports 1
-        return 0 if exc.code in (0, None) else 1
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # --help and --version
+        return 0 if exc.code in (0, None) else 1
     except (CliError, ValueError) as exc:
         print(f"error: validation: {exc}", file=sys.stderr)
         return 1

@@ -4,7 +4,6 @@ The forward transform is unnormalized, ct_k = sum_l exp(2 pi i l k/(n+1)) c_l,
 so ct_0 is literally the coefficient sum; the inverse carries the 1/(n+1).
 """
 
-import json
 from dataclasses import dataclass
 from math import acos
 
@@ -38,16 +37,6 @@ class CyclicElement:
         c[0] = 1.0
         return cls(n, c)
 
-    def to_json(self) -> str:
-        pairs = [[float(c.real), float(c.imag)] for c in self.coeffs]
-        return json.dumps({"n": self.n, "coeffs": pairs})
-
-    @classmethod
-    def from_json(cls, text: str) -> "CyclicElement":
-        data = json.loads(text)
-        coeffs = np.array([complex(re, im) for re, im in data["coeffs"]])
-        return cls(int(data["n"]), coeffs)
-
 
 def fourier(e: CyclicElement) -> np.ndarray:
     """ct_k = sum_l exp(+2 pi i l k / (n+1)) c_l."""
@@ -59,9 +48,9 @@ def inverse_fourier(ct: np.ndarray) -> CyclicElement:
     return CyclicElement(ct.size - 1, np.fft.fft(ct) / ct.size)
 
 
-def is_unitary_element(e: CyclicElement, tol: float = UNITARY_TOL) -> bool:
+def is_unitary_element(e: CyclicElement) -> bool:
     """True iff every DFT coefficient has unit modulus."""
-    return bool(np.max(np.abs(np.abs(fourier(e)) - 1.0)) <= tol)
+    return bool(np.max(np.abs(np.abs(fourier(e)) - 1.0)) <= UNITARY_TOL)
 
 
 def channel_sums(e: CyclicElement) -> tuple:
@@ -71,7 +60,7 @@ def channel_sums(e: CyclicElement) -> tuple:
     return complex(c.sum()), float(np.vdot(c, c).real)
 
 
-def is_channel_element(e: CyclicElement, tol: float = UNITARY_TOL, sums=None) -> bool:
+def is_channel_element(e: CyclicElement, sums=None) -> bool:
     """True iff the element defines a trace-preserving reflection channel.
 
     Needs |ct_0| = 1 and sum_l |c_l|^2 = 1. Unitary elements always qualify;
@@ -81,7 +70,7 @@ def is_channel_element(e: CyclicElement, tol: float = UNITARY_TOL, sums=None) ->
     read again.
     """
     ct0, total = channel_sums(e) if sums is None else sums
-    return abs(abs(ct0) - 1.0) <= tol and abs(total - 1.0) <= tol
+    return abs(abs(ct0) - 1.0) <= UNITARY_TOL and abs(total - 1.0) <= UNITARY_TOL
 
 
 def f_opt(n: int) -> float:

@@ -6,7 +6,6 @@ on C^{d^2}, and a grid guards the analytic critical point.
 """
 
 import cmath
-from dataclasses import dataclass
 from functools import lru_cache
 from math import isfinite, isqrt, sqrt
 
@@ -39,24 +38,9 @@ def trace_norm(X) -> float:
     return float(np.sum(np.linalg.svd(np.asarray(X, dtype=complex), compute_uv=False)))
 
 
-@dataclass
-class PhiP:
-    """Worst-case probe sqrt(p)|0>|psi> + sqrt((1-p)/(d-1)) sum_i |i>|psi_i>."""
-
-    p: float
-    psi: PureState
-    d: int
-
-    def __post_init__(self):
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError("p must lie in [0, 1]")
-
-    def vector(self) -> np.ndarray:
-        return _phi_p_builder(self.psi)([self.p])[0]
-
-
 def _phi_p_builder(psi: PureState):
-    """ps -> the phi_p probes on C^{d^2}, one row per p, all sharing one frame."""
+    """ps -> the phi_p probes on C^{d^2}, one row per p, all sharing one frame:
+    sqrt(p)|0>|psi> + sqrt((1-p)/(d-1)) sum_i |i>|psi_i>."""
     v = psi.amplitudes
     d = v.size
     frame = orthonormal_frame(v).T
@@ -227,7 +211,10 @@ def closed_form_rotation_distance(e: CyclicElement, alpha: float) -> float:
     A = 1.0 - c0sq
     if gap <= A:
         return 2.0 * A
-    return float(2.0 * gap * gap / (2.0 * gap + c0sq - 1.0))
+    den = 2.0 * gap + c0sq - 1.0
+    if den <= 0.0:  # 2 gap was lost against c0sq (gap below ~1e-16); 2 gap - A >= gap > 0
+        den = 2.0 * gap - A
+    return float(2.0 * gap * gap / den)
 
 
 def equal_angle_distance(n: int, alpha: float) -> float:

@@ -1,7 +1,6 @@
 """Optimization sweeps: the (r, u) distance landscape, optimal angles
 theta*(alpha), domain classification, and the improved sequential angle."""
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -11,13 +10,6 @@ from .cyclic import CyclicElement, lmr_coeffs, r_theta_coeffs
 from .distances import _golden_max, closed_form_rotation_distance
 
 DOMAIN_TOL = 1e-10
-
-
-@dataclass
-class LandscapePoint:
-    r: float
-    u: float
-    value: float
 
 
 class Domain(Enum):
@@ -55,10 +47,6 @@ def landscape_value(n: int, r, u):
     return np.where(gap > A, value_b, 2.0 * A)
 
 
-def landscape_point(n: int, r: float, u: float) -> LandscapePoint:
-    return LandscapePoint(float(r), float(u), float(landscape_value(n, r, u)))
-
-
 def landscape(n: int, grid_r: int = 513, grid_u: int = 513) -> np.ndarray:
     """Record array (r, u, value) over the [0,1] x [0,2pi) grid, row-major in r."""
     _check_n(n)
@@ -72,12 +60,6 @@ def landscape(n: int, grid_r: int = 513, grid_u: int = 513) -> np.ndarray:
     out["u"] = np.tile(us, grid_r)
     out["value"] = landscape_value(n, rs[:, None], us[None, :]).reshape(-1)
     return out
-
-
-def critical_u(n: int, r: float) -> float:
-    """Minimizing u along fixed r in the interior domain."""
-    arg = (n**3 * (r**3 - 3 * r) - 12 * n**2 * r - 12 * n * r) / (2.0 * (n + 2) ** 3)
-    return float(np.arccos(np.clip(arg, -1.0, 1.0)))
 
 
 def boundary_curve(n: int, num: int = 257) -> np.ndarray:
@@ -105,7 +87,7 @@ def boundary_curve(n: int, num: int = 257) -> np.ndarray:
     return np.array(pts, dtype=float)
 
 
-def theta_star(n: int, alpha: float, tolerance: float = 1e-10) -> float:
+def theta_star(n: int, alpha: float) -> float:
     """argmin over theta in [0, pi] of the rotation distance.
 
     Golden section with three bracketing restarts; the objective is unimodal
@@ -116,7 +98,7 @@ def theta_star(n: int, alpha: float, tolerance: float = 1e-10) -> float:
     objective = lambda th: -closed_form_rotation_distance(r_theta_coeffs(n, th), alpha)
     best = None
     for a, b in ((0.0, np.pi / 3), (np.pi / 3, 2 * np.pi / 3), (2 * np.pi / 3, np.pi)):
-        x, v = _golden_max(objective, a, b, tolerance)
+        x, v = _golden_max(objective, a, b, 1e-10)
         if best is None or v > best[1]:
             best = (x, v)
     return float(best[0])

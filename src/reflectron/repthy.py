@@ -6,7 +6,6 @@ entropies, and the final program-dimension bounds.
 Spin arguments are doubled half-integers (two_j, two_m) throughout.
 """
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -25,69 +24,14 @@ def _check_d(d: int) -> None:
         raise ValueError(f"need d >= 2, got d = {d}")
 
 
+def _check_n(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"need n >= 1, got n = {n}")
+
+
 def _check_eps(epsilon: float) -> None:
     if not (isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
-
-
-# ---------------------------------------------------------------------------
-# labels
-
-
-@dataclass(frozen=True)
-class SpinLabel:
-    two_j: int
-    two_m: int
-
-    def __post_init__(self):
-        if self.two_j < 0 or abs(self.two_m) > self.two_j:
-            raise ValueError(f"invalid spin label {self}")
-        if (self.two_j - self.two_m) % 2:
-            raise ValueError(f"two_j and two_m must share parity: {self}")
-
-
-@dataclass(frozen=True)
-class GTPattern:
-    """Interlacing integer triangle; rows[-1] is the highest weight."""
-
-    rows: tuple
-
-    def __post_init__(self):
-        rows = tuple(tuple(int(x) for x in r) for r in self.rows)
-        object.__setattr__(self, "rows", rows)
-        for k, row in enumerate(rows):
-            if len(row) != k + 1:
-                raise ValueError("row k must have k+1 entries")
-        for k in range(len(rows) - 1):
-            upper = rows[k + 1]
-            lower = rows[k]
-            for i in range(len(lower)):
-                if not (upper[i] >= lower[i] >= upper[i + 1]):
-                    raise ValueError(f"interlacing violated at row {k}: {self.rows}")
-
-    @property
-    def d(self) -> int:
-        return len(self.rows)
-
-    def weight(self) -> tuple:
-        sums = [0] + [sum(r) for r in self.rows]
-        return tuple(sums[k + 1] - sums[k] for k in range(self.d))
-
-
-def gt_patterns(top_row) -> list:
-    """All GT patterns with the given highest-weight top row."""
-    top = tuple(int(x) for x in top_row)
-
-    def rec(row):
-        if len(row) == 1:
-            yield (row,)
-            return
-        ranges = [range(row[i + 1], row[i] + 1) for i in range(len(row) - 1)]
-        for nxt in itertools.product(*ranges):
-            for rest in rec(tuple(nxt)):
-                yield rest + (row,)
-
-    return [GTPattern(rows) for rows in rec(top)]
 
 
 def weyl_dim(lam, d: int) -> int:
@@ -158,14 +102,6 @@ def cg_su2(two_j1: int, two_m1: int, two_j2: int, two_m2: int, two_J: int, two_M
     return _cg_su2_cached(two_j1, two_m1, two_j2, two_m2, two_J, two_M)
 
 
-def magic_sum_check(two_j: int) -> float:
-    """sum_m (-1)^{j-m} C^{00}_{jm,j-m}; equals sqrt(2j+1)."""
-    return sum(
-        (-1) ** ((two_j - tm) // 2) * cg_su2(two_j, tm, two_j, -tm, 0, 0)
-        for tm in range(-two_j, two_j + 1, 2)
-    )
-
-
 # ---------------------------------------------------------------------------
 # d = 2 conjecture linear system
 
@@ -201,8 +137,7 @@ def conjecture_system_d2(n: int):
     spin j x spin j (`_m0_cg_weights`), cached per two_j for every n; the
     last column's (n + 1) x (n + 1) matrix is checked against the budget.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
+    _check_n(n)
     ensure_operator_budget(n + 1, "M = 0 sector J^2 matrix")
     two_js = list(range(n % 2, n + 1, 2))
     Js = list(range(n % 2, n + 1, 2))
@@ -224,16 +159,14 @@ class ProbeSpec:
     def __post_init__(self):
         clipped = {}
         for key, val in self.q.items():
-            if val < -1e-10:
-                raise ValueError(f"negative weight {val} at {key}")
+            if not val >= -1e-10:  # a NaN weight fails here too
+                kind = "negative" if val < 0 else "non-numeric"
+                raise ValueError(f"{kind} weight {val} at {key}")
             clipped[key] = max(float(val), 0.0)
         total = sum(clipped.values())
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"weights sum to {total}, expected 1")
         self.q = clipped
-
-    def weights(self, keys) -> np.ndarray:
-        return np.array([self.q.get(k, 0.0) for k in keys])
 
 
 def solve_q_d2(n: int):
@@ -386,6 +319,7 @@ def _probe_vector(n: int, d: int, weights: dict, blocks: dict) -> np.ndarray:
 
 def build_probe(n: int, d: int, q: dict) -> PureState:
     """Probe sum_lam sqrt(q_lam) |Phi+_lam> on (C^d)^{x2n}, over the blocks of `block_basis`."""
+    _check_n(n)
     spec = ProbeSpec(n=n, d=d, q=q)
     blocks = block_basis(n, d)
     unknown = set(spec.q) - set(blocks)
@@ -571,6 +505,9 @@ def maximize_entropy_over_q(n: int, d: int, restarts: int = 20, seed: int = 0) -
     flat for every q.
     """
     _check_d(d)
+    _check_n(n)
+    if restarts < 1:
+        raise ValueError(f"need restarts >= 1, got restarts = {restarts}")
     blocks = block_basis(n, d)
     keys = sorted(blocks)
     sides = np.array([_probe_vector(n, d, {key: 1.0}, blocks) for key in keys])
@@ -582,7 +519,7 @@ def maximize_entropy_over_q(n: int, d: int, restarts: int = 20, seed: int = 0) -
 
     rng = np.random.default_rng(seed)
     best_x, best_val = None, np.inf
-    for _ in range(max(1, restarts)):
+    for _ in range(restarts):
         x0 = rng.normal(size=len(keys))
         res = minimize(negent, x0, xatol=1e-10, fatol=1e-12, maxiter=2000)
         if res.fun < best_val:
@@ -664,26 +601,18 @@ def n_of_eps(epsilon: float, d: int) -> float:
     """Copy count solving n ln n = 1/(2(d+1) sqrt(2 eps)), via W0."""
     _check_eps(epsilon)
     _check_d(d)
-    return exp(lambert_w0(np.sqrt(1.0 / (8.0 * (d + 1) ** 2 * epsilon))))
+    x = np.sqrt(1.0 / (8.0 * (d + 1) ** 2 * epsilon))
+    if not isfinite(x):
+        raise ValueError(f"epsilon = {epsilon} is too small: 1/(8 (d+1)^2 epsilon) overflows")
+    return exp(lambert_w0(x))
 
 
 def asymptotic_regime(epsilon: float, d: int) -> bool:
     return epsilon <= 1e-3 / (d + 1) ** 2
 
 
-def final_lower_bound(epsilon: float, d: int, delta: float = 0.0) -> float:
-    """ln d_P >= (1-delta)(d-1) ln(1/(8 (d^2-1)^2 eps))."""
+def final_lower_bound(epsilon: float, d: int) -> float:
+    """ln d_P >= (d-1) ln(1/(8 (d^2-1)^2 eps))."""
     _check_eps(epsilon)
     _check_d(d)
-    return (1.0 - delta) * (d - 1) * log(1.0 / (8.0 * (d * d - 1) ** 2 * epsilon))
-
-
-def lambert_sandwich_holds(x: float) -> bool:
-    """Bracketing bounds on W0 for x >= e."""
-    if x < _e:
-        raise ValueError("bounds stated for x >= e")
-    w = lambert_w0(x)
-    lx, llx = log(x), log(log(x))
-    lower = lx - llx + llx / (2.0 * lx)
-    upper = lx - llx + (_e / (_e - 1.0)) * llx / lx
-    return lower - 1e-12 <= w <= upper + 1e-12
+    return (d - 1) * log(1.0 / (8.0 * (d * d - 1) ** 2 * epsilon))

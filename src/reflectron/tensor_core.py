@@ -33,7 +33,7 @@ class PureState:
                 f"{self.local_dim}^{self.factors} = {dim}"
             )
         norm = np.linalg.norm(self.amplitudes)
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:  # a NaN norm fails too
             raise ValueError(f"state norm {norm} deviates from 1 beyond {NORM_TOL}")
 
     @property
@@ -89,10 +89,6 @@ def permutation_operator(perm, d: int) -> np.ndarray:
 def cyclic_perm_tuple(k: int, power: int = 1) -> tuple:
     """Permutation tuple of C^power where C moves slot s to slot s+1 mod k."""
     return tuple((s + power) % k for s in range(k))
-
-
-def cyclic_permutation(k: int, d: int) -> np.ndarray:
-    return permutation_operator(cyclic_perm_tuple(k), d)
 
 
 def partial_trace(X, keep, d: int, factors: int) -> np.ndarray:
@@ -168,8 +164,3 @@ def haar_random_unitary(d: int, seed=0) -> np.ndarray:
     phases = np.diag(r).copy()
     phases /= np.abs(phases)
     return q * phases[None, :]
-
-
-def random_permutation(k: int, seed=0) -> tuple:
-    rng = _as_rng(seed)
-    return tuple(int(x) for x in rng.permutation(k))

@@ -3,7 +3,7 @@ encoding, copy/precision budgeting, composed-channel verification, and the
 program-dimension accounting on both sides of the bound."""
 
 from dataclasses import dataclass
-from math import ceil, log2, pi
+from math import ceil, isfinite, log2, pi
 
 import numpy as np
 
@@ -100,8 +100,11 @@ def budget(d: int, epsilon: float, alphas) -> BudgetReport:
         raise ValueError("need d >= 2")
     _check_eps(epsilon)
     alphas = [float(a) for a in alphas]
+    copies = [9 * (d - 1) * abs(a) / epsilon for a in alphas]
+    if not all(isfinite(x) for x in [9 * pi * (d - 1) / epsilon, *copies]):
+        raise ValueError(f"epsilon = {epsilon} is too small: the copy counts overflow")
     K = ceil(log2(6 * pi * (d - 1) / epsilon))
-    n_copies = [ceil(9 * (d - 1) * abs(a) / epsilon) for a in alphas]
+    n_copies = [ceil(x) for x in copies]
     phase_qubits = (d - 1) * ceil(log2(ceil(6 * pi * (d - 1) / epsilon)))
     copy_qubits = (d - 1) * ceil(log2(ceil(9 * pi * (d - 1) / epsilon)))
     sym_qubits = sum(ceil(log2(sym_dim(nj, d))) for nj in n_copies if nj > 0)
@@ -205,12 +208,13 @@ def lower_bound_via_universal(d: int, epsilon: float, constant: float = 1.0) -> 
     return (d + 1) / 2.0 * log2(constant * d**-5 / epsilon)
 
 
-def scaling_fit(ds=(2, 3, 4), k_values=range(6, 25, 2)) -> tuple:
+def scaling_fit() -> tuple:
     """Least-squares slope of the symmetric program qubits against
-    (d-1)^2 log2(1/eps) over a dyadic epsilon grid, worst-case angles pi."""
+    (d-1)^2 log2(1/eps) at d = 2, 3, 4 over the dyadic epsilon grid
+    2^-6 .. 2^-24, worst-case angles pi."""
     xs, ys = [], []
-    for d in ds:
-        for k in k_values:
+    for d in (2, 3, 4):
+        for k in range(6, 25, 2):
             eps = 2.0**-k
             rep = budget(d, eps, [pi] * (d - 1))
             xs.append((d - 1) ** 2 * k)

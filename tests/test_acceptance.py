@@ -8,42 +8,59 @@ limit approached from below with an O(1/n) relative deficit.
 
 import time
 from contextlib import contextmanager
-from math import comb, e as euler_e, pi
+from math import comb, e as euler_e, log, pi
 
 import numpy as np
 
-from reflectron import (
-    build_probe_d2,
-    build_rotation_circuit,
-    closed_form_rotation_distance,
+from reflectron.tensor_core import haar_random_state, haar_random_unitary
+from reflectron.cyclic import (
     dense_element,
-    dense_reflection_channel,
-    diamond_covariant,
-    effective_channel,
-    ensemble_entropy,
-    equal_angle_distance,
-    gate_counts,
-    haar_random_state,
-    haar_random_unitary,
-    linear_bound,
     lmr_coeffs,
-    lmr_improved_angle,
-    lmr_sequential_dense,
-    maximize_entropy_over_q,
-    mr_diamond_distance,
     optimal_angle,
     optimal_reflection_coeffs,
     r_theta_coeffs,
-    solve_q_d2,
-    theta_star,
-    verify_budget,
 )
-from reflectron.channels import make_rotation_channel
-from reflectron.circuits import apply_circuit
-from reflectron.distances import dense_diamond_covariant
-from reflectron.optima import critical_u, landscape, lmr_equal_angle_distance, lmr_improvement
-from reflectron.repthy import lambert_sandwich_holds
-from reflectron.universal import scaling_fit
+from reflectron.channels import (
+    dense_reflection_channel,
+    effective_channel,
+    lmr_sequential_dense,
+    make_rotation_channel,
+)
+from reflectron.distances import (
+    closed_form_rotation_distance,
+    dense_diamond_covariant,
+    diamond_covariant,
+    equal_angle_distance,
+    linear_bound,
+    mr_diamond_distance,
+)
+from reflectron.optima import (
+    landscape,
+    lmr_equal_angle_distance,
+    lmr_improved_angle,
+    lmr_improvement,
+    theta_star,
+)
+from reflectron.repthy import (
+    build_probe_d2,
+    ensemble_entropy,
+    lambert_w0,
+    maximize_entropy_over_q,
+    solve_q_d2,
+)
+from reflectron.universal import scaling_fit, verify_budget
+from reflectron.circuits import apply_circuit, build_rotation_circuit, gate_counts
+
+
+def lambert_sandwich_holds(x: float) -> bool:
+    """The bracketing bounds on W0 for x >= e, with 1e-12 slack."""
+    if x < euler_e:
+        raise ValueError("bounds stated for x >= e")
+    w = lambert_w0(x)
+    lx, llx = log(x), log(log(x))
+    lower = lx - llx + llx / (2.0 * lx)
+    upper = lx - llx + (euler_e / (euler_e - 1.0)) * llx / lx
+    return lower - 1e-12 <= w <= upper + 1e-12
 
 
 @contextmanager
@@ -175,7 +192,7 @@ def test_criterion_05_figure_reproduction():
         k = int(np.argmin(points["value"]))
         assert abs(points["value"][k] - 1.2) < 1e-4
         assert abs(points["r"][k] - 1.0) < 1 / 512 + 1e-12
-        u_star = critical_u(4, 1.0)
+        u_star = optimal_angle(4)
         cell = 2 * pi / 512
         dev = min(abs(points["u"][k] - u_star), abs(2 * pi - points["u"][k] - u_star))
         assert dev < cell + 1e-12
@@ -266,7 +283,7 @@ def test_criterion_10_universal_budget():
             U = haar_random_unitary(3, 200 + k)
             rep = verify_budget(U, 0.5, trials=40, seed=k)
             assert rep.passed, f"d=3 target {k}: sampled {rep.sampled_distance}"
-        slope, _ = scaling_fit(ds=(2, 3, 4), k_values=range(6, 25, 2))
+        slope, _ = scaling_fit()
         assert 0.8 <= slope <= 1.5
 
 
@@ -277,6 +294,5 @@ def test_criterion_11_cross_formula_consistency():
         for n in range(1, 7):
             value = closed_form_rotation_distance(optimal_reflection_coeffs(n), pi)
             assert abs(value - 8 * (n + 2) / (8 + 4 * n + n * n)) < 1e-12
-        for x in np.logspace(1, 12, 200):
+        for x in [*np.logspace(1, 12, 200), *np.logspace(1, 12, 60), euler_e]:
             assert lambert_sandwich_holds(float(x))
-        assert lambert_sandwich_holds(euler_e)

@@ -3,25 +3,18 @@ from math import comb, pi
 import numpy as np
 import pytest
 
-from reflectron import (
-    CyclicElement,
-    DimensionBudgetError,
+from reflectron.config import DimensionBudgetError, NonChannelElementError
+from reflectron.tensor_core import as_vector, haar_random_state
+from reflectron.cyclic import CyclicElement, lmr_coeffs, r_theta_coeffs
+from reflectron.channels import (
     MeasureReflectChannel,
-    NonChannelElementError,
     choi,
     dense_reflection_channel,
     effective_channel,
-    group_twirl_state,
-    haar_random_state,
-    lmr_coeffs,
     lmr_sequential_dense,
-    mr_channel,
-    r_theta_coeffs,
-    reflection_channel,
-    rotation_channel,
+    make_rotation_channel,
+    orthonormal_frame,
 )
-from reflectron.channels import orthonormal_frame
-from reflectron.tensor_core import as_vector
 
 
 def random_matrix(d, rng):
@@ -44,20 +37,20 @@ def test_rotation_zero_angle_identity():
     rng = np.random.default_rng(0)
     psi = haar_random_state(3, rng)
     X = random_matrix(3, rng)
-    assert np.abs(rotation_channel(psi, 0.0, X) - X).max() < 1e-12
+    assert np.abs(make_rotation_channel(psi, 0.0)(X) - X).max() < 1e-12
 
 
 def test_reflection_fixes_axis():
     psi = haar_random_state(2, 1)
     P = psi.projector()
-    assert np.abs(reflection_channel(psi, P) - P).max() < 1e-12
+    assert np.abs(make_rotation_channel(psi, pi)(P) - P).max() < 1e-12
 
 
 def test_reflection_flips_cross_terms():
     psi = haar_random_state(3, 2)
     perp = orthonormal_frame(psi.amplitudes)[:, 0]
     cross = np.outer(perp, psi.amplitudes.conj())  # |psi_i><psi|
-    out = reflection_channel(psi, cross)
+    out = make_rotation_channel(psi, pi)(cross)
     assert np.abs(out + cross).max() < 1e-12
 
 
@@ -95,7 +88,7 @@ def test_effective_matches_dense_exhaustive_small_region():
     # every (n, d) with d^{n+1} <= 2^12, three element families each; the
     # full 2^16 sweep runs the same comparison and is reported in the docs
     rng = np.random.default_rng(77)
-    from reflectron import inverse_fourier
+    from reflectron.cyclic import inverse_fourier
 
     worst = 0.0
     d = 2
@@ -234,7 +227,7 @@ def test_mr_trace_preserving_and_d2_value():
     rng = np.random.default_rng(10)
     psi = haar_random_state(2, rng)
     X = random_matrix(2, rng)
-    out = mr_channel(psi, 4, X)
+    out = MeasureReflectChannel(psi, 4)(X)
     assert abs(np.trace(out) - np.trace(X)) < 1e-11
 
 
@@ -281,7 +274,7 @@ def test_choi_complete_positivity_random_elements():
     for trial in range(10):
         n = int(rng.integers(1, 7))
         phases = np.exp(1j * rng.uniform(0, 2 * pi, size=n + 1))
-        from reflectron import inverse_fourier
+        from reflectron.cyclic import inverse_fourier
 
         chan = effective_channel(inverse_fourier(phases), psi)
         eig = np.linalg.eigvalsh(choi(chan, 2))
@@ -290,36 +283,6 @@ def test_choi_complete_positivity_random_elements():
         J = choi(chan, 2)
         red = np.trace(J.reshape(2, 2, 2, 2), axis1=1, axis2=3)
         assert np.abs(red - np.eye(2)).max() < 1e-10
-
-
-def test_effective_channel_json():
-    import json
-
-    psi = haar_random_state(2, 20)
-    chan = effective_channel(r_theta_coeffs(2, 1.0), psi)
-    payload = json.loads(chan.to_json())
-    assert set(payload) == {"d", "psi", "a_x", "a_px", "a_xp", "a_tr", "a_trp"}
-    assert payload["d"] == 2
-
-
-def test_group_twirl_fixed_points():
-    rng = np.random.default_rng(15)
-    psi = haar_random_state(3, rng)
-    P = psi.projector()
-    assert np.abs(group_twirl_state(P, psi) - P).max() < 1e-12
-    assert np.abs(group_twirl_state(np.eye(3) / 3, psi) - np.eye(3) / 3).max() < 1e-12
-
-
-def test_group_twirl_output_in_commutant():
-    rng = np.random.default_rng(16)
-    psi = haar_random_state(3, rng)
-    rho = random_matrix(3, rng)
-    rho = rho @ rho.conj().T
-    rho /= np.trace(rho)
-    out = group_twirl_state(rho, psi)
-    for _ in range(5):
-        U = stabilizer_unitary(psi, rng)
-        assert np.abs(U @ out - out @ U).max() < 1e-10
 
 
 def test_mr_choi_positive_and_trace_preserving():
@@ -351,7 +314,7 @@ def _per_unit_choi(channel, d):
 
 
 def _library_channels(d):
-    from reflectron import haar_random_unitary
+    from reflectron.tensor_core import haar_random_unitary
     from reflectron.channels import make_rotation_channel
     from reflectron.universal import assemble_universal_channel
 

@@ -3,19 +3,17 @@ from math import pi
 import numpy as np
 import pytest
 
-from reflectron import (
-    DimensionBudgetError,
+from reflectron.config import DimensionBudgetError
+from reflectron.tensor_core import haar_random_state
+from reflectron.cyclic import dense_element, r_theta_coeffs
+from reflectron.circuits import (
     Gate,
+    apply_circuit,
     build_rotation_circuit,
     circuit_to_dense,
-    dense_element,
     export_circuit,
     gate_counts,
-    haar_random_state,
-    parse_circuit,
-    r_theta_coeffs,
 )
-from reflectron.circuits import apply_circuit
 
 
 def test_rejects_bad_n():
@@ -135,13 +133,28 @@ def test_export_header_and_counts():
     assert sum(1 for line in lines if line.startswith("CSWAP")) == 2
 
 
-def test_export_parse_roundtrip():
+def test_export_lines_match_gates():
+    names = {
+        "h": "H",
+        "swap": "SWAP",
+        "cswap": "CSWAP",
+        "single_qubit_phase": "PHASE0",
+        "multi_controlled_phase": "MCPHASE",
+    }
     for n in (1, 3, 7):
         circ = build_rotation_circuit(n, 1.7)
-        back = parse_circuit(export_circuit(circ))
-        assert back.n == circ.n
-        assert back.theta == circ.theta
-        assert back.gates == circ.gates
+        header, theta, *lines = export_circuit(circ).splitlines()
+        assert header == f"# registers: ancilla={circ.ancilla} system=1 program={n}"
+        assert theta == "# theta: 1.7"
+        assert len(lines) == len(circ.gates)
+        for line, gate in zip(lines, circ.gates):
+            name, *fields = line.split()
+            assert name == names[gate.kind]
+            if gate.angle is not None:
+                assert float(fields.pop(0)) == gate.angle
+            wires = tuple(int(x) for x in fields)
+            assert wires[: len(gate.controls)] == gate.controls
+            assert wires[len(gate.controls) :] == gate.targets
 
 
 def test_gate_kind_validation():

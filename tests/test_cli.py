@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
+import os
 from math import pi
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import reflectron.cli as cli
 from reflectron.config import ConsistencyError
@@ -207,8 +212,10 @@ def test_cached_parser_output_matches_fresh_parser(capsys):
 
 
 def test_usage_error_exit_code(capsys):
-    assert run(["distance"], capsys)[0] == 1  # missing --n
-    assert run(["no-such-command"], capsys)[0] == 1
+    for argv in (["distance"], ["no-such-command"], ["distance", "--n", "2", "--alpha", "-pi/4"]):
+        code, out, err = run(argv, capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error: validation: ") and "\nusage: reflectron" in err
 
 
 def test_consistency_error_exit_code(capsys, monkeypatch):
@@ -267,6 +274,17 @@ def test_invalid_size_and_angle_exit_code(argv, capsys):
         (["distance", "--n", "3", "--d", "0"], "need --d >= 2"),
         (["distance", "--n", "3", "--d", "1"], "need --d >= 2"),
         (["distance", "--n", "3", "--d", "-5"], "need --d >= 2"),
+        (["lowerbound", "twirl", "--n", "-1", "--d", "3"], "need n >= 1"),  # was a TypeError
+        (["lowerbound", "twirl", "--n", "0", "--d", "3"], "need n >= 1"),  # was a matmul error
+        (["lowerbound", "twirl", "--n", "2", "--d", "3", "--restarts", "0"], "need restarts >= 1"),
+        (["lowerbound", "twirl", "--n", "2", "--d", "3", "--restarts", "-4"], "need restarts >= 1"),
+        (["universal", "budget", "--d", "8", "--eps", "5e-324"], "epsilon"),  # was an OverflowError
+        (["lowerbound", "fd", "--eps", "5e-324", "--d", "3"], "epsilon"),  # was NaN to integer
+        (["distance", "--n", "2", "--alpha", "inf"], "angle must be finite"),
+        (["distance", "--n", "2", "--alpha", "pi/0"], "cannot parse angle"),
+        (["distance", "--n", "3", "--algo", "lmr", "--theta", "1e308"], "total angle"),
+        (["theta-star", "--n", "4", "--alpha-min=-inf"], "alpha range"),
+        (["lowerbound", "fd", "--eps", "pi", "--d", "2"], "invalid float value"),
     ],
 )
 def test_universal_and_landscape_invalid_input_exit_code(argv, named, capsys):
@@ -375,7 +393,7 @@ def test_unwritable_output_path_exit_code(argv, where, tmp_path, capsys):
 
 
 def test_landscape_boundary_file(tmp_path, capsys):
-    from reflectron import boundary_curve
+    from reflectron.optima import boundary_curve
 
     boundary = tmp_path / "boundary.csv"
     code, out, _ = run(["landscape", "--n", "3", "--grid", "9", "--boundary-out", str(boundary)], capsys)
@@ -395,3 +413,57 @@ def test_selftest_out_writes_the_battery_to_file(tmp_path, capsys):
     assert out == "" and err == ""
     assert target.read_text() == printed
     assert printed.count("[PASS]") == len(printed.splitlines()) > 1
+
+
+# --- argv fuzzing ------------------------------------------------------------
+
+_INT = st.integers(min_value=-3, max_value=8).map(str)
+_REAL = st.sampled_from(
+    ["pi", "pi/2", "-pi/4", "0", "1.1", "nan", "inf", "-inf", "1e308", "5e-324", "two pies"]
+)
+# every flag of every subcommand except --out and --boundary-out, which write files
+_FLAGS = {
+    ("distance",): {
+        "--n": _INT,
+        "--d": _INT,
+        "--alpha": _REAL,
+        "--algo": st.sampled_from(["optimal", "theta", "lmr"]),
+        "--theta": _REAL,
+    },
+    ("landscape",): {"--n": _INT, "--grid": _INT},
+    ("theta-star",): {"--n": _INT, "--alpha-min": _REAL, "--alpha-max": _REAL, "--num": _INT},
+    ("lmr",): {"--n": _INT, "--alpha": _REAL},
+    ("mr",): {"--n": _INT, "--d": _INT},
+    ("lowerbound", "solve-q"): {"--n": _INT},
+    ("lowerbound", "twirl"): {"--n": _INT, "--d": _INT, "--restarts": _INT},
+    ("lowerbound", "fd"): {"--eps": _REAL, "--d": _INT},
+    ("universal", "budget"): {"--d": _INT, "--eps": _REAL},
+    ("universal", "verify"): {"--d": _INT, "--eps": _REAL, "--trials": _INT, "--targets": _INT},
+    ("circuit", "emit"): {"--n": _INT, "--theta": _REAL},
+    ("circuit", "verify"): {"--n": _INT},
+    ("selftest",): {},
+}
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    flags = {**_FLAGS[command], "--seed": _INT}
+    argv = list(command)
+    for flag in draw(st.permutations(sorted(flags))):
+        value = draw(flags[flag])
+        # "--flag=-pi/4" reaches the parser's value check; "--flag -pi/4" is a usage error
+        argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(_argvs())
+def test_argv_fuzz_keeps_the_exit_code_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, {"REFLECTRON_BUDGET": "4096"}):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    assert code in (0, 1, 2), (argv, code)
+    if code:
+        assert err.getvalue().startswith("error:"), (argv, err.getvalue())

@@ -4,24 +4,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reflectron import (
+from reflectron.config import DimensionBudgetError
+from reflectron.tensor_core import cyclic_perm_tuple, haar_random_state, permutation_operator
+from reflectron.cyclic import (
     CyclicElement,
-    DimensionBudgetError,
     apply_element,
     dense_element,
     f_opt,
     fourier,
-    haar_random_state,
     inverse_fourier,
     is_channel_element,
     is_unitary_element,
     lmr_coeffs,
     optimal_angle,
     optimal_reflection_coeffs,
-    permutation_operator,
     r_theta_coeffs,
 )
-from reflectron.tensor_core import cyclic_perm_tuple
 
 
 def test_fourier_identity_element():
@@ -172,13 +170,6 @@ def test_lmr_restriction_is_isometric():
     psi = haar_random_state(2, rng)
     vec = np.kron(phi.amplitudes, psi.tensor_power(3).amplitudes)
     assert abs(np.linalg.norm(V @ vec) - 1.0) < 1e-11
-
-
-def test_json_roundtrip():
-    e = lmr_coeffs([0.3, 1.1])
-    back = CyclicElement.from_json(e.to_json())
-    assert back.n == e.n
-    assert np.abs(back.coeffs - e.coeffs).max() < 1e-15
 
 
 def test_coefficient_length_validation():

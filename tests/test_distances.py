@@ -3,24 +3,21 @@ from math import pi
 import numpy as np
 import pytest
 
-from reflectron import (
-    PhiP,
+from reflectron.tensor_core import haar_random_state
+from reflectron.cyclic import lmr_coeffs, optimal_reflection_coeffs, r_theta_coeffs
+from reflectron.distances import (
     closed_form_rotation_distance,
     diamond_covariant,
     diamond_unitary_channels,
     distance_at_p,
     equal_angle_distance,
-    haar_random_state,
     linear_bound,
-    lmr_coeffs,
     mr_diamond_distance,
-    optimal_reflection_coeffs,
-    r_theta_coeffs,
     sampled_diamond_lower_bound,
     trace_norm,
 )
 import reflectron.cli as cli
-from reflectron import distances
+import reflectron.distances as distances
 from reflectron.channels import effective_channel, make_rotation_channel, rotation_unitary
 from reflectron.config import ConsistencyError
 
@@ -32,10 +29,11 @@ def test_trace_norm_basics():
 
 def test_phi_p_normalized():
     psi = haar_random_state(4, 0)
-    for p in (0.0, 0.3, 1.0):
-        assert abs(np.linalg.norm(PhiP(p, psi, 4).vector()) - 1.0) < 1e-12
-    with pytest.raises(ValueError):
-        PhiP(1.2, psi, 4)
+    ps = np.array([0.0, 0.3, 1.0])
+    rows = distances._phi_p_builder(psi)(ps)
+    assert np.abs(np.linalg.norm(rows, axis=1) - 1.0).max() < 1e-12
+    # the system-0 block is sqrt(p) psi
+    assert np.abs(rows[:, :4] - np.sqrt(ps)[:, None] * psi.amplitudes).max() < 1e-15
 
 
 def test_frame_completion_orthonormal():
@@ -100,17 +98,24 @@ def test_diamond_lmr_equal_angles():
 
 def test_closed_form_rotation_matches_maximization():
     rng = np.random.default_rng(2)
+    cases = []
     for _ in range(25):
         n = int(rng.integers(1, 9))
         theta = rng.uniform(0, pi)
         alpha = rng.uniform(0, pi)
-        e = r_theta_coeffs(n, theta)
+        cases.append((r_theta_coeffs(n, theta), alpha))
+    # at alpha = 5e-324 the gap is one denormal and 2 gap + |c_0|^2 - 1 rounds
+    # to 0; the division once raised ZeroDivisionError
+    for alpha in (5e-324, 1e-300, 1e-17):
+        cases += [(lmr_coeffs(np.full(3, alpha / 3)), alpha), (r_theta_coeffs(3, alpha), alpha)]
+    for e, alpha in cases:
         value, _ = diamond_covariant(e, alpha)
         assert abs(value - closed_form_rotation_distance(e, alpha)) < 1e-9
 
 
 def test_distance_rejects_non_channel_elements():
-    from reflectron import CyclicElement, NonChannelElementError
+    from reflectron.config import NonChannelElementError
+    from reflectron.cyclic import CyclicElement
 
     bad = CyclicElement(1, [0.5, 0.5])
     with pytest.raises(NonChannelElementError):
@@ -325,7 +330,7 @@ def _scalar_dense_diamond(channel_a, channel_b, psi, num_grid=201):
 def _channels(d, seed):
     from reflectron.channels import MeasureReflectChannel
     from reflectron.universal import assemble_universal_channel
-    from reflectron import haar_random_unitary
+    from reflectron.tensor_core import haar_random_unitary
 
     psi = haar_random_state(d, seed)
     _, composed = assemble_universal_channel(haar_random_unitary(d, seed), 0.2)
@@ -389,7 +394,7 @@ def _sampled_loop(channel_a, channel_b, d, trials, seed):
 def test_sampled_bound_equals_loop_reference(d):
     from reflectron.channels import unitary_channel
     from reflectron.universal import assemble_universal_channel
-    from reflectron import haar_random_unitary
+    from reflectron.tensor_core import haar_random_unitary
 
     U = haar_random_unitary(d, 3)
     _, composed = assemble_universal_channel(U, 0.2)
@@ -588,7 +593,8 @@ def test_dense_oracle_catches_perturbed_channel_on_other_states(name, seed, monk
     ids=["ct0-unit-norm-off", "norm-unit-ct0-off"],
 )
 def test_every_entry_point_rejects_planted_non_channel_element(coeffs):
-    from reflectron import CyclicElement, NonChannelElementError
+    from reflectron.config import NonChannelElementError
+    from reflectron.cyclic import CyclicElement
 
     bad = CyclicElement(1, coeffs)
     ct0, total = distances.channel_sums(bad)

@@ -3,21 +3,17 @@ from math import pi
 import numpy as np
 import pytest
 
-from reflectron import (
+from reflectron.cyclic import lmr_coeffs, optimal_angle, optimal_reflection_coeffs, r_theta_coeffs
+from reflectron.distances import closed_form_rotation_distance
+from reflectron.optima import (
     Domain,
     boundary_curve,
-    closed_form_rotation_distance,
-    critical_u,
     domain_classify,
     landscape,
     landscape_value,
-    lmr_coeffs,
     lmr_equal_angle_distance,
     lmr_improved_angle,
     lmr_improvement,
-    optimal_angle,
-    optimal_reflection_coeffs,
-    r_theta_coeffs,
     theta_star,
 )
 
@@ -40,7 +36,7 @@ def test_landscape_grid_minimum_and_symmetry():
         vmin = points["value"].min()
         assert abs(vmin - 8 * (n + 2) / (8 + 4 * n + n * n)) < 2e-4
         k = int(np.argmin(points["value"]))
-        u_star = critical_u(n, 1.0)
+        u_star = optimal_angle(n)
         assert abs(points["r"][k] - 1.0) < 1 / 256 + 1e-12
         cell = 2 * pi / 256
         dev = min(abs(points["u"][k] - u_star), abs(2 * pi - points["u"][k] - u_star))
@@ -51,22 +47,15 @@ def test_landscape_grid_minimum_and_symmetry():
 
 
 def test_landscape_point_values_in_range():
-    from reflectron import landscape_point
-
     rng = np.random.default_rng(0)
     for _ in range(50):
-        pt = landscape_point(4, rng.uniform(0, 1), rng.uniform(0, 2 * pi))
-        assert 0.0 <= pt.value <= 2.0 + 1e-12
+        value = landscape_value(4, rng.uniform(0, 1), rng.uniform(0, 2 * pi))
+        assert 0.0 <= value <= 2.0 + 1e-12
 
 
 def test_landscape_row_count_contract():
     pts = landscape(3, 33, 33)
     assert pts.shape[0] == 33 * 33
-
-
-def test_critical_u_reduces_to_optimal_angle():
-    for n in (1, 4, 16):
-        assert abs(critical_u(n, 1.0) - optimal_angle(n)) < 1e-12
 
 
 def test_boundary_curve_sits_on_boundary():

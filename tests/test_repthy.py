@@ -5,61 +5,52 @@ from math import comb, e as euler_e, log
 import numpy as np
 import pytest
 
-from reflectron import (
-    GTPattern,
-    ProbeSpec,
-    SpinLabel,
-    build_probe_d2,
-    cg_su2,
-    conjecture_system_d2,
-    ensemble_entropy,
-    final_lower_bound,
-    haar_random_unitary,
-    lambert_w0,
-    lower_bound_fd,
-    magic_sum_check,
-    maximize_entropy_over_q,
-    n_of_eps,
-    solve_q_d2,
-    twirl,
-)
+from reflectron.tensor_core import haar_random_unitary
 from reflectron.repthy import (
+    ProbeSpec,
     _reflection_signs,
     _schur_basis,
     block_basis,
     build_probe,
+    build_probe_d2,
+    cg_su2,
+    conjecture_system_d2,
+    ensemble_entropy,
     ensemble_entropy_rank,
     ensemble_state,
     entropy_target,
-    gt_patterns,
-    lambert_sandwich_holds,
+    final_lower_bound,
+    lambert_w0,
+    lower_bound_fd,
+    maximize_entropy_over_q,
     minimize as repthy_minimize,
+    n_of_eps,
+    solve_q_d2,
     support_bound,
+    twirl,
     weyl_dim,
 )
 
 
-# --- labels ---------------------------------------------------------------
+# --- Weyl dimension ---------------------------------------------------------
 
 
-def test_spin_label_validation():
-    SpinLabel(3, 1)
-    with pytest.raises(ValueError):
-        SpinLabel(3, 2)
-    with pytest.raises(ValueError):
-        SpinLabel(1, 3)
-
-
-def test_gt_pattern_interlacing():
-    GTPattern(((1,), (2, 0)))
-    with pytest.raises(ValueError):
-        GTPattern(((3,), (2, 0)))
+def gt_patterns(row):
+    """Gelfand-Tsetlin patterns with top row `row`, listed bottom row first:
+    each row has one entry fewer than the row above and interlaces it."""
+    if len(row) == 1:
+        yield (row,)
+        return
+    ranges = [range(row[i + 1], row[i] + 1) for i in range(len(row) - 1)]
+    for below in itertools.product(*ranges):
+        for rest in gt_patterns(below):
+            yield rest + (row,)
 
 
 def test_gt_pattern_count_is_weyl_dimension():
     for lam, d in [((2, 0), 2), ((2, 0, 0), 3), ((2, 1, 0), 3), ((3, 1), 2)]:
         top = lam + (0,) * (d - len(lam))
-        assert len(gt_patterns(top)) == weyl_dim(lam, d)
+        assert sum(1 for _ in gt_patterns(top)) == weyl_dim(lam, d)
 
 
 def partitions(n, max_rows, largest=None):
@@ -145,6 +136,14 @@ def test_cg_orthonormality_exhaustive():
 def test_cg_parity_validation():
     with pytest.raises(ValueError):
         cg_su2(1, 0, 1, 1, 2, 1)
+
+
+def magic_sum_check(two_j: int) -> float:
+    """sum_m (-1)^{j-m} C^{00}_{jm,j-m}; equals sqrt(2j+1)."""
+    return sum(
+        (-1) ** ((two_j - tm) // 2) * cg_su2(two_j, tm, two_j, -tm, 0, 0)
+        for tm in range(-two_j, two_j + 1, 2)
+    )
 
 
 @pytest.mark.parametrize("tj,expect", [(0, 1.0), (1, np.sqrt(2)), (6, np.sqrt(7))])
@@ -561,16 +560,25 @@ def test_block_basis_spans_invariant_blocks_with_schur_characters():
 
 
 @pytest.mark.parametrize("d", [2, 3])
-@pytest.mark.parametrize("case", ["negative weight", "weights sum to", "invalid irrep labels"])
+@pytest.mark.parametrize(
+    "case", ["negative weight", "non-numeric weight", "weights sum to", "invalid irrep labels"]
+)
 def test_build_probe_rejects_invalid_weights(d, case):
     sym, anti, invalid = {2: (2, 0, 4), 3: ((2,), (1, 1), (5,))}[d]
     q = {
         "negative weight": {sym: -0.5, anti: 1.5},
+        "non-numeric weight": {sym: np.nan, anti: 1.0},  # once built an all-NaN probe
         "weights sum to": {sym: 3.0},
         "invalid irrep labels": {invalid: 1.0},
     }[case]
     with pytest.raises(ValueError, match=case):
         build_probe(2, d, q)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_build_probe_rejects_bad_n(n):
+    with pytest.raises(ValueError, match="need n >= 1"):
+        build_probe(n, 3, {(): 1.0})
 
 
 def test_maximize_entropy_d2_recovers_solved_weights():
@@ -698,12 +706,6 @@ def test_lambert_defining_equation():
         assert abs(w * np.exp(w) - x) <= 1e-12 * (1 + abs(x))
     with pytest.raises(ValueError):
         lambert_w0(-1.0)
-
-
-def test_lambert_sandwich_bounds():
-    for x in np.logspace(1, 12, 60):
-        assert lambert_sandwich_holds(float(x))
-    assert lambert_sandwich_holds(euler_e)
 
 
 def test_fd_at_zero_epsilon():

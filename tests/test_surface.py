@@ -1,0 +1,101 @@
+"""The public surface: what the README and the benchmark read resolves on the
+package, and every top-level definition in the library has a reader."""
+
+import ast
+import re
+from pathlib import Path
+
+import reflectron
+import reflectron.cli  # noqa: F401  (binds reflectron.cli, as bench/queries.py does)
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "reflectron"
+
+
+def _bench_reads():
+    """Attribute chains bench/queries.py reads off `reflectron as R`,
+    e.g. ("circuits", "circuit_to_dense")."""
+    chains = set()
+    for node in ast.walk(ast.parse((ROOT / "bench" / "queries.py").read_text())):
+        if isinstance(node, ast.Attribute):
+            chain = [node.attr]
+            value = node.value
+            while isinstance(value, ast.Attribute):
+                chain.insert(0, value.attr)
+                value = value.value
+            if isinstance(value, ast.Name) and value.id == "R":
+                chains.add(tuple(chain))
+    # R.cli.main also walks past R.cli; keep the full chains only
+    return {c for c in chains if not any(len(o) > len(c) and o[: len(c)] == c for o in chains)}
+
+
+def _readme():
+    return (ROOT / "README.md").read_text()
+
+
+def _readme_example_imports():
+    return [
+        name.strip()
+        for group in re.findall(r"^from reflectron import (.+)$", _readme(), re.M)
+        for name in group.split(",")
+    ]
+
+
+def _init_exports():
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
+    return {a.asname or a.name for node in imports for a in node.names}
+
+
+def test_benchmark_and_readme_names_resolve():
+    chains = _bench_reads()
+    assert ("diamond_covariant",) in chains and ("circuits", "circuit_to_dense") in chains
+    for chain in chains:
+        obj = reflectron
+        for attr in chain:
+            obj = getattr(obj, attr)
+    example = _readme_example_imports()
+    assert example == ["optimal_reflection_coeffs", "diamond_covariant"]
+    for name in example:
+        assert callable(getattr(reflectron, name))
+
+
+def test_init_exports_only_what_is_read():
+    errors = {"ConsistencyError", "DimensionBudgetError", "NonChannelElementError"}
+    read = {chain[0] for chain in _bench_reads() if len(chain) == 1}
+    assert _init_exports() == errors | read | set(_readme_example_imports())
+
+
+def _references(node, skip=None):
+    """Names loaded, read as an attribute or imported under `node`, outside the subtree `skip`."""
+    if node is skip:
+        return set()
+    if isinstance(node, ast.Name):
+        names = {node.id}
+    elif isinstance(node, ast.Attribute):
+        names = {node.attr}
+    elif isinstance(node, ast.ImportFrom):
+        names = {a.name for a in node.names}
+    else:
+        names = set()
+    for child in ast.iter_child_nodes(node):
+        names |= _references(child, skip)
+    return names
+
+
+def test_every_definition_has_a_reader():
+    modules = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    readme = set(re.findall(r"`(\w+)(?:\([^`]*\))?`", _readme()))
+    bench = {name for chain in _bench_reads() for name in chain}
+    everywhere = {stem: _references(tree) for stem, tree in modules.items()}
+    orphans = []
+    for stem, tree in modules.items():
+        elsewhere = set().union(*(refs for other, refs in everywhere.items() if other != stem))
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            # a def's own body does not count, so a function that only calls itself is an orphan
+            used = node.name in elsewhere or node.name in _references(tree, skip=node)
+            if not (used or node.name in readme or node.name in bench):
+                orphans.append(f"{stem}.{node.name}")
+    assert orphans == []

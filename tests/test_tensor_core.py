@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reflectron import (
-    DimensionBudgetError,
+from reflectron.config import DimensionBudgetError
+from reflectron.tensor_core import (
     PureState,
-    cyclic_permutation,
+    cyclic_perm_tuple,
     haar_random_state,
     haar_random_unitary,
     partial_trace,
@@ -17,7 +17,10 @@ from reflectron import (
     symmetric_encoder,
     symmetric_projector,
 )
-from reflectron.tensor_core import cyclic_perm_tuple, random_permutation
+
+
+def random_permutation(k, rng):
+    return tuple(int(x) for x in rng.permutation(k))
 
 
 def test_permutation_identity():
@@ -64,15 +67,16 @@ def test_permutation_homomorphism():
 
 
 def test_cyclic_swap_and_order():
-    assert np.abs(cyclic_permutation(2, 2) - permutation_operator((1, 0), 2)).max() == 0
-    C = cyclic_permutation(3, 2)
+    swap = permutation_operator((1, 0), 2)
+    assert np.abs(permutation_operator(cyclic_perm_tuple(2), 2) - swap).max() == 0
+    C = permutation_operator(cyclic_perm_tuple(3), 2)
     assert np.abs(np.linalg.matrix_power(C, 3) - np.eye(8)).max() < 1e-13
 
 
 def test_cyclic_fixes_symmetric_states():
     psi = haar_random_state(2, 11)
     vec = psi.tensor_power(3).amplitudes
-    C = cyclic_permutation(3, 2)
+    C = permutation_operator(cyclic_perm_tuple(3), 2)
     assert np.abs(C @ vec - vec).max() < 1e-12
 
 
@@ -223,6 +227,9 @@ def test_pure_state_validation():
         PureState(np.array([1.0, 1.0]), 2, 1)
     with pytest.raises(ValueError):
         PureState(np.array([1.0, 0.0, 0.0]), 2, 1)
+    for amplitudes in ([np.nan, 0.0], [np.inf, 0.0], [1.0, np.nan]):
+        with pytest.raises(ValueError, match="norm"):
+            PureState(amplitudes, 2)
 
 
 def test_budget_overflow():

@@ -3,19 +3,18 @@ from math import ceil, log2, pi
 import numpy as np
 import pytest
 
-from reflectron import (
+from reflectron.tensor_core import haar_random_state, haar_random_unitary
+from reflectron.distances import linear_bound
+from reflectron.universal import (
     assemble_universal_channel,
     binary_angle,
     budget,
     eigendecompose_target,
-    haar_random_state,
-    haar_random_unitary,
-    linear_bound,
     lower_bound_via_universal,
+    scaling_fit,
     verify_budget,
 )
 from reflectron.channels import rotation_unitary
-from reflectron.universal import scaling_fit
 from hypothesis import given, settings, strategies as st
 
 
@@ -150,7 +149,7 @@ def test_assembled_channel_trace_preserving_and_cp():
     rng = np.random.default_rng(1)
     X = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     assert abs(np.trace(chan(X)) - np.trace(X)) < 1e-10
-    from reflectron import choi
+    from reflectron.channels import choi
 
     eig = np.linalg.eigvalsh(choi(chan, 3))
     assert eig.min() > -1e-9
@@ -204,7 +203,8 @@ def test_verify_budget_haar_targets_small():
 def test_composed_channel_not_covariant():
     # two different axes: the composition cannot commute with the first
     # axis stabilizer, guarding misuse of the covariant formula
-    from reflectron import effective_channel, r_theta_coeffs
+    from reflectron.cyclic import r_theta_coeffs
+    from reflectron.channels import effective_channel
     from reflectron.channels import orthonormal_frame
 
     psi1 = haar_random_state(3, 7)
@@ -230,7 +230,7 @@ def test_lower_bound_via_universal():
     # leading-coefficient comparison: the direct bound carries (d-1) bits per
     # log(1/eps) against (d+1)/2 for the reduction, a factor-2 advantage at
     # large d
-    from reflectron import final_lower_bound
+    from reflectron.repthy import final_lower_bound
 
     def ratio(d, eps):
         direct = final_lower_bound(eps, d) / np.log(2)
