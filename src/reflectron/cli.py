@@ -369,9 +369,11 @@ def cmd_c_verify(args) -> int:
 
 def cmd_selftest(args) -> int:
     lines = []
-    failures = _selftest.run(write=lines.append)
+    failures, checks = _selftest.run(write=lines.append)
     _emit(args, "".join(line + "\n" for line in lines))
-    return 0 if failures == 0 else 2
+    if failures:
+        raise ConsistencyError(f"{failures} of {checks} selftest checks failed")
+    return 0
 
 
 @lru_cache(maxsize=1)

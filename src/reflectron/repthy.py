@@ -13,7 +13,7 @@ from math import comb, factorial, isfinite, log, log2, exp, e as _e
 
 import numpy as np
 
-from .config import ensure_operator_budget, ensure_vector_budget
+from .config import budget_entries, ensure_operator_budget, ensure_vector_budget
 from .tensor_core import PureState, as_vector
 
 EIG_CUTOFF = 1e-12
@@ -374,23 +374,43 @@ def _block_grams(n: int, d: int, vecs: np.ndarray):
     return K, np.array([E.shape[0] for E in basis.values()])
 
 
-def _block_spectrum(K: np.ndarray, dims: np.ndarray, q) -> np.ndarray:
-    """Spectrum of sum_ab sqrt(q_a q_b) K^{ab}, each block's eigenvalues d_lam times."""
+def _block_spectrum(K: np.ndarray, dims: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Spectra of sum_ab sqrt(q_a q_b) K^{ab} for each row of a (B, A) stack q.
+
+    Row b holds each block's eigenvalues d_lam times. The mix is one
+    stacked vector-matrix product, which keeps the bits of the one-point
+    product ``w @ K`` (a plain matrix product does not).
+    """
     w = np.sqrt(q)
-    mixed = np.outer(w, w).reshape(-1) @ K.reshape(w.size**2, -1)
-    eig = np.linalg.eigvalsh(mixed.reshape(K.shape[2:]))
-    return np.repeat(eig, dims, axis=0).ravel()
+    mix = (w[:, :, None] * w[:, None, :]).reshape(len(w), 1, -1)
+    mixed = np.matmul(mix, K.reshape(mix.shape[2], -1))
+    eig = np.linalg.eigvalsh(mixed.reshape((len(w),) + K.shape[2:]))
+    return np.repeat(eig, dims, axis=1).reshape(len(w), -1)
 
 
 def ensemble_spectrum(n: int, d: int, probe) -> np.ndarray:
     """Eigenvalues of the ensemble state from its Schur blocks, zero-padded."""
     K, dims = _block_grams(n, d, as_vector(probe)[None])
-    return _block_spectrum(K, dims, np.ones(1))
+    return _block_spectrum(K, dims, np.ones((1, 1)))[0]
 
 
 def _entropy_bits(eig: np.ndarray) -> float:
     eig = eig[eig > EIG_CUTOFF]
     return float(-np.sum(eig * np.log2(eig)))
+
+
+def _entropy_rows(eig: np.ndarray) -> np.ndarray:
+    """`_entropy_bits` of each row of eig, bit for bit.
+
+    When every row keeps the same eigenvalues, the logarithms are taken on
+    the whole stack; each row's sum stays a 1-D sum, because a sum along
+    an axis of the stack may add in another order.
+    """
+    keep = eig > EIG_CUTOFF
+    if not (keep == keep[0]).all():
+        return np.array([_entropy_bits(row) for row in eig])
+    kept = eig[:, keep[0]]
+    return np.array([-row.sum() for row in kept * np.log2(kept)])
 
 
 def ensemble_entropy_rank(n: int, d: int, probe) -> tuple:
@@ -432,75 +452,94 @@ class EntropyReport:
 @dataclass
 class MinimizeResult:
     x: np.ndarray
-    fun: float
+    fun: np.ndarray
     nfev: int
 
 
 def minimize(fun, x0, xatol: float, fatol: float, maxiter: int) -> MinimizeResult:
-    """Nelder-Mead from x0, scipy's non-adaptive method step for step.
+    """Nelder-Mead from each row of the (R, N) stack x0, in lockstep.
 
-    Coefficients rho = 1, chi = 2, psi = sigma = 1/2; the initial simplex
-    moves each nonzero coordinate by 5% and each zero one to 0.00025. The
-    search stops once every vertex lies within xatol of the best and every
-    value within fatol, or after maxiter - 1 steps; function calls are not
-    limited. ``fun`` gets its own copy of each point.
+    Every start follows scipy's non-adaptive method step for step:
+    coefficients rho = 1, chi = 2, psi = sigma = 1/2; the initial simplex
+    moves each nonzero coordinate by 5% and each zero one to 0.00025. A
+    start stops once every vertex lies within xatol of its best and every
+    value within fatol, or after maxiter - 1 steps, and then keeps its
+    simplex; function calls are not limited. ``fun`` maps a (B, N) stack of
+    points, its own copy, to B values. Each phase (initial simplex,
+    reflection, expansion or contraction, shrink) is one call on the points
+    of the starts still running. Returns each start's best vertex and value
+    and the total number of points evaluated.
     """
     x0 = np.asarray(x0, dtype=float)
-    N = x0.size
-    sim = np.tile(x0, (N + 1, 1))
-    for k in range(N):
-        sim[k + 1, k] = (1 + 0.05) * x0[k] if x0[k] != 0 else 0.00025
+    R, N = x0.shape
     nfev = 0
 
-    def f(x):
+    def f(points):
         nonlocal nfev
-        nfev += 1
-        return fun(np.copy(x))
+        nfev += len(points)
+        return np.asarray(fun(np.array(points)), dtype=float)
 
-    fsim = np.array([f(vertex) for vertex in sim], dtype=float)
+    sim = np.repeat(x0[:, None], N + 1, axis=1)
+    for k in range(N):
+        sim[:, k + 1, k] = np.where(x0[:, k] != 0, (1 + 0.05) * x0[:, k], 0.00025)
+    fsim = f(sim.reshape(-1, N)).reshape(R, N + 1)
+    live = np.arange(R)
     iterations = 1
     while True:
-        order = np.argsort(fsim)
-        sim, fsim = np.take(sim, order, 0), np.take(fsim, order, 0)
-        if iterations >= maxiter or (
-            np.max(np.abs(sim[1:] - sim[0])) <= xatol and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol
-        ):
+        order = np.argsort(fsim[live], axis=1)
+        s = np.take_along_axis(sim[live], order[:, :, None], 1)
+        fs = np.take_along_axis(fsim[live], order, 1)
+        sim[live], fsim[live] = s, fs
+        if iterations >= maxiter:
+            break
+        running = ~(
+            (np.abs(s[:, 1:] - s[:, :1]).max(axis=(1, 2)) <= xatol)
+            & (np.abs(fs[:, :1] - fs[:, 1:]).max(axis=1) <= fatol)
+        )
+        live, s, fs = live[running], s[running], fs[running]
+        if not live.size:
             break
         iterations += 1
-        xbar = sim[:-1].sum(axis=0) / N
-        xr = 2 * xbar - sim[-1]
+        xbar = s[:, :-1].sum(axis=1) / N
+        worst = s[:, -1]
+        # every trial point is (1 + c) xbar - c worst: reflect c = 1, expand
+        # c = 2, contract outside c = 1/2 and inside c = -1/2
+        xr = 2 * xbar - worst
         fxr = f(xr)
-        if fxr < fsim[0]:
-            xe = 3 * xbar - 2 * sim[-1]
-            fxe = f(xe)
-            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-        elif fxr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fxr
-        else:
-            if fxr < fsim[-1]:  # contract outside, towards xr
-                xc = 1.5 * xbar - 0.5 * sim[-1]
-                fxc = f(xc)
-                shrink = not fxc <= fxr
-            else:  # contract inside, towards the worst vertex
-                xc = 0.5 * xbar + 0.5 * sim[-1]
-                fxc = f(xc)
-                shrink = not fxc < fsim[-1]
-            if shrink:
-                for j in range(1, N + 1):
-                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
-                    fsim[j] = f(sim[j])
-            else:
-                sim[-1], fsim[-1] = xc, fxc
-    return MinimizeResult(x=sim[0], fun=np.min(fsim), nfev=nfev)
+        expand = fxr < fs[:, 0]
+        contract = ~(fxr < fs[:, -2])
+        outside = contract & (fxr < fs[:, -1])
+        trial = np.flatnonzero(expand | contract)
+        shrink = np.zeros(len(live), dtype=bool)
+        if trial.size:
+            c = np.where(expand[trial], 2.0, np.where(outside[trial], 0.5, -0.5))[:, None]
+            xt = (1 + c) * xbar[trial] - c * worst[trial]
+            ft = f(xt)
+            better = np.where(
+                expand[trial], ft < fxr[trial], np.where(outside[trial], ft <= fxr[trial], ft < fs[trial, -1])
+            )
+            xr[trial[better]], fxr[trial[better]] = xt[better], ft[better]
+            shrink[trial[~better & ~expand[trial]]] = True
+        s[~shrink, -1], fs[~shrink, -1] = xr[~shrink], fxr[~shrink]
+        if shrink.any():
+            moved = s[shrink, :1] + 0.5 * (s[shrink, 1:] - s[shrink, :1])
+            s[shrink, 1:] = moved
+            fs[shrink, 1:] = f(moved.reshape(-1, N)).reshape(-1, N)
+        sim[live], fsim[live] = s, fs
+    return MinimizeResult(x=sim[:, 0], fun=fsim.min(axis=1), nfev=nfev)
 
 
 def maximize_entropy_over_q(n: int, d: int, restarts: int = 20, seed: int = 0) -> EntropyReport:
     """Nelder-Mead search over the weight simplex for the ensemble entropy.
 
     The entropy is evaluated per Schur block (`_block_grams`), which is
-    exact and keeps an evaluation cheap. A persistent gap below target is
-    reported, not raised: it is evidence about the flat-spectrum
-    conjecture, and for (n, d) in {(2, 3), (3, 3)} the trivial-sector
+    exact and keeps an evaluation cheap. The restarts run in lockstep: each
+    Nelder-Mead phase is one objective call on the stacked points of the
+    restarts still running, mixed in slices whose block stack stays within
+    the budget, and the report is bit for bit that of running the restarts
+    one after another; the first restart with the least value wins. A
+    persistent gap below target is reported, not raised: it is evidence
+    about the flat-spectrum conjecture, and for (n, d) in {(2, 3), (3, 3)} the trivial-sector
     weight sum_lam q_lam (chi_lam(R)/dim_lam)^2 pins the spectrum away from
     flat for every q.
     """
@@ -513,20 +552,22 @@ def maximize_entropy_over_q(n: int, d: int, restarts: int = 20, seed: int = 0) -
     sides = np.array([_probe_vector(n, d, {key: 1.0}, blocks) for key in keys])
     grams, dims = _block_grams(n, d, sides)
 
-    def negent(x):
-        expd = np.exp(x - x.max())
-        return -_entropy_bits(_block_spectrum(grams, dims, expd / expd.sum()))
+    rows = max(1, budget_entries() // grams[0, 0].size)
 
-    rng = np.random.default_rng(seed)
-    best_x, best_val = None, np.inf
-    for _ in range(restarts):
-        x0 = rng.normal(size=len(keys))
-        res = minimize(negent, x0, xatol=1e-10, fatol=1e-12, maxiter=2000)
-        if res.fun < best_val:
-            best_x, best_val = res.x, res.fun
+    def negent(x):
+        expd = np.exp(x - x.max(axis=1, keepdims=True))
+        q = expd / expd.sum(axis=1, keepdims=True)
+        return -np.concatenate(
+            [_entropy_rows(_block_spectrum(grams, dims, q[i : i + rows])) for i in range(0, len(q), rows)]
+        )
+
+    ensure_vector_budget(restarts * (len(keys) + 1) * len(keys), "stack of Nelder-Mead simplices")
+    x0 = np.random.default_rng(seed).normal(size=(restarts, len(keys)))
+    res = minimize(negent, x0, xatol=1e-10, fatol=1e-12, maxiter=2000)
+    best_x = res.x[np.nanargmin(res.fun)]
     expd = np.exp(best_x - best_x.max())
     qvec = expd / expd.sum()
-    eig = _block_spectrum(grams, dims, qvec)
+    eig = _block_spectrum(grams, dims, qvec[None])[0]
     entropy = _entropy_bits(eig)
     rank = int(np.sum(eig > EIG_CUTOFF))
     target = entropy_target(n, d)
@@ -615,4 +656,7 @@ def final_lower_bound(epsilon: float, d: int) -> float:
     """ln d_P >= (d-1) ln(1/(8 (d^2-1)^2 eps))."""
     _check_eps(epsilon)
     _check_d(d)
-    return (d - 1) * log(1.0 / (8.0 * (d * d - 1) ** 2 * epsilon))
+    x = 1.0 / (8.0 * (d * d - 1) ** 2 * epsilon)
+    if x == 0.0:
+        raise ValueError(f"epsilon = {epsilon} is too large at d = {d}: 1/(8 (d^2-1)^2 epsilon) underflows to 0")
+    return (d - 1) * log(x)

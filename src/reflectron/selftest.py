@@ -149,10 +149,12 @@ def _checks():
     ]
 
 
-def run(write=None) -> int:
-    """Run the battery; each report line goes to ``write`` when one is given."""
+def run(write=None) -> tuple:
+    """Run the battery and return (failures, checks run); each report line
+    goes to ``write`` when one is given."""
+    checks = _checks()
     failures = 0
-    for name, check in _checks():
+    for name, check in checks:
         try:
             ok = bool(check())
         except Exception as exc:  # surfaced, counted as failure
@@ -162,4 +164,4 @@ def run(write=None) -> int:
         if write:
             write(f"[{'PASS' if ok else 'FAIL'}] {name}")
         failures += 0 if ok else 1
-    return failures
+    return failures, len(checks)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reflectron.cli as cli
+from reflectron import selftest as _selftest
 from reflectron.config import ConsistencyError
 
 
@@ -234,6 +235,18 @@ def test_selftest_subcommand(capsys):
     assert "[PASS]" in out and "[FAIL]" not in out
 
 
+def test_selftest_failures_exit_2_with_an_error_line(monkeypatch, capsys):
+    monkeypatch.setenv("REFLECTRON_BUDGET", "10")
+    code, out, err = run(["selftest"], capsys)
+    report = []
+    _selftest.run(write=report.append)
+    assert out == "".join(line + "\n" for line in report)
+    verdicts = [line for line in report if line.startswith(("[PASS]", "[FAIL]"))]
+    failed = sum(line.startswith("[FAIL]") for line in verdicts)
+    assert code == 2 and failed > 0
+    assert err == f"error: consistency: {failed} of {len(verdicts)} selftest checks failed\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -285,6 +298,7 @@ def test_invalid_size_and_angle_exit_code(argv, capsys):
         (["distance", "--n", "3", "--algo", "lmr", "--theta", "1e308"], "total angle"),
         (["theta-star", "--n", "4", "--alpha-min=-inf"], "alpha range"),
         (["lowerbound", "fd", "--eps", "pi", "--d", "2"], "invalid float value"),
+        (["lowerbound", "fd", "--eps", "1e308", "--d", "2"], "underflows"),  # was a math domain error
     ],
 )
 def test_universal_and_landscape_invalid_input_exit_code(argv, named, capsys):

@@ -1,13 +1,20 @@
 import itertools
+from collections import Counter
 from functools import lru_cache
 from math import comb, e as euler_e, log
 
 import numpy as np
 import pytest
 
+from reflectron.config import DimensionBudgetError
 from reflectron.tensor_core import haar_random_unitary
 from reflectron.repthy import (
+    EIG_CUTOFF,
+    EntropyReport,
+    MinimizeResult,
     ProbeSpec,
+    _block_grams,
+    _probe_vector,
     _reflection_signs,
     _schur_basis,
     block_basis,
@@ -618,19 +625,31 @@ def test_maximize_entropy_n3_d3_reports_structural_gap():
 
 
 def _scipy_nelder_mead(fun, x0, xatol, fatol, maxiter):
+    """scipy's Nelder-Mead from one start of a stacked objective, through a one-row adapter."""
     from scipy.optimize import minimize as scipy_minimize
 
     return scipy_minimize(
-        fun, x0, method="Nelder-Mead", options={"xatol": xatol, "fatol": fatol, "maxiter": maxiter}
+        lambda x: fun(x[None])[0],
+        x0,
+        method="Nelder-Mead",
+        options={"xatol": xatol, "fatol": fatol, "maxiter": maxiter},
     )
 
 
-def _rosenbrock(x):
-    return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
+def _scipy_nelder_mead_rows(fun, x0, xatol, fatol, maxiter):
+    """`repthy.minimize`'s contract, met by one scipy run per start."""
+    runs = [_scipy_nelder_mead(fun, x, xatol, fatol, maxiter) for x in x0]
+    return MinimizeResult(
+        x=np.array([r.x for r in runs]), fun=np.array([r.fun for r in runs]), nfev=sum(r.nfev for r in runs)
+    )
+
+
+def _rosenbrock(X):
+    return np.array([np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2) for x in X])
 
 
 def _entropy_objectives(n, d, monkeypatch):
-    """The objectives and starts maximize_entropy_over_q hands to minimize."""
+    """The objective and the starts maximize_entropy_over_q hands to minimize."""
     calls = []
 
     def spy(fun, x0, **options):
@@ -645,11 +664,12 @@ def _entropy_objectives(n, d, monkeypatch):
 
 @pytest.mark.parametrize("n, d", [(2, 3), (3, 3), (2, 4), (3, 2)])
 def test_minimize_matches_scipy_on_entropy_objective(n, d, monkeypatch):
-    for fun, x0 in _entropy_objectives(n, d, monkeypatch):
-        ours = repthy_minimize(fun, x0, xatol=1e-10, fatol=1e-12, maxiter=2000)
-        ref = _scipy_nelder_mead(fun, x0, 1e-10, 1e-12, 2000)
-        assert np.array_equal(ours.x, ref.x)
-        assert ours.fun == ref.fun and ours.nfev == ref.nfev
+    for fun, starts in _entropy_objectives(n, d, monkeypatch):
+        for x0 in starts:
+            ours = repthy_minimize(fun, x0[None], xatol=1e-10, fatol=1e-12, maxiter=2000)
+            ref = _scipy_nelder_mead(fun, x0, 1e-10, 1e-12, 2000)
+            assert np.array_equal(ours.x[0], ref.x)
+            assert ours.fun[0] == ref.fun and ours.nfev == ref.nfev
 
 
 @pytest.mark.parametrize("N", [2, 3, 5])
@@ -659,29 +679,183 @@ def test_minimize_matches_scipy_on_rosenbrock(N, maxiter):
     for _ in range(4):
         x0 = rng.normal(size=N)
         x0[0] = 0.0  # the 0.00025 simplex step
-        ours = repthy_minimize(_rosenbrock, x0, xatol=1e-10, fatol=1e-12, maxiter=maxiter)
+        ours = repthy_minimize(_rosenbrock, x0[None], xatol=1e-10, fatol=1e-12, maxiter=maxiter)
         ref = _scipy_nelder_mead(_rosenbrock, x0, 1e-10, 1e-12, maxiter)
-        assert np.array_equal(ours.x, ref.x)
-        assert ours.fun == ref.fun and ours.nfev == ref.nfev
+        assert np.array_equal(ours.x[0], ref.x)
+        assert ours.fun[0] == ref.fun and ours.nfev == ref.nfev
 
 
 def test_minimize_hands_each_call_its_own_copy():
-    def scribbler(x):
-        value = _rosenbrock(x)
-        x[:] = 1e9  # writing to the argument must not move the simplex
+    def scribbler(X):
+        value = _rosenbrock(X)
+        X[:] = 1e9  # writing to the stack must not move the simplex
         return value
 
-    x0 = np.array([0.3, -0.4])
+    x0 = np.array([[0.3, -0.4], [1.2, 0.0]])
     clean = repthy_minimize(_rosenbrock, x0, xatol=1e-10, fatol=1e-12, maxiter=200)
     dirty = repthy_minimize(scribbler, x0, xatol=1e-10, fatol=1e-12, maxiter=200)
     assert np.array_equal(clean.x, dirty.x) and clean.nfev == dirty.nfev
-    assert np.array_equal(x0, [0.3, -0.4])
+    assert np.array_equal(x0, [[0.3, -0.4], [1.2, 0.0]])
+
+
+def _branch_spy(fun):
+    """Wrap a stacked objective for a one-start run and count the Nelder-Mead steps it sees.
+
+    The steps follow from the values alone: a reflection below the best
+    value expands, one below the second worst is accepted, and any other
+    contracts (outside when it beats the worst value, else inside); a
+    contraction that does not improve shrinks the simplex onto its best
+    vertex. Counts "steps" and each of "expand", "outside", "inside" and
+    "shrink", and checks the size of every call on the way.
+    """
+    taken = Counter()
+    state = {"next": "initial"}
+
+    def spy(X):
+        values = fun(X)
+        step, vals, N = state["next"], state.get("vals"), X.shape[1]
+        assert len(X) == {"initial": N + 1, "shrink": N}.get(step, 1)
+        state["next"] = "reflect"
+        if step == "initial":
+            state["vals"] = sorted(values)
+            return values
+        if step != "reflect":
+            taken[step] += 1
+        if step == "shrink":
+            state["vals"] = sorted([vals[0], *values])
+            return values
+        v = float(values[0])
+        if step == "reflect":
+            taken["steps"] += 1
+            state["xr"] = v
+            if v < vals[0]:
+                state["next"] = "expand"
+            elif v < vals[-2]:
+                vals[-1] = v
+            else:
+                state["next"] = "outside" if v < vals[-1] else "inside"
+        elif step == "expand":
+            vals[-1] = min(v, state["xr"])
+        elif (v <= state["xr"]) if step == "outside" else (v < vals[-1]):
+            vals[-1] = v
+        else:
+            state["next"] = "shrink"
+        vals.sort()
+        return values
+
+    return spy, taken
+
+
+# per N: a start that takes every step within 40 iterations, one whose
+# initial simplex has already converged, and two random starts with a zero
+# coordinate (the 0.00025 simplex step)
+_LOCKSTEP_STARTS = {
+    2: [[3.2, -2.4], [1e-12, -2e-12], [0.0, 0.7], [0.0, -1.3]],
+    3: [[4.2, -2.5, -5.1], [1e-12, -2e-12, 1e-12], [0.0, 0.7, -0.4], [0.0, -1.3, 1.9]],
+    5: [[-0.1, 0.4, 0.3, -5.0, 1.4], [1e-12] * 5, [0.0, 0.7, -0.4, 1.1, 0.2], [0.0, -1.3, 1.9, -0.6, 0.5]],
+}
+
+
+@pytest.mark.parametrize("N", [2, 3, 5])
+@pytest.mark.parametrize("maxiter", [40, 2000])
+def test_minimize_lockstep_equals_one_start_calls(N, maxiter):
+    starts = np.array(_LOCKSTEP_STARTS[N])
+    singles, steps, taken = [], [], Counter()
+    for x0 in starts:
+        spy, counts = _branch_spy(_rosenbrock)
+        singles.append(repthy_minimize(spy, x0[None], xatol=1e-10, fatol=1e-12, maxiter=maxiter))
+        steps.append(counts["steps"])
+        taken += counts
+    lockstep = repthy_minimize(_rosenbrock, starts, xatol=1e-10, fatol=1e-12, maxiter=maxiter)
+    assert np.array_equal(lockstep.x, np.concatenate([r.x for r in singles]))
+    assert np.array_equal(lockstep.fun, np.concatenate([r.fun for r in singles]))
+    assert lockstep.nfev == sum(r.nfev for r in singles)
+    assert steps[1] == 0 and len(set(steps)) > 1  # the starts stop at different iterations
+    assert all(taken[step] for step in ("expand", "outside", "inside", "shrink"))
+
+
+def test_minimize_nfev_is_a_python_int():
+    result = repthy_minimize(_rosenbrock, np.array([[0.3, -0.4]]), xatol=1e-10, fatol=1e-12, maxiter=50)
+    assert type(result.nfev) is int
+
+
+def _sequential_maximize_entropy(n, d, restarts, seed):
+    """The search maximize_entropy_over_q ran before its restarts went into
+    lockstep: one scipy Nelder-Mead per restart on a one-point objective."""
+    blocks = block_basis(n, d)
+    keys = sorted(blocks)
+    sides = np.array([_probe_vector(n, d, {key: 1.0}, blocks) for key in keys])
+    grams, dims = _block_grams(n, d, sides)
+
+    def spectrum(q):
+        w = np.sqrt(q)
+        mixed = np.outer(w, w).reshape(-1) @ grams.reshape(w.size**2, -1)
+        eig = np.linalg.eigvalsh(mixed.reshape(grams.shape[2:]))
+        return np.repeat(eig, dims, axis=0).ravel()
+
+    def entropy(eig):
+        eig = eig[eig > EIG_CUTOFF]
+        return float(-np.sum(eig * np.log2(eig)))
+
+    def softmax(x):
+        expd = np.exp(x - x.max())
+        return expd / expd.sum()
+
+    rng = np.random.default_rng(seed)
+    best_x, best_val = None, np.inf
+    for _ in range(restarts):
+        res = _scipy_nelder_mead(
+            lambda X: np.array([-entropy(spectrum(softmax(x))) for x in X]),
+            rng.normal(size=len(keys)),
+            1e-10,
+            1e-12,
+            2000,
+        )
+        if res.fun < best_val:
+            best_x, best_val = res.x, res.fun
+    qvec = softmax(best_x)
+    eig = spectrum(qvec)
+    target = entropy_target(n, d)
+    chi_per_dim = np.einsum("ai,ai->a", sides, sides * _reflection_signs(n, d))
+    return EntropyReport(
+        n=n,
+        d=d,
+        probe=ProbeSpec(n=n, d=d, q={k: float(w) for k, w in zip(keys, qvec)}),
+        entropy=entropy(eig),
+        target=target,
+        below_target=bool(entropy(eig) < target * (1.0 - 1e-4)),
+        gap=float(target - entropy(eig)),
+        rank=int(np.sum(eig > EIG_CUTOFF)),
+        rank_bound=support_bound(n, d),
+        basis="highest-weight",
+        trivial_sector_weight=float(qvec @ chi_per_dim**2),
+        trivial_sector_flat=1.0 / support_bound(n, d),
+    )
+
+
+@pytest.mark.parametrize("n, d", [(2, 3), (3, 3), (2, 4)])
+def test_maximize_entropy_lockstep_equals_sequential_search(n, d):
+    assert maximize_entropy_over_q(n, d, restarts=20) == _sequential_maximize_entropy(n, d, 20, 0)
+
+
+def test_maximize_entropy_checks_its_simplex_stack_against_the_budget():
+    # 10^6 restarts of 2 weights would stack 6e6 simplex entries before the first step
+    with pytest.raises(DimensionBudgetError, match="stack of Nelder-Mead simplices"):
+        maximize_entropy_over_q(2, 3, restarts=10**6)
+
+
+def test_maximize_entropy_slices_its_stacks_by_the_budget(monkeypatch):
+    whole = maximize_entropy_over_q(2, 3, restarts=40)
+    # 6561 entries admit the 81 x 81 Schur basis but only 82 of the 120
+    # initial simplex points per (5, 4, 4) block stack
+    monkeypatch.setenv("REFLECTRON_BUDGET", "6561")
+    assert maximize_entropy_over_q(2, 3, restarts=40) == whole
 
 
 @pytest.mark.parametrize("n, d", [(2, 3), (3, 2)])
 def test_maximize_entropy_report_unchanged_under_scipy(n, d, monkeypatch):
     ours = maximize_entropy_over_q(n, d, restarts=4, seed=1)
-    monkeypatch.setattr("reflectron.repthy.minimize", _scipy_nelder_mead)
+    monkeypatch.setattr("reflectron.repthy.minimize", _scipy_nelder_mead_rows)
     assert maximize_entropy_over_q(n, d, restarts=4, seed=1) == ours
 
 
@@ -724,6 +898,14 @@ def test_n_of_eps_defining_relation():
 def test_final_bound_evaluation():
     val = final_lower_bound(1e-6, 3)
     assert abs(val - 2 * log(1.0 / (8 * 64 * 1e-6))) < 1e-12
+
+
+def test_final_bound_names_an_epsilon_whose_bound_underflows():
+    with pytest.raises(ValueError, match=r"epsilon = 1e\+308 .* 1/\(8 \(d\^2-1\)\^2 epsilon\) underflows to 0"):
+        final_lower_bound(1e308, 2)
+    # a large epsilon whose 1/(8 (d^2-1)^2 epsilon) is still a float: the bound is vacuous, not an error
+    assert final_lower_bound(1e306, 2) == log(1.0 / (8 * 9 * 1e306))
+    assert final_lower_bound(1e300, 3) == 2 * log(1.0 / (8 * 64 * 1e300))
 
 
 def test_entropy_target_values():
