@@ -8,6 +8,7 @@ relies on.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -17,10 +18,23 @@ from .cyclic import CyclicElement, apply_element, is_channel_element
 from .tensor_core import PureState, as_state, as_vector
 
 
+@lru_cache(maxsize=64)
+def _projector_of(amplitudes: bytes) -> np.ndarray:
+    """|v><v| for the complex amplitudes v given as bytes, read-only.
+
+    Keyed by content, so the channels built on one state share one
+    projector and a state changed in place gets a new one.
+    """
+    v = np.frombuffer(amplitudes, dtype=complex)
+    P = np.outer(v, v.conj())
+    P.flags.writeable = False
+    return P
+
+
 def rotation_unitary(psi, alpha: float) -> np.ndarray:
     """e^{i alpha |psi><psi|} = I + (e^{i alpha} - 1) |psi><psi|."""
     v = as_vector(psi)
-    return np.eye(v.size) + (np.exp(1j * alpha) - 1.0) * np.outer(v, v.conj())
+    return np.eye(v.size) + (np.exp(1j * alpha) - 1.0) * _projector_of(v.tobytes())
 
 
 def unitary_channel(U):
@@ -67,16 +81,17 @@ class EffectiveChannel:
     _projector: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self._projector = self.psi.projector()
+        self._projector = _projector_of(self.psi.amplitudes.tobytes())
 
     def __call__(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=complex)
         P = self._projector
-        tr_x = np.trace(X, axis1=-2, axis2=-1)[..., None, None]
-        tr_px = np.trace(P @ X, axis1=-2, axis2=-1)[..., None, None]
+        PX = P @ X
+        tr_x = X.trace(axis1=-2, axis2=-1)[..., None, None]
+        tr_px = PX.trace(axis1=-2, axis2=-1)[..., None, None]
         return (
             self.a_x * X
-            + self.a_px * (P @ X)
+            + self.a_px * PX
             + self.a_xp * (X @ P)
             + self.a_tr * tr_x * P
             + self.a_trp * tr_px * P
@@ -87,14 +102,15 @@ def effective_channel(e: CyclicElement, psi) -> EffectiveChannel:
     _require_channel_element(e)
     psi = as_state(psi)
     c0 = e.coeffs[0]
-    s = np.sum(e.coeffs[1:])
-    q = float(np.sum(np.abs(e.coeffs[1:]) ** 2))
+    tail = e.coeffs[1:]
+    s = tail.sum()
+    q = float((np.abs(tail) ** 2).sum())
     return EffectiveChannel(
         d=psi.dim,
         psi=psi,
         a_x=abs(c0) ** 2,
-        a_px=np.conj(c0) * s,
-        a_xp=c0 * np.conj(s),
+        a_px=c0.conjugate() * s,
+        a_xp=c0 * s.conjugate(),
         a_tr=q,
         a_trp=abs(s) ** 2 - q,
     )

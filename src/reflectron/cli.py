@@ -267,6 +267,7 @@ def cmd_lb_twirl(args) -> int:
 
 def cmd_lb_fd(args) -> int:
     n_star = n_of_eps(args.eps, args.d)
+    final_bound = final_lower_bound(args.eps, args.d)
     _emit_json(
         args,
         {
@@ -274,8 +275,9 @@ def cmd_lb_fd(args) -> int:
             "eps": args.eps,
             "n_star": n_star,
             "f_d": lower_bound_fd(args.eps, max(1, int(round(n_star))), args.d),
-            "final_bound": final_lower_bound(args.eps, args.d),
+            "final_bound": final_bound,
             "asymptotic_regime": asymptotic_regime(args.eps, args.d),
+            "vacuous": final_bound <= 0.0,
         },
     )
     return 0

@@ -11,7 +11,13 @@ from math import isfinite, isqrt, sqrt
 
 import numpy as np
 
-from .config import ConsistencyError, NonChannelElementError, budget_entries, ensure_vector_budget
+from .config import (
+    ConsistencyError,
+    NonChannelElementError,
+    budget_entries,
+    ensure_operator_budget,
+    ensure_vector_budget,
+)
 from .channels import (
     MeasureReflectChannel,
     effective_channel,
@@ -109,17 +115,26 @@ def _closed_distance_at_p(c0sq: float, gap: float, p):
     math.sqrt and np.sqrt are both correctly rounded, so both give the same bits.
     """
     sqrt_ = np.sqrt if isinstance(p, np.ndarray) else sqrt
-    a = (1.0 - p) * (1.0 - c0sq)
-    return a + sqrt_(a * a + 4.0 * p * (1.0 - p) * gap * gap)
+    q = 1.0 - p
+    a = q * (1.0 - c0sq)
+    return a + sqrt_(a * a + 4.0 * p * q * gap * gap)
 
 
 def _dense_distance_at_p(e: CyclicElement, alpha: float, p: float, psi: PureState) -> float:
+    """The phi_p trace distance on C^{d^2}, with no Choi matrix.
+
+    With M the probe reshaped to d x d (row i the system vector next to
+    reference ket |i>), (I x E)(|phi_p><phi_p|) has block (i, j) equal to
+    E(|m_i><m_j|); each channel acts once on that (d, d, d, d) block stack.
+    """
     d = psi.dim
-    chan = effective_channel(e, psi)
-    rot = make_rotation_channel(psi, alpha)
-    K = _choi_difference(rot, chan, d)
+    ensure_operator_budget(d * d, "phi_p block stack")
     phi_p = _default_phi_p(d) if psi is _default_psi(d) else _phi_p_builder(psi)
-    return float(_probe_distances(K, phi_p([p]))[0])
+    M = phi_p([p]).reshape(d, d)
+    blocks = M[:, None, :, None] * M.conj()[None, :, None, :]
+    diff = make_rotation_channel(psi, alpha)(blocks) - effective_channel(e, psi)(blocks)
+    eig = np.linalg.eigvalsh(diff.transpose(0, 2, 1, 3).reshape(d * d, d * d))
+    return float(np.abs(eig).sum())
 
 
 @lru_cache(maxsize=None)
@@ -149,7 +164,7 @@ def distance_at_p(e: CyclicElement, alpha: float, p: float, psi=None, check: boo
     if check:
         state = _default_psi(2) if psi is None else as_state(psi)
         dense = _dense_distance_at_p(e, alpha, p, state)
-        if abs(dense - value) > CLOSED_FORM_TOL:
+        if not abs(dense - value) <= CLOSED_FORM_TOL:  # a NaN fails too
             raise ConsistencyError(
                 f"phi_p distance mismatch: closed {value} vs dense {dense}"
             )
@@ -160,7 +175,7 @@ def diamond_covariant(e: CyclicElement, alpha: float, psi=None) -> tuple:
     """Diamond distance of the covariant channel pair, with its argmax p.
 
     The analytic critical point is used where it exists; a 1001-point grid
-    plus golden-section refinement must agree within 1e-8.
+    refined by a second one around its argmax must agree within 1e-8.
     """
     c0sq, gap = _element_invariants(e, alpha)
     A = 1.0 - c0sq
@@ -170,18 +185,23 @@ def diamond_covariant(e: CyclicElement, alpha: float, psi=None) -> tuple:
     else:
         p_star = 0.0
         value = 2.0 * A
-    grid_vals = _closed_distance_at_p(c0sq, gap, _P_GRID)
-    k = int(np.argmax(grid_vals))
-    lo = _P_GRID[max(k - 1, 0)]
-    hi = _P_GRID[min(k + 1, len(_P_GRID) - 1)]
-    _, refined = _golden_max(lambda p: _closed_distance_at_p(c0sq, gap, p), lo, hi)
-    if abs(refined - value) > GRID_TOL:
+    refined = _grid_max(c0sq, gap)
+    if not abs(refined - value) <= GRID_TOL:
         raise ConsistencyError(
             f"diamond maximization mismatch: analytic {value} vs grid {refined}"
         )
     state = _default_psi(2) if psi is None else as_state(psi)
     distance_at_p(e, alpha, p_star, psi=state, check=True)
     return value, p_star
+
+
+def _grid_max(c0sq: float, gap: float) -> float:
+    """Largest phi_p distance on the 1001-point p grid, refined by a second
+    1001-point grid between the neighbours of the coarse argmax."""
+    k = int(np.argmax(_closed_distance_at_p(c0sq, gap, _P_GRID)))
+    lo = _P_GRID[max(k - 1, 0)]
+    hi = _P_GRID[min(k + 1, len(_P_GRID) - 1)]
+    return float(np.max(_closed_distance_at_p(c0sq, gap, lo + (hi - lo) * _P_GRID)))
 
 
 def _golden_max(f, a, b, tol=1e-12):
@@ -203,11 +223,13 @@ def _golden_max(f, a, b, tol=1e-12):
     return mid, float(f(mid))
 
 
-def closed_form_rotation_distance(e: CyclicElement, alpha: float) -> float:
-    """Two-case diamond distance formula for the rotation target."""
+def _check_angle(alpha: float) -> None:
     if not 0.0 <= alpha <= np.pi + 1e-12:
         raise ValueError("alpha must lie in [0, pi]")
-    c0sq, gap = _element_invariants(e, alpha)
+
+
+def _rotation_distance(c0sq: float, gap: float) -> float:
+    """The two-case rotation distance from the invariants (|c_0|^2, gap)."""
     A = 1.0 - c0sq
     if gap <= A:
         return 2.0 * A
@@ -217,12 +239,17 @@ def closed_form_rotation_distance(e: CyclicElement, alpha: float) -> float:
     return float(2.0 * gap * gap / den)
 
 
+def closed_form_rotation_distance(e: CyclicElement, alpha: float) -> float:
+    """Two-case diamond distance formula for the rotation target."""
+    _check_angle(alpha)
+    return _rotation_distance(*_element_invariants(e, alpha))
+
+
 def equal_angle_distance(n: int, alpha: float) -> float:
     """Diamond distance of the theta = alpha algorithm from the rotation."""
     if n < 1:
         raise ValueError("need n >= 1")
-    if not 0.0 <= alpha <= np.pi + 1e-12:
-        raise ValueError("alpha must lie in [0, pi]")
+    _check_angle(alpha)
     if alpha == 0.0:
         return 0.0
     threshold = 2.0 * np.arcsin(min(1.0, (n + 1) / (2.0 * n)))

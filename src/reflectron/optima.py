@@ -6,8 +6,14 @@ from enum import Enum
 import numpy as np
 
 from .config import ensure_vector_budget
-from .cyclic import CyclicElement, lmr_coeffs, r_theta_coeffs
-from .distances import _golden_max, closed_form_rotation_distance
+from .cyclic import CyclicElement, _fill_r_theta, lmr_coeffs, r_theta_coeffs
+from .distances import (
+    _check_angle,
+    _element_invariants,
+    _golden_max,
+    _rotation_distance,
+    closed_form_rotation_distance,
+)
 
 DOMAIN_TOL = 1e-10
 
@@ -87,6 +93,20 @@ def boundary_curve(n: int, num: int = 257) -> np.ndarray:
     return np.array(pts, dtype=float)
 
 
+def _theta_objective(n: int, alpha: float):
+    """theta -> -closed_form_rotation_distance(r_theta_coeffs(n, theta), alpha),
+    bit for bit, on one element whose coefficients each call rewrites in
+    place; n, alpha and the coefficient budget are checked once, here."""
+    _check_angle(alpha)
+    e = r_theta_coeffs(n, 0.0)
+
+    def objective(theta):
+        _fill_r_theta(e.coeffs, theta)
+        return -_rotation_distance(*_element_invariants(e, alpha))
+
+    return objective
+
+
 def theta_star(n: int, alpha: float) -> float:
     """argmin over theta in [0, pi] of the rotation distance.
 
@@ -95,7 +115,7 @@ def theta_star(n: int, alpha: float) -> float:
     the brackets guard against a missed basin. The search maximizes the
     negated distance; negation flips every comparison, ties included.
     """
-    objective = lambda th: -closed_form_rotation_distance(r_theta_coeffs(n, th), alpha)
+    objective = _theta_objective(n, alpha)
     best = None
     for a, b in ((0.0, np.pi / 3), (np.pi / 3, 2 * np.pi / 3), (2 * np.pi / 3, np.pi)):
         x, v = _golden_max(objective, a, b, 1e-10)

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, isfinite, log, log2, exp, e as _e
+from sys import float_info
 
 import numpy as np
 
@@ -27,6 +28,13 @@ def _check_d(d: int) -> None:
 def _check_n(n: int) -> None:
     if n < 1:
         raise ValueError(f"need n >= 1, got n = {n}")
+
+
+def _check_float_d(d: int) -> None:
+    """d for the bounds that take (d^2 - 1)^2, or the smaller (d + 1)^2, as a float."""
+    _check_d(d)
+    if (d * d - 1) ** 2 > float_info.max:
+        raise ValueError(f"d = {d} is too large: (d^2 - 1)^2 overflows a float")
 
 
 def _check_eps(epsilon: float) -> None:
@@ -641,7 +649,7 @@ def lower_bound_fd(epsilon: float, n: int, d: int) -> float:
 def n_of_eps(epsilon: float, d: int) -> float:
     """Copy count solving n ln n = 1/(2(d+1) sqrt(2 eps)), via W0."""
     _check_eps(epsilon)
-    _check_d(d)
+    _check_float_d(d)
     x = np.sqrt(1.0 / (8.0 * (d + 1) ** 2 * epsilon))
     if not isfinite(x):
         raise ValueError(f"epsilon = {epsilon} is too small: 1/(8 (d+1)^2 epsilon) overflows")
@@ -655,7 +663,7 @@ def asymptotic_regime(epsilon: float, d: int) -> bool:
 def final_lower_bound(epsilon: float, d: int) -> float:
     """ln d_P >= (d-1) ln(1/(8 (d^2-1)^2 eps))."""
     _check_eps(epsilon)
-    _check_d(d)
+    _check_float_d(d)
     x = 1.0 / (8.0 * (d * d - 1) ** 2 * epsilon)
     if x == 0.0:
         raise ValueError(f"epsilon = {epsilon} is too large at d = {d}: 1/(8 (d^2-1)^2 epsilon) underflows to 0")

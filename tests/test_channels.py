@@ -368,3 +368,52 @@ def test_unit_images_rejects_channel_that_mishandles_a_stack(d):
             choi(bad, d)
         with pytest.raises(ValueError, match="slice by slice"):
             _choi_difference(ident, bad, d)
+
+
+def _effective_reference(e, psi, X):
+    """The effective channel term by term, each product formed where it is
+    used, from coefficients read as separate sums."""
+    c = e.coeffs
+    c0, s = c[0], np.sum(c[1:])
+    q = float(np.sum(np.abs(c[1:]) ** 2))
+    P = np.outer(psi.amplitudes, psi.amplitudes.conj())
+    X = np.asarray(X, dtype=complex)
+    tr_x = np.trace(X, axis1=-2, axis2=-1)[..., None, None]
+    tr_px = np.trace(P @ X, axis1=-2, axis2=-1)[..., None, None]
+    return (
+        abs(c0) ** 2 * X
+        + np.conj(c0) * s * (P @ X)
+        + c0 * np.conj(s) * (X @ P)
+        + q * tr_x * P
+        + (abs(s) ** 2 - q) * tr_px * P
+    )
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_effective_channel_equals_term_by_term_reference_bit_for_bit(d):
+    rng = np.random.default_rng(50 + d)
+    psi = haar_random_state(d, rng)
+    X = rng.normal(size=(3, 2, d, d)) + 1j * rng.normal(size=(3, 2, d, d))
+    for e in (r_theta_coeffs(5, 2.4), lmr_coeffs(rng.uniform(0, pi, 9)), CyclicElement(1, [0.0, 1.0])):
+        chan = effective_channel(e, psi)
+        assert np.array_equal(chan(X), _effective_reference(e, psi, X))
+        assert np.array_equal(chan(X[1, 0]), _effective_reference(e, psi, X[1, 0]))
+
+
+def test_channels_on_one_state_share_a_read_only_projector():
+    from reflectron.channels import rotation_unitary
+    from reflectron.tensor_core import PureState
+
+    v = haar_random_state(3, 8).amplitudes.copy()
+    psi = PureState(v, 3)
+    P = effective_channel(r_theta_coeffs(2, 1.0), psi)._projector
+    assert np.array_equal(P, psi.projector())
+    assert effective_channel(r_theta_coeffs(4, 0.3), psi)._projector is P
+    with pytest.raises(ValueError):
+        P[0, 0] = 0.0
+    # a state changed in place gets the projector of its new amplitudes
+    psi.amplitudes[:] = haar_random_state(3, 9).amplitudes
+    Q = effective_channel(r_theta_coeffs(2, 1.0), psi)._projector
+    assert np.array_equal(Q, psi.projector())
+    U = rotation_unitary(psi, 0.7)
+    assert np.array_equal(U, np.eye(3) + (np.exp(0.7j) - 1.0) * psi.projector())

@@ -156,6 +156,8 @@ def test_validation_error_exit_code(capsys):
         ["lowerbound", "twirl", "--n", "1", "--d", "1"],
         ["lowerbound", "fd", "--eps", "1e-5", "--d", "1"],
         ["lowerbound", "fd", "--eps", "nan", "--d", "2"],
+        ["lowerbound", "fd", "--eps", "1e-6", "--d", str(10**80)],  # was an OverflowError
+        ["lowerbound", "fd", "--eps", "1e-6", "--d", str(10**200)],
     ],
 )
 def test_lowerbound_invalid_input_exit_code(argv, capsys):
@@ -163,6 +165,15 @@ def test_lowerbound_invalid_input_exit_code(argv, capsys):
     assert code == 1 and out == ""
     assert err.startswith("error: validation:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("eps, d, vacuous", [("2", "2", True), ("1e-6", "3", False), ("0.01", "2", False)])
+def test_lowerbound_fd_flags_a_vacuous_bound(eps, d, vacuous, capsys):
+    code, out, _ = run(["lowerbound", "fd", "--eps", eps, "--d", d], capsys)
+    payload = json.loads(out)
+    assert code == 0 and payload["schema"] == 1
+    assert payload["vacuous"] is vacuous
+    assert payload["vacuous"] == (payload["final_bound"] <= 0.0)
 
 
 @pytest.mark.parametrize(
@@ -340,7 +351,7 @@ def test_lowerbound_twirl_d2_matches_separate_entropy_and_rank(n, capsys):
             "M = 0 sector J^2 matrix of dimension 32x32",
         ),
         (["mr", "--n", "2", "--d", "{k}"], 5, "matrix-unit stack of dimension 36x36"),
-        (["distance", "--n", "2", "--d", "{k}"], 5, "matrix-unit stack of dimension 36x36"),
+        (["distance", "--n", "2", "--d", "{k}"], 5, "phi_p block stack of dimension 36x36"),
     ],
     ids=["landscape", "universal-verify", "solve-q", "mr", "distance"],
 )

@@ -485,19 +485,18 @@ def test_dense_oracle_catches_perturbed_channel(name, monkeypatch, capsys):
 
 
 def test_grid_check_catches_perturbed_maximization(monkeypatch):
-    golden = distances._golden_max
+    grid_max = distances._grid_max
 
     def off_by_1e7(*args, **kwargs):
-        p, value = golden(*args, **kwargs)
-        return p, value + 1e-7
+        return grid_max(*args, **kwargs) + 1e-7
 
-    monkeypatch.setattr(distances, "_golden_max", off_by_1e7)
+    monkeypatch.setattr(distances, "_grid_max", off_by_1e7)
     with pytest.raises(ConsistencyError, match="diamond maximization mismatch"):
         diamond_covariant(r_theta_coeffs(4, 2.0), 1.7)
 
 
 def test_diamond_covariant_runs_every_check_on_every_call(monkeypatch):
-    counts = {"_golden_max": 0, "_dense_distance_at_p": 0}
+    counts = {"_grid_max": 0, "_dense_distance_at_p": 0}
     for name in counts:
         original = getattr(distances, name)
 
@@ -509,7 +508,7 @@ def test_diamond_covariant_runs_every_check_on_every_call(monkeypatch):
     e = lmr_coeffs(np.full(5, 0.4))
     results = {diamond_covariant(e, 2.0) for _ in range(3)}
     assert len(results) == 1
-    assert counts == {"_golden_max": 3, "_dense_distance_at_p": 3}
+    assert counts == {"_grid_max": 3, "_dense_distance_at_p": 3}
 
 
 def test_default_probe_is_built_once_and_read_only():
@@ -612,3 +611,64 @@ def test_every_entry_point_rejects_planted_non_channel_element(coeffs):
     for call in calls:
         with pytest.raises(NonChannelElementError):
             call()
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_block_stack_oracle_equals_choi_route(d):
+    from reflectron.distances import _choi_difference, _phi_p_builder, _probe_distances
+
+    elements = {
+        "optimal": (optimal_reflection_coeffs(5), pi),
+        "r_theta": (r_theta_coeffs(4, 2.2), 1.3),
+        "lmr": (lmr_coeffs(np.full(6, 0.3)), 1.8),
+    }
+    for psi in (distances._default_psi(d), haar_random_state(d, 40 + d)):
+        for name, (e, alpha) in elements.items():
+            _, p_star = diamond_covariant(e, alpha, psi=psi)
+            K = _choi_difference(make_rotation_channel(psi, alpha), effective_channel(e, psi), d)
+            for p in (0.0, p_star, 0.5, 1.0):
+                choi = _probe_distances(K, _phi_p_builder(psi)([p]))[0]
+                got = distances._dense_distance_at_p(e, alpha, p, psi)
+                assert abs(got - choi) < 1e-13, (name, p)
+
+
+def test_block_stack_oracle_checks_the_budget_first(monkeypatch):
+    # d = 6: the (d, d, d, d) block stack has 1296 entries, over a 1000-entry budget
+    from reflectron.config import DimensionBudgetError
+
+    built = []
+    monkeypatch.setattr(distances, "_phi_p_builder", lambda psi: built.append(psi))
+    monkeypatch.setenv("REFLECTRON_BUDGET", "1000")
+    with pytest.raises(DimensionBudgetError, match="phi_p block stack of dimension 36x36"):
+        distances._dense_distance_at_p(r_theta_coeffs(2, 1.0), 1.0, 0.5, haar_random_state(6, 0))
+    assert built == []
+
+
+def _golden_guard(c0sq, gap):
+    """The guard the second grid replaced: grid argmax, then golden section."""
+    ps = distances._P_GRID
+    k = int(np.argmax(distances._closed_distance_at_p(c0sq, gap, ps)))
+    lo, hi = ps[max(k - 1, 0)], ps[min(k + 1, len(ps) - 1)]
+    return distances._golden_max(lambda p: distances._closed_distance_at_p(c0sq, gap, p), lo, hi)[1]
+
+
+def test_grid_guard_finds_the_analytic_maximum():
+    rng = np.random.default_rng(17)
+    cases = [(float(a), float(b)) for a, b in rng.uniform(0.0, 1.0, size=(300, 2))]
+    cases += [(1.0, 1e-9), (1.0, 1.0), (0.0, 2.0), (0.5, 0.5), (0.999, 1e-3), (0.2, 0.8 + 1e-12)]
+    for c0sq, gap in cases:
+        A = 1.0 - c0sq
+        if gap > A:
+            analytic = float(distances._closed_distance_at_p(c0sq, gap, (gap - A) / (2.0 * gap - A)))
+        else:
+            analytic = 2.0 * A
+        guard = distances._grid_max(c0sq, gap)
+        assert analytic - 1e-11 <= guard <= analytic + 1e-15
+        assert abs(guard - _golden_guard(c0sq, gap)) < 1e-11
+
+
+@pytest.mark.parametrize("name", ["_grid_max", "_dense_distance_at_p"])
+def test_checks_fail_on_nan(name, monkeypatch):
+    monkeypatch.setattr(distances, name, lambda *args: float("nan"))
+    with pytest.raises(ConsistencyError):
+        diamond_covariant(optimal_reflection_coeffs(4), pi)

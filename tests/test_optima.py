@@ -241,3 +241,29 @@ def test_boundary_curve_equals_two_margin_bisection(n, num):
     got = boundary_curve(n, num)
     assert got.size > 0
     assert np.array_equal(got, _two_margin_boundary(n, num))
+
+
+@pytest.mark.parametrize("n", range(1, 71))
+def test_theta_objective_equals_negated_closed_form_bit_for_bit(n):
+    # from n = 8 on, numpy sums the n + 1 coefficients pairwise
+    from reflectron.optima import _theta_objective
+
+    rng = np.random.default_rng(n)
+    for alpha in [0.0, pi / 3, pi] + list(rng.uniform(0.0, pi, 3)):
+        objective = _theta_objective(n, float(alpha))
+        for theta in [0.0, pi] + list(rng.uniform(0.0, pi, 6)):
+            want = -closed_form_rotation_distance(r_theta_coeffs(n, float(theta)), float(alpha))
+            assert objective(float(theta)) == want
+
+
+def test_theta_star_checks_its_inputs_before_searching(monkeypatch):
+    from reflectron.config import DimensionBudgetError
+
+    with pytest.raises(ValueError, match=r"alpha must lie in \[0, pi\]"):
+        theta_star(3, 4.0)
+    with pytest.raises(ValueError, match="need n >= 1"):
+        theta_star(0, 1.0)
+    monkeypatch.setenv("REFLECTRON_BUDGET", "8")
+    assert theta_star(7, 1.0) > 0.0
+    with pytest.raises(DimensionBudgetError):
+        theta_star(8, 1.0)

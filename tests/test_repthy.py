@@ -1,7 +1,7 @@
 import itertools
 from collections import Counter
 from functools import lru_cache
-from math import comb, e as euler_e, log
+from math import comb, e as euler_e, isfinite, log
 
 import numpy as np
 import pytest
@@ -911,3 +911,13 @@ def test_final_bound_names_an_epsilon_whose_bound_underflows():
 def test_entropy_target_values():
     assert abs(entropy_target(2, 2) - np.log2(6)) < 1e-15
     assert abs(entropy_target(2, 3) - 2 * np.log2(6)) < 1e-15
+
+
+def test_fd_bounds_reject_d_whose_square_overflows_a_float():
+    # (d^2 - 1)^2 is about 1e304 at d = 1e76 and 1e308 at d = 1e77, both floats; at d = 1e78 it is not
+    assert isfinite(final_lower_bound(1e-6, 10**76)) and isfinite(n_of_eps(1e-6, 10**77))
+    for d in (10**78, 10**80, 10**200):
+        with pytest.raises(ValueError, match=r"\(d\^2 - 1\)\^2 overflows a float"):
+            final_lower_bound(1e-6, d)
+        with pytest.raises(ValueError, match=r"\(d\^2 - 1\)\^2 overflows a float"):
+            n_of_eps(1e-6, d)
