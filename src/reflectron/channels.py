@@ -1,5 +1,5 @@
-"""Channel constructions: rotations, approximate reflections, sequential
-swap-interaction channels, and the measure-and-reflect baseline.
+"""Channel constructions: rotations, approximate reflections and sequential
+swap-interaction channels.
 
 Every channel here acts on d x d operators, and on a (..., d, d) stack of
 them slice by slice, and is covariant with respect to the unitaries fixing
@@ -9,7 +9,6 @@ relies on.
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import comb
 
 import numpy as np
 
@@ -184,46 +183,6 @@ def orthonormal_frame(psi) -> np.ndarray:
             w = w - u * np.vdot(u, w)
         cols.append(w / np.linalg.norm(w))
     return np.stack(cols[1:], axis=1)
-
-
-class MeasureReflectChannel:
-    """Closed-form measure-and-reflect channel for n program copies.
-
-    The action on the psi-adapted operator basis involves only ratios of
-    symmetric-subspace dimensions, so arbitrary n is cheap.
-    """
-
-    def __init__(self, psi, n: int):
-        if n < 1:
-            raise ValueError("need n >= 1")
-        self.psi = as_state(psi)
-        v = self.psi.amplitudes
-        self.d = v.size
-        if self.d < 2:
-            raise ValueError("need d >= 2")
-        self.n = n
-        self.basis = np.concatenate([v[:, None], orthonormal_frame(v)], axis=1)
-        T = lambda m: comb(m + self.d - 1, self.d - 1)
-        t1 = T(n) / T(n + 1)
-        t2 = T(n) / T(n + 2)
-        self.diag_psi = 1.0 - 4 * t1 + 4 * t2
-        self.spread = 4 * t2 / (n + 2)
-        self.off_psi = 1.0 - 2 * (n + 2) * t1 / (n + 1) + 4 * t2 / (n + 2)
-        self.off_perp = 1.0 - 4 * t1 / (n + 1) + 4 * t2 / ((n + 1) * (n + 2))
-        self.spread_perp = 4 * t2 / ((n + 1) * (n + 2))
-
-    def __call__(self, X) -> np.ndarray:
-        B = self.basis
-        Y = B.conj().T @ X @ B
-        out = np.empty_like(Y)
-        s1 = np.trace(Y[..., 1:, 1:], axis1=-2, axis2=-1)
-        out[..., 0, 0] = self.diag_psi * Y[..., 0, 0] + self.spread * s1
-        out[..., 0, 1:] = self.off_psi * Y[..., 0, 1:]
-        out[..., 1:, 0] = self.off_psi * Y[..., 1:, 0]
-        out[..., 1:, 1:] = self.off_perp * Y[..., 1:, 1:]
-        idx = np.arange(1, self.d)
-        out[..., idx, idx] += (self.spread * Y[..., 0, 0] + self.spread_perp * s1)[..., None]
-        return B @ out @ B.conj().T
 
 
 def unit_images(channel, d: int) -> np.ndarray:

@@ -41,7 +41,6 @@ from .repthy import (
     solve_q_d2,
     support_bound,
 )
-from .tensor_core import haar_random_state
 from .universal import budget as universal_budget
 from .universal import haar_targets, scaling_fit, verify_budget
 from . import selftest as _selftest
@@ -147,9 +146,8 @@ def cmd_distance(args) -> int:
 def cmd_landscape(args) -> int:
     points = landscape(args.n, args.grid, args.grid)
     lines = ["r,u,value"]
-    lines.extend(
-        f"{float(p['r'])!r},{float(p['u'])!r},{float(p['value'])!r}" for p in points
-    )
+    columns = (points["r"].tolist(), points["u"].tolist(), points["value"].tolist())
+    lines.extend(f"{r!r},{u!r},{value!r}" for r, u, value in zip(*columns))
     # the boundary file is written first, so a path that cannot be written
     # fails before any of the surface reaches stdout
     if args.boundary_out:
@@ -192,8 +190,7 @@ def cmd_lmr(args) -> int:
 
 def cmd_mr(args) -> int:
     _check_d(args.d)
-    psi = haar_random_state(args.d, args.seed)
-    value, p_best = mr_diamond_distance(psi, args.n)
+    value, p_best = mr_diamond_distance(args.n, args.d)
     _emit_json(
         args,
         {
@@ -205,7 +202,7 @@ def cmd_mr(args) -> int:
             * (args.n + 1)
             * (args.d - 1)
             / ((args.n + args.d + 1) * (args.n + args.d)),
-            "asymptote_times_n": 4 * (args.d + np.sqrt(args.d * (args.d - 2) + 1) - 1),
+            "asymptote_times_n": 8.0 * (args.d - 1),
         },
     )
     return 0
@@ -473,7 +470,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:  # --help and --version
         return 0 if exc.code in (0, None) else 1
-    except (CliError, ValueError) as exc:
+    except (CliError, ValueError, OverflowError) as exc:  # an integer flag too large for a float
         print(f"error: validation: {exc}", file=sys.stderr)
         return 1
     except DimensionBudgetError as exc:

@@ -1,8 +1,8 @@
 """Trace-norm and diamond-distance computation.
 
 Covariance reduces the diamond maximization to the one-parameter family
-phi_p; every closed form here is cross-checked against a dense evaluation
-on C^{d^2}, and a grid guards the analytic critical point.
+phi_p; every closed form of the cyclic channels is cross-checked against a
+dense evaluation on C^{d^2}, and a grid guards the analytic critical point.
 """
 
 import cmath
@@ -19,7 +19,6 @@ from .config import (
     ensure_vector_budget,
 )
 from .channels import (
-    MeasureReflectChannel,
     effective_channel,
     make_rotation_channel,
     orthonormal_frame,
@@ -151,23 +150,22 @@ def _default_phi_p(d: int):
     return _phi_p_builder(_default_psi(d))
 
 
-def distance_at_p(e: CyclicElement, alpha: float, p: float, psi=None, check: bool = True) -> float:
+def distance_at_p(e: CyclicElement, alpha: float, p: float, psi=None) -> float:
     """Trace distance on the phi_p probe, closed form checked densely.
 
-    When ``check`` is set the value is recomputed on C^{d^2} through the
-    effective channel; disagreement beyond 1e-9 raises ConsistencyError.
+    The value is recomputed on C^{d^2} through the effective channel;
+    disagreement beyond 1e-9 raises ConsistencyError.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     c0sq, gap = _element_invariants(e, alpha)
     value = float(_closed_distance_at_p(c0sq, gap, p))
-    if check:
-        state = _default_psi(2) if psi is None else as_state(psi)
-        dense = _dense_distance_at_p(e, alpha, p, state)
-        if not abs(dense - value) <= CLOSED_FORM_TOL:  # a NaN fails too
-            raise ConsistencyError(
-                f"phi_p distance mismatch: closed {value} vs dense {dense}"
-            )
+    state = _default_psi(2) if psi is None else as_state(psi)
+    dense = _dense_distance_at_p(e, alpha, p, state)
+    if not abs(dense - value) <= CLOSED_FORM_TOL:  # a NaN fails too
+        raise ConsistencyError(
+            f"phi_p distance mismatch: closed {value} vs dense {dense}"
+        )
     return value
 
 
@@ -191,7 +189,7 @@ def diamond_covariant(e: CyclicElement, alpha: float, psi=None) -> tuple:
             f"diamond maximization mismatch: analytic {value} vs grid {refined}"
         )
     state = _default_psi(2) if psi is None else as_state(psi)
-    distance_at_p(e, alpha, p_star, psi=state, check=True)
+    distance_at_p(e, alpha, p_star, psi=state)
     return value, p_star
 
 
@@ -279,34 +277,48 @@ def diamond_unitary_channels(U, V) -> float:
     return float(2.0 * np.sin(arc / 2.0))
 
 
-def dense_diamond_covariant(channel_a, channel_b, psi, num_grid: int = 201) -> tuple:
-    """Diamond distance of a covariant channel pair by maximizing over phi_p.
+def _mr_distance_at_p(n: int, d: int, p):
+    """The phi_p trace distance of measure-and-reflect from the exact
+    reflection, for a float p or an array of them.
 
-    Dense evaluation on C^{d^2}; used for channels without coefficient
-    closed forms (the measure-and-reflect baseline).
+    Both channels are covariant under the unitaries fixing psi, so on phi_p
+    their difference is block diagonal in the psi-adapted basis: the 2 x 2
+    block [[x, w], [w, y]], w = sqrt(p(1-p)) z, on {|0 psi>, sum_i |i psi_i>},
+    and scalars on |0 psi_i>, on |i psi> and on the traceless rest of
+    span{|i psi_j>}. Only ratios T(n)/T(n+k) of the symmetric-subspace
+    dimensions T(m) = C(m+d-1, d-1) enter, so nothing of size d is built.
     """
-    psi = as_state(psi)
-    K = _choi_difference(channel_a, channel_b, psi.dim)
-    phi_p = _phi_p_builder(psi)
+    t1 = (n + 1) / (n + d)
+    t2 = (n + 1) * (n + 2) / ((n + d) * (n + d + 1))
+    spread = 4 * t2 / (n + 2)
+    off_psi = 1.0 - 2 * (n + 2) * t1 / (n + 1) + 4 * t2 / (n + 2)
+    off_perp = 1.0 - 4 * t1 / (n + 1) + 4 * t2 / ((n + 1) * (n + 2))
+    spread_perp = 4 * t2 / ((n + 1) * (n + 2))
+    s = (1.0 - p) / (d - 1)
+    x = 4.0 * p * (t1 - t2)
+    y = s * ((d - 1) * (1.0 - off_perp) - spread_perp)
+    z = 1.0 + off_psi
+    block = np.maximum(np.abs(x + y), np.sqrt((x - y) ** 2 + 4.0 * p * (1.0 - p) * z * z))
+    # ((d-1)^2 - 1) s = d(d-2)/(d-1) (1-p): the integer quotient rounds once, finite for any float d
+    return block + (d - 1) * spread * (p + s) + d * (d - 2) / (d - 1) * (1.0 - p) * spread_perp
 
-    def at_p(p):
-        return float(_probe_distances(K, phi_p([p]))[0])
 
-    grid = np.linspace(0.0, 1.0, num_grid)
-    vals = _probe_distances(K, phi_p(grid))
-    k = int(np.argmax(vals))
-    lo = grid[max(k - 1, 0)]
-    hi = grid[min(k + 1, num_grid - 1)]
-    p_best, value = _golden_max(at_p, lo, hi)
+def mr_diamond_distance(n: int, d: int) -> tuple:
+    """Diamond distance of measure-and-reflect from the exact reflection on
+    C^d, with its argmax p; the same for every axis state.
+
+    The 201-point p grid is refined by golden section between the
+    neighbours of its argmax.
+    """
+    if n < 1:
+        raise ValueError("need n >= 1")
+    if d < 2:
+        raise ValueError("need d >= 2")
+    grid = np.linspace(0.0, 1.0, 201)
+    k = int(np.argmax(_mr_distance_at_p(n, d, grid)))
+    lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, 200)]
+    p_best, value = _golden_max(lambda p: _mr_distance_at_p(n, d, p), lo, hi)
     return value, p_best
-
-
-def mr_diamond_distance(psi, n: int) -> tuple:
-    """Diamond distance of measure-and-reflect from the exact reflection."""
-    psi = as_state(psi)
-    chan = MeasureReflectChannel(psi, n)
-    rot = make_rotation_channel(psi, np.pi)
-    return dense_diamond_covariant(rot, chan, psi)
 
 
 def sampled_diamond_lower_bound(channel_a, channel_b, d: int, trials: int, seed=0) -> float:

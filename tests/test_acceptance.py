@@ -28,7 +28,6 @@ from reflectron.channels import (
 )
 from reflectron.distances import (
     closed_form_rotation_distance,
-    dense_diamond_covariant,
     diamond_covariant,
     equal_angle_distance,
     linear_bound,
@@ -50,6 +49,7 @@ from reflectron.repthy import (
 )
 from reflectron.universal import scaling_fit, verify_budget
 from reflectron.circuits import apply_circuit, build_rotation_circuit, gate_counts
+from mr_oracle import dense_diamond_covariant
 
 
 def lambert_sandwich_holds(x: float) -> bool:
@@ -229,18 +229,16 @@ def test_criterion_06_circuit_counts_and_equivalence():
 
 def test_criterion_07_measure_and_reflect():
     with criterion("criterion 7: measure-and-reflect distances", 30.0):
-        psi2 = haar_random_state(2, 7)
         for n in range(1, 11):
-            value, _ = mr_diamond_distance(psi2, n)
+            value, _ = mr_diamond_distance(n, 2)
             assert abs(value - 8 * (n + 1) / ((n + 2) * (n + 3))) < 1e-9
-        psi3 = haar_random_state(3, 7)
         for n in (2, 5, 16):
-            value, _ = mr_diamond_distance(psi3, n)
+            value, _ = mr_diamond_distance(n, 3)
             bound = 8 * (n + 1) * 2 / ((n + 4) * (n + 3))
             assert value >= bound - 1e-9
-        for d, psi in ((2, psi2), (3, psi3)):
-            value, _ = mr_diamond_distance(psi, 512)
-            asym = 4 * (d + np.sqrt(d * (d - 2) + 1) - 1)
+        for d in (2, 3):
+            value, _ = mr_diamond_distance(512, d)
+            asym = 8 * (d - 1)
             assert abs(512 * value - asym) <= 0.02 * asym
 
 

@@ -7,7 +7,6 @@ from reflectron.config import DimensionBudgetError, NonChannelElementError
 from reflectron.tensor_core import as_vector, haar_random_state
 from reflectron.cyclic import CyclicElement, lmr_coeffs, r_theta_coeffs
 from reflectron.channels import (
-    MeasureReflectChannel,
     choi,
     dense_reflection_channel,
     effective_channel,
@@ -15,6 +14,7 @@ from reflectron.channels import (
     make_rotation_channel,
     orthonormal_frame,
 )
+from mr_oracle import MeasureReflectChannel
 
 
 def random_matrix(d, rng):

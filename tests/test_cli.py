@@ -183,8 +183,7 @@ def test_lowerbound_fd_flags_a_vacuous_bound(eps, d, vacuous, capsys):
         ["lowerbound", "twirl", "--n", "6", "--d", "2"],  # 4096-dim twirl
         ["lowerbound", "twirl", "--n", "4", "--d", "3"],  # 6561-dim twirl
         ["lowerbound", "twirl", "--n", "2", "--d", "7"],  # 2401-dim twirl
-        ["mr", "--n", "2", "--d", "1000"],  # 10^12-entry matrix-unit stack
-        ["distance", "--n", "2", "--d", "1000"],  # the same stack, for the oracle
+        ["distance", "--n", "2", "--d", "1000"],  # 10^12-entry phi_p block stack of the oracle
     ],
 )
 def test_budget_error_exit_code(argv, capsys):
@@ -310,6 +309,12 @@ def test_invalid_size_and_angle_exit_code(argv, capsys):
         (["theta-star", "--n", "4", "--alpha-min=-inf"], "alpha range"),
         (["lowerbound", "fd", "--eps", "pi", "--d", "2"], "invalid float value"),
         (["lowerbound", "fd", "--eps", "1e308", "--d", "2"], "underflows"),  # was a math domain error
+        # integer flags too large for a float or an index; each was an OverflowError traceback
+        (["mr", "--n", str(10**400), "--d", "2"], "too large"),
+        (["mr", "--n", "2", "--d", str(10**400)], "too large"),
+        (["lmr", "--n", str(10**400), "--alpha", "1"], "too large"),
+        (["landscape", "--n", str(10**400), "--grid", "2"], "too large"),
+        (["universal", "budget", "--d", str(10**400), "--eps", "0.1"], "index-sized integer"),
     ],
 )
 def test_universal_and_landscape_invalid_input_exit_code(argv, named, capsys):
@@ -350,10 +355,9 @@ def test_lowerbound_twirl_d2_matches_separate_entropy_and_rank(n, capsys):
             30,
             "M = 0 sector J^2 matrix of dimension 32x32",
         ),
-        (["mr", "--n", "2", "--d", "{k}"], 5, "matrix-unit stack of dimension 36x36"),
         (["distance", "--n", "2", "--d", "{k}"], 5, "phi_p block stack of dimension 36x36"),
     ],
-    ids=["landscape", "universal-verify", "solve-q", "mr", "distance"],
+    ids=["landscape", "universal-verify", "solve-q", "distance"],
 )
 def test_dense_allocation_budget(argv, largest, what, capsys, monkeypatch):
     # grid^2 landscape rows, trials * d^2 probe amplitudes, an (n+1)^2 matrix
@@ -364,6 +368,16 @@ def test_dense_allocation_budget(argv, largest, what, capsys, monkeypatch):
     assert code == 1 and out == ""
     assert err.startswith(f"error: budget: {what}")
     assert "Traceback" not in err
+
+
+def test_mr_builds_nothing_of_size_d(capsys, monkeypatch):
+    # the sector formula reads only n and d, so a d far past any d^4 budget runs
+    monkeypatch.setenv("REFLECTRON_BUDGET", "1000")
+    code, out, err = run(["mr", "--n", "64", "--d", "1000"], capsys)
+    payload = json.loads(out)
+    assert code == 0 and err == ""
+    assert payload["lower_bound"] < payload["value"] <= 2.0
+    assert 0.0 < payload["argmax_p"] < 1.0
 
 
 def test_lowerbound_twirl_d3_regression_pin(capsys):

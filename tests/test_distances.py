@@ -20,6 +20,7 @@ import reflectron.cli as cli
 import reflectron.distances as distances
 from reflectron.channels import effective_channel, make_rotation_channel, rotation_unitary
 from reflectron.config import ConsistencyError
+from mr_oracle import MeasureReflectChannel, dense_diamond_covariant
 
 
 def test_trace_norm_basics():
@@ -68,13 +69,13 @@ def test_distance_at_p_dense_check_runs_for_lmr_elements():
     rng = np.random.default_rng(1)
     e = lmr_coeffs(rng.uniform(0, pi, size=4))
     for p in (0.0, 0.4, 0.9):
-        distance_at_p(e, 1.3, p, psi=haar_random_state(2, rng), check=True)
+        distance_at_p(e, 1.3, p, psi=haar_random_state(2, rng))
 
 
 def test_distance_at_p_dense_check_d3():
     e = r_theta_coeffs(3, 2.2)
     psi = haar_random_state(3, 5)
-    distance_at_p(e, 0.8, 0.35, psi=psi, check=True)
+    distance_at_p(e, 0.8, 0.35, psi=psi)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -277,12 +278,10 @@ def test_reflex_angle_symmetry():
 
 
 def test_mr_diamond_distance_values():
-    psi = haar_random_state(2, 6)
     for n in (1, 2, 5, 10):
-        value, _ = mr_diamond_distance(psi, n)
+        value, _ = mr_diamond_distance(n, 2)
         assert abs(value - 8 * (n + 1) / ((n + 2) * (n + 3))) < 1e-9
-    psi3 = haar_random_state(3, 6)
-    value, _ = mr_diamond_distance(psi3, 5)
+    value, _ = mr_diamond_distance(5, 3)
     bound = 8 * 6 * 2 / (9 * 8)
     assert value >= bound - 1e-9
 
@@ -328,7 +327,6 @@ def _scalar_dense_diamond(channel_a, channel_b, psi, num_grid=201):
 
 
 def _channels(d, seed):
-    from reflectron.channels import MeasureReflectChannel
     from reflectron.universal import assemble_universal_channel
     from reflectron.tensor_core import haar_random_unitary
 
@@ -438,7 +436,6 @@ def test_probe_chunks_fit_the_budget(monkeypatch):
 
 @pytest.mark.parametrize("n", [1, 4, 64, 512])
 def test_mr_distance_is_flat_in_p_at_d2(n):
-    from reflectron.channels import MeasureReflectChannel
     from reflectron.distances import _choi_difference, _phi_p_builder, _probe_distances
 
     psi = haar_random_state(2, n)
@@ -449,15 +446,32 @@ def test_mr_distance_is_flat_in_p_at_d2(n):
 
 @pytest.mark.parametrize("n, seed", [(2, 0), (6, 3), (64, 11)])
 def test_mr_d3_matches_scalar_path(n, seed):
-    from reflectron.channels import MeasureReflectChannel
-
     psi = haar_random_state(3, seed)
-    value, p_best = mr_diamond_distance(psi, n)
+    value, p_best = mr_diamond_distance(n, 3)
     ref_value, ref_p = _scalar_dense_diamond(
         make_rotation_channel(psi, pi), MeasureReflectChannel(psi, n), psi
     )
     assert abs(value - ref_value) < 1e-12
     assert abs(p_best - ref_p) < 1e-6
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 64, 512])
+def test_mr_sector_formula_equals_dense_oracle(n, d):
+    from reflectron.distances import _choi_difference, _phi_p_builder, _probe_distances
+
+    ps = np.array([0.0, 0.13, 0.5, 0.91, 1.0])
+    got = distances._mr_distance_at_p(n, d, ps)
+    assert [distances._mr_distance_at_p(n, d, float(p)) for p in ps] == pytest.approx(got, abs=1e-15)
+    value, p_best = mr_diamond_distance(n, d)
+    for seed in (1, 2, 3):
+        psi = haar_random_state(d, 100 * d + seed)
+        rot, mr = make_rotation_channel(psi, pi), MeasureReflectChannel(psi, n)
+        want = _probe_distances(_choi_difference(rot, mr, d), _phi_p_builder(psi)(ps))
+        assert np.abs(got - want).max() < 1e-12
+        assert abs(value - dense_diamond_covariant(rot, mr, psi)[0]) < 1e-12
+    if d == 2:
+        assert np.abs(got - 8 * (n + 1) / ((n + 2) * (n + 3))).max() < 1e-12
 
 
 def _scaled(factory, scale):
@@ -477,8 +491,7 @@ def test_dense_oracle_catches_perturbed_channel(name, monkeypatch, capsys):
     with pytest.raises(ConsistencyError, match="phi_p distance mismatch"):
         diamond_covariant(e, pi)
     with pytest.raises(ConsistencyError, match="phi_p distance mismatch"):
-        distance_at_p(e, 1.1, 0.3, check=True)
-    assert distance_at_p(e, 1.1, 0.3, check=False) > 0.0  # only the oracle sees the channels
+        distance_at_p(e, 1.1, 0.3)
     assert cli.main(["distance", "--n", "3", "--alpha", "pi"]) == 2
     out = capsys.readouterr()
     assert out.out == "" and out.err.startswith("error: consistency: phi_p distance mismatch")
@@ -544,9 +557,8 @@ def test_closed_distance_float_path_matches_array_path_bit_for_bit():
 def test_distance_at_p_rejects_p_outside_unit_interval():
     e = r_theta_coeffs(3, 1.1)
     for p in (-0.5, 1.5, float("nan")):
-        for check in (True, False):
-            with pytest.raises(ValueError, match=r"p must lie in \[0, 1\]"):
-                distance_at_p(e, pi, p, check=check)
+        with pytest.raises(ValueError, match=r"p must lie in \[0, 1\]"):
+            distance_at_p(e, pi, p)
 
 
 def test_default_probe_frame_is_built_once(monkeypatch):
@@ -563,7 +575,7 @@ def test_default_probe_frame_is_built_once(monkeypatch):
     first = diamond_covariant(e, pi)
     for alpha in (pi, 1.1, 0.3):
         diamond_covariant(e, alpha)
-        distance_at_p(e, alpha, 0.4, check=True)
+        distance_at_p(e, alpha, 0.4)
     assert calls == []
     assert diamond_covariant(e, pi) == first
     # any other state still builds its own frame, on every call
@@ -583,7 +595,7 @@ def test_dense_oracle_catches_perturbed_channel_on_other_states(name, seed, monk
     with pytest.raises(ConsistencyError, match="phi_p distance mismatch"):
         diamond_covariant(e, pi, psi=psi)
     with pytest.raises(ConsistencyError, match="phi_p distance mismatch"):
-        distance_at_p(e, 1.1, 0.3, psi=psi, check=True)
+        distance_at_p(e, 1.1, 0.3, psi=psi)
 
 
 @pytest.mark.parametrize(
@@ -603,8 +615,7 @@ def test_every_entry_point_rejects_planted_non_channel_element(coeffs):
     calls = [
         lambda: diamond_covariant(bad, pi),
         lambda: diamond_covariant(bad, pi, psi=psi),
-        lambda: distance_at_p(bad, pi, 0.5, check=True),
-        lambda: distance_at_p(bad, pi, 0.5, check=False),
+        lambda: distance_at_p(bad, pi, 0.5),
         lambda: closed_form_rotation_distance(bad, pi),
         lambda: effective_channel(bad, psi),
     ]
