@@ -183,6 +183,7 @@ def test_lowerbound_fd_flags_a_vacuous_bound(eps, d, vacuous, capsys):
         ["lowerbound", "twirl", "--n", "6", "--d", "2"],  # 4096-dim twirl
         ["lowerbound", "twirl", "--n", "4", "--d", "3"],  # 6561-dim twirl
         ["lowerbound", "twirl", "--n", "2", "--d", "7"],  # 2401-dim twirl
+        ["lowerbound", "solve-q", "--n", "4096"],  # 4097x4097 M = 0 sector matrix
         ["distance", "--n", "2", "--d", "1000"],  # 10^12-entry phi_p block stack of the oracle
     ],
 )
