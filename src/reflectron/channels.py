@@ -14,7 +14,7 @@ import numpy as np
 
 from .config import NonChannelElementError, ensure_operator_budget, ensure_vector_budget
 from .cyclic import CyclicElement, apply_element, is_channel_element
-from .tensor_core import PureState, as_state, as_vector
+from .tensor_core import PureState, _kron_fold, as_state, as_vector
 
 
 @lru_cache(maxsize=64)
@@ -127,9 +127,7 @@ def dense_reflection_channel(e: CyclicElement, psi, X) -> np.ndarray:
     d = v.size
     n = e.n
     ensure_vector_budget(d ** (n + 2), "reflection channel simulation")
-    prog = v
-    for _ in range(n - 1):
-        prog = np.kron(prog, v)
+    prog = _kron_fold(v, v, n - 1)
     # row a of the inputs is |a> x psi^{xn}; W[:, a] = sum_l c_l C^l of it
     inputs = np.zeros((d, d ** (n + 1)), dtype=complex)
     for a in range(d):

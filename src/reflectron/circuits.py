@@ -139,40 +139,43 @@ def gate_counts(circ) -> dict:
     return dict(Counter(g.kind for g in _gates_of(circ)))
 
 
-def _apply_gate(state: np.ndarray, gate: Gate, total: int) -> np.ndarray:
-    """Apply one gate to an array whose first axis is the 2^total row index."""
-    shape = state.shape
-    tensor = state.reshape((2,) * total + (-1,))
+def _slice(state: np.ndarray, bits: dict) -> np.ndarray:
+    """The view of a C-contiguous state, rows indexed by the qubits, where
+    each qubit q in ``bits`` takes the value bits[q]; qubit 0 is the most
+    significant bit of the row index."""
+    shape, index, prev = [], [], 0
+    for q in sorted(bits):
+        shape += [2 ** (q - prev), 2]
+        index += [slice(None), bits[q]]
+        prev = q + 1
+    return state.reshape(shape + [-1])[tuple(index)]
 
-    def axis_swap(a, b):
-        return np.swapaxes(tensor, a, b)
 
+def _apply_gate(state: np.ndarray, gate: Gate) -> None:
+    """Apply one gate in place to a C-contiguous array whose first axis is
+    the qubits' row index; only views of it are written."""
     if gate.kind == "h":
         (q,) = gate.targets
-        tensor = np.moveaxis(tensor, q, 0)
-        plus = (tensor[0] + tensor[1]) / np.sqrt(2.0)
-        minus = (tensor[0] - tensor[1]) / np.sqrt(2.0)
-        tensor = np.moveaxis(np.stack([plus, minus]), 0, q)
-    elif gate.kind == "swap":
+        t0, t1 = _slice(state, {q: 0}), _slice(state, {q: 1})
+        minus = t0 - t1
+        t0 += t1
+        t0 /= np.sqrt(2.0)
+        minus /= np.sqrt(2.0)
+        t1[...] = minus
+    elif gate.kind in ("swap", "cswap"):
         a, b = gate.targets
-        tensor = axis_swap(a, b)
-    elif gate.kind == "cswap":
-        (c,) = gate.controls
-        a, b = gate.targets
-        tensor = np.moveaxis(tensor, c, 0)
-        a, b = (x if x < c else x - 1 for x in (a, b))
-        swapped = np.swapaxes(tensor[1], a, b)
-        tensor = np.moveaxis(np.stack([tensor[0], swapped]), 0, c)
+        on = {c: 1 for c in gate.controls}
+        x, y = _slice(state, {**on, a: 0, b: 1}), _slice(state, {**on, a: 1, b: 0})
+        tmp = x.copy()
+        x[...] = y
+        y[...] = tmp
     elif gate.kind in ("single_qubit_phase", "multi_controlled_phase"):
         # phase e^{i angle} on the all-zeros state of the listed qubits
-        phase = np.exp(1j * gate.angle)
-        sel = tuple(0 for _ in gate.targets)
-        tensor = np.moveaxis(tensor, gate.targets, range(len(gate.targets))).copy()
-        tensor[sel] = tensor[sel] * phase
-        tensor = np.moveaxis(tensor, range(len(gate.targets)), gate.targets)
+        zeros = _slice(state, {q: 0 for q in gate.targets})
+        # not *=: numpy's in-place product rounds a one-element slice differently
+        zeros[...] = zeros * np.exp(1j * gate.angle)
     else:
         raise ValueError(f"unhandled gate kind {gate.kind}")
-    return tensor.reshape(shape)
 
 
 def circuit_to_dense(circ, total_qubits: int | None = None) -> np.ndarray:
@@ -186,18 +189,17 @@ def circuit_to_dense(circ, total_qubits: int | None = None) -> np.ndarray:
     ensure_operator_budget(dim, "dense circuit unitary")
     mat = np.eye(dim, dtype=complex)
     for gate in gates:
-        mat = _apply_gate(mat, gate, total_qubits)
+        _apply_gate(mat, gate)
     return mat
 
 
 def apply_circuit(circ, state: np.ndarray) -> np.ndarray:
-    """Apply the circuit to a state vector; cheaper than circuit_to_dense."""
-    gates = _gates_of(circ)
-    total = int(np.log2(state.size))
-    out = np.asarray(state, dtype=complex).reshape(-1, 1)
-    for gate in gates:
-        out = _apply_gate(out, gate, total)
-    return out.reshape(-1)
+    """Apply the circuit to a state vector; cheaper than circuit_to_dense.
+    The gates act on one copy, so ``state`` itself is left unchanged."""
+    out = np.array(state, dtype=complex).reshape(-1)
+    for gate in _gates_of(circ):
+        _apply_gate(out, gate)
+    return out
 
 
 def export_circuit(circ: RotationCircuit) -> str:

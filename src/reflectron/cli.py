@@ -41,6 +41,7 @@ from .repthy import (
     solve_q_d2,
     support_bound,
 )
+from .tensor_core import _kron_fold
 from .universal import budget as universal_budget
 from .universal import haar_targets, scaling_fit, verify_budget
 from . import selftest as _selftest
@@ -342,9 +343,7 @@ def cmd_c_verify(args) -> int:
     phi /= np.linalg.norm(phi)
     psi = rng.normal(size=2) + 1j * rng.normal(size=2)
     psi /= np.linalg.norm(psi)
-    inp = phi
-    for _ in range(args.n):
-        inp = np.kron(inp, psi)
+    inp = _kron_fold(phi, psi, args.n)
     state = np.zeros(2**circ.total_qubits, dtype=complex)
     state[: inp.size] = inp  # ancilla starts in |0...0>
     out = apply_circuit(circ, state)

@@ -130,19 +130,23 @@ def lmr_coeffs(thetas) -> CyclicElement:
 
 def apply_element(e: CyclicElement, d: int, vecs) -> np.ndarray:
     """sum_l c_l C^l applied to a vector on (C^d)^{x(n+1)}, or to each row of
-    an m x d^{n+1} stack, by axis transposes; the operator is never built."""
+    an m x d^{n+1} stack, as a swap of two slot groups per power; the
+    operator is never built."""
     vecs = np.asarray(vecs, dtype=complex)
     ensure_vector_budget(vecs.size, "cyclic element action")
     k = e.n + 1
-    lead = vecs.ndim - 1
-    tensor = vecs.reshape(vecs.shape[:-1] + (d,) * k)
-    out = np.zeros(tensor.shape, dtype=complex)
+    if vecs.shape[-1] != d**k:
+        raise ValueError(f"expected rows of {d}^{k} = {d**k} amplitudes, got {vecs.shape[-1]}")
+    rows = vecs.reshape(-1, d**k)
+    m = rows.shape[0]
+    out = np.zeros(rows.shape, dtype=complex)
     for l, c in enumerate(e.coeffs):
         if c == 0:
             continue
-        # output slot t carries input slot (t - l) mod k
-        axes = list(range(lead)) + [lead + (t - l) % k for t in range(k)]
-        out += c * np.transpose(tensor, axes)
+        # output slot t carries input slot (t - l) mod k: the last l input
+        # slots become the first l output slots, the first k - l the rest
+        block = out.reshape(m, d**l, d ** (k - l))
+        block += c * rows.reshape(m, d ** (k - l), d**l).transpose(0, 2, 1)
     return out.reshape(vecs.shape)
 
 

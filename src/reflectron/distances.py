@@ -287,18 +287,26 @@ def _mr_distance_at_p(n: int, d: int, p):
     and scalars on |0 psi_i>, on |i psi> and on the traceless rest of
     span{|i psi_j>}. Only ratios T(n)/T(n+k) of the symmetric-subspace
     dimensions T(m) = C(m+d-1, d-1) enter, so nothing of size d is built.
+    A float p takes the math functions, which give the same bits as numpy's.
     """
-    t1 = (n + 1) / (n + d)
-    t2 = (n + 1) * (n + 2) / ((n + d) * (n + d + 1))
+    if isinstance(p, np.ndarray):
+        sqrt_, abs_, max_ = np.sqrt, np.abs, np.maximum
+    else:
+        sqrt_, abs_, max_ = sqrt, abs, max
+    nd = (n + d) * (n + d + 1)
+    t2 = (n + 1) * (n + 2) / nd
     spread = 4 * t2 / (n + 2)
-    off_psi = 1.0 - 2 * (n + 2) * t1 / (n + 1) + 4 * t2 / (n + 2)
-    off_perp = 1.0 - 4 * t1 / (n + 1) + 4 * t2 / ((n + 1) * (n + 2))
     spread_perp = 4 * t2 / ((n + 1) * (n + 2))
+    # t1 - t2, 1 - off_perp and 1 + off_psi, with t1 = T(n)/T(n+1) and
+    # t2 = T(n)/T(n+2), as single quotients: their differences of numbers
+    # near 1 would lose digits like 1e-17 n
+    t1_minus_t2 = (n + 1) * (d - 1) / nd
+    one_minus_off_perp = 4 / (n + d + 1)
+    z = 2 * ((d - 2) * (n + d + 1) + 2 * (n + 1)) / nd
     s = (1.0 - p) / (d - 1)
-    x = 4.0 * p * (t1 - t2)
-    y = s * ((d - 1) * (1.0 - off_perp) - spread_perp)
-    z = 1.0 + off_psi
-    block = np.maximum(np.abs(x + y), np.sqrt((x - y) ** 2 + 4.0 * p * (1.0 - p) * z * z))
+    x = 4.0 * p * t1_minus_t2
+    y = s * ((d - 1) * one_minus_off_perp - spread_perp)
+    block = max_(abs_(x + y), sqrt_((x - y) ** 2 + 4.0 * p * (1.0 - p) * z * z))
     # ((d-1)^2 - 1) s = d(d-2)/(d-1) (1-p): the integer quotient rounds once, finite for any float d
     return block + (d - 1) * spread * (p + s) + d * (d - 2) / (d - 1) * (1.0 - p) * spread_perp
 
@@ -308,16 +316,21 @@ def mr_diamond_distance(n: int, d: int) -> tuple:
     C^d, with its argmax p; the same for every axis state.
 
     The 201-point p grid is refined by golden section between the
-    neighbours of its argmax.
+    neighbours of its argmax; an argmax at p = 0 or 1 keeps its own value
+    when the refinement finds nothing larger.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     if d < 2:
         raise ValueError("need d >= 2")
     grid = np.linspace(0.0, 1.0, 201)
-    k = int(np.argmax(_mr_distance_at_p(n, d, grid)))
+    values = _mr_distance_at_p(n, d, grid)
+    k = int(np.argmax(values))
     lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, 200)]
     p_best, value = _golden_max(lambda p: _mr_distance_at_p(n, d, p), lo, hi)
+    # golden section returns a midpoint, never the endpoint itself
+    if k in (0, 200) and values[k] >= value:
+        p_best, value = float(grid[k]), float(values[k])
     return value, p_best
 
 
@@ -329,10 +342,10 @@ def sampled_diamond_lower_bound(channel_a, channel_b, d: int, trials: int, seed=
     if trials < 0:
         raise ValueError(f"need trials >= 0, got trials = {trials}")
     ensure_vector_budget(trials * d * d, "diamond probes")
-    rng = np.random.default_rng(seed)
-    probes = np.empty((trials, d * d), dtype=complex)
-    for t in range(trials):
-        v = rng.normal(size=d * d) + 1j * rng.normal(size=d * d)
-        probes[t] = v / np.linalg.norm(v)
+    # one draw in the order of a real then an imaginary part per probe
+    draws = np.random.default_rng(seed).normal(size=(trials, 2, d * d))
+    probes = draws[:, 0] + 1j * draws[:, 1]
+    for v in probes:
+        v /= np.linalg.norm(v)  # per row: a norm along the axis changes bits
     K = _choi_difference(channel_a, channel_b, d)
     return float(np.max(_probe_distances(K, probes), initial=0.0))

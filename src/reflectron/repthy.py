@@ -234,7 +234,8 @@ def _schur_basis(k: int, l: int, d: int) -> dict:
     weights = onehot[:, :k].sum(axis=1) - onehot[:, k:].sum(axis=1)
     dominant = np.all(np.diff(weights, axis=1) <= 0, axis=1)
     basis = {}
-    for lam in np.unique(weights[dominant], axis=0)[::-1]:
+    # descending lexicographic order; np.unique(..., axis=0) would import numpy.ma
+    for lam in sorted({tuple(w) for w in weights[dominant].tolist()}, reverse=True):
         sel = np.flatnonzero(np.all(weights == lam, axis=1))
         kets = np.zeros((sel.size, dim))
         kets[np.arange(sel.size), sel] = 1.0

@@ -44,11 +44,17 @@ class PureState:
         return np.outer(self.amplitudes, self.amplitudes.conj())
 
     def tensor_power(self, n: int) -> "PureState":
-        vec = self.amplitudes
-        for _ in range(n - 1):
-            vec = np.kron(vec, self.amplitudes)
-        ensure_vector_budget(vec.size, "tensor power state")
+        ensure_vector_budget(self.dim**n, "tensor power state")
+        vec = _kron_fold(self.amplitudes, self.amplitudes, n - 1)
         return PureState(vec, self.local_dim, self.factors * n)
+
+
+def _kron_fold(head: np.ndarray, v: np.ndarray, copies: int) -> np.ndarray:
+    """head x v^{x copies} for 1-D arrays, folded from the left: the products
+    np.kron makes, without its per-call overhead."""
+    for _ in range(copies):
+        head = np.multiply.outer(head, v).ravel()
+    return head
 
 
 def as_vector(psi) -> np.ndarray:

@@ -8,12 +8,15 @@ from reflectron.tensor_core import haar_random_state
 from reflectron.cyclic import dense_element, r_theta_coeffs
 from reflectron.circuits import (
     Gate,
+    _apply_gate,
     apply_circuit,
     build_rotation_circuit,
     circuit_to_dense,
     export_circuit,
     gate_counts,
 )
+
+import kernel_oracle
 
 
 def test_rejects_bad_n():
@@ -112,11 +115,7 @@ def test_ancilla_returns_to_superposition_midway():
         inp = np.kron(inp, psi)
     state = np.zeros(2**circ.total_qubits, dtype=complex)
     state[: inp.size] = inp
-    partial = state
-    for g in head:
-        from reflectron.circuits import _apply_gate
-
-        partial = _apply_gate(partial.reshape(-1, 1), g, circ.total_qubits).reshape(-1)
+    partial = apply_circuit(head, state)
     # project ancilla onto |s>: overlap must be 1
     anc_dim = 2**L
     block = partial.reshape(anc_dim, inp.size)
@@ -160,3 +159,61 @@ def test_export_lines_match_gates():
 def test_gate_kind_validation():
     with pytest.raises(ValueError):
         Gate("cnot", targets=(0, 1))
+
+
+def _gates_on(total):
+    """Every gate kind, with targets and controls on the first and last qubits."""
+    last = total - 1
+    return [
+        Gate("h", targets=(0,)),
+        Gate("h", targets=(last,)),
+        Gate("h", targets=(total // 2,)),
+        Gate("swap", targets=(0, last)),
+        Gate("swap", targets=(last, 1)),
+        Gate("cswap", targets=(1, last), controls=(0,)),
+        Gate("cswap", targets=(0, 1), controls=(last,)),
+        Gate("cswap", targets=(last, 0), controls=(1,)),
+        Gate("single_qubit_phase", targets=(0,), angle=0.7),
+        Gate("single_qubit_phase", targets=(last,), angle=-2.1),
+        Gate("multi_controlled_phase", targets=(0, 1), angle=1.3),
+        Gate("multi_controlled_phase", targets=(last, 0, 1), angle=0.4),
+    ]
+
+
+@pytest.mark.parametrize("columns", [None, 1, 5])
+@pytest.mark.parametrize("total", [3, 4, 5, 6])
+def test_apply_gate_equals_axis_oracle_bit_for_bit(total, columns):
+    rng = np.random.default_rng(10 * total + (columns or 0))
+    shape = (2**total,) if columns is None else (2**total, columns)
+    for gate in _gates_on(total):
+        state = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        want = kernel_oracle.apply_gate(state, gate, total)
+        _apply_gate(state, gate)
+        assert np.array_equal(state, want), gate
+
+
+@pytest.mark.parametrize("n", [1, 3, 7])
+def test_circuit_equals_axis_oracle_bit_for_bit(n):
+    circ = build_rotation_circuit(n, 1.234)
+    total = circ.total_qubits
+    rng = np.random.default_rng(n)
+    state = rng.normal(size=2**total) + 1j * rng.normal(size=2**total)
+    want = state
+    for gate in circ.gates:
+        want = kernel_oracle.apply_gate(want, gate, total)
+    assert np.array_equal(apply_circuit(circ, state), want)
+    if n < 7:
+        dense = np.eye(2**total, dtype=complex)
+        for gate in circ.gates:
+            dense = kernel_oracle.apply_gate(dense, gate, total)
+        assert np.array_equal(circuit_to_dense(circ), dense)
+
+
+def test_apply_circuit_leaves_its_input_unchanged():
+    circ = build_rotation_circuit(3, 0.9)
+    rng = np.random.default_rng(4)
+    state = rng.normal(size=2**circ.total_qubits) + 1j * rng.normal(size=2**circ.total_qubits)
+    before = state.copy()
+    out = apply_circuit(circ, state)
+    assert np.array_equal(state, before)
+    assert not np.array_equal(out, before)

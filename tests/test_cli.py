@@ -108,6 +108,16 @@ def test_mr_subcommand(capsys):
     assert abs(payload["value"] - 1.2) < 1e-9
 
 
+@pytest.mark.parametrize("d", [3, 20, 65])
+def test_mr_endpoint_maximum_equals_lower_bound(capsys, d):
+    # the maximum sits at p = 1, where the distance is the lower bound itself
+    code, out, _ = run(["mr", "--n", "64", "--d", str(d)], capsys)
+    payload = json.loads(out)
+    assert code == 0
+    assert payload["argmax_p"] == 1.0
+    assert abs(payload["value"] - payload["lower_bound"]) <= np.spacing(payload["lower_bound"])
+
+
 def test_distance_checks_at_the_requested_d(capsys, monkeypatch):
     import reflectron.distances as distances
 
@@ -142,6 +152,24 @@ def test_import_loads_no_scipy():
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+def test_lowerbound_twirl_loads_no_numpy_ma():
+    # np.unique(..., axis=0) imports numpy.ma, 11-17 ms of a fresh process
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = (
+        "import sys, reflectron.cli as cli; "
+        "cli.main(['lowerbound', 'twirl', '--n', '2', '--d', '3']); "
+        "print('numpy.ma' in sys.modules)"
+    )
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"
 
 
 def test_validation_error_exit_code(capsys):

@@ -21,6 +21,8 @@ from reflectron.cyclic import (
     r_theta_coeffs,
 )
 
+import kernel_oracle
+
 
 def test_fourier_identity_element():
     e = CyclicElement.identity(4)
@@ -208,6 +210,23 @@ def test_apply_element_matches_dense_product(n, d):
     stack = rng.normal(size=(3, dim)) + 1j * rng.normal(size=(3, dim))
     assert np.abs(apply_element(e, d, vec) - V @ vec).max() < 1e-13
     assert np.abs(apply_element(e, d, stack) - stack @ V.T).max() < 1e-13
+
+
+@pytest.mark.parametrize("d, n", [(2, 1), (2, 3), (2, 6), (3, 1), (3, 2), (3, 4)])
+@pytest.mark.parametrize("rows", [None, 1, 2, 7, 81])
+def test_apply_element_equals_axis_oracle_bit_for_bit(d, n, rows):
+    rng = np.random.default_rng(1000 * d + 10 * n + (rows or 0))
+    coeffs = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+    coeffs[n // 2] = 0.0  # a zero coefficient is skipped by both
+    shape = (d ** (n + 1),) if rows is None else (rows, d ** (n + 1))
+    vecs = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    for e in (CyclicElement(n, coeffs), r_theta_coeffs(n, 0.8)):
+        assert np.array_equal(apply_element(e, d, vecs), kernel_oracle.apply_element(e, d, vecs))
+
+
+def test_apply_element_rejects_rows_of_the_wrong_length():
+    with pytest.raises(ValueError, match="expected rows of 2"):
+        apply_element(r_theta_coeffs(2, 0.4), 2, np.ones((2, 4)))
 
 
 def test_apply_element_budget(monkeypatch):

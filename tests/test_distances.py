@@ -286,6 +286,29 @@ def test_mr_diamond_distance_values():
     assert value >= bound - 1e-9
 
 
+@pytest.mark.parametrize("n", [10**6, 10**12])
+def test_mr_at_p1_keeps_its_digits_at_large_n(n):
+    # at p = 1 the distance is 8(n+1)(d-1)/((n+d+1)(n+d)); differences of
+    # numbers near 1 would lose ~1e-17 n of it
+    from fractions import Fraction
+
+    d = 3
+    exact = Fraction(8 * (n + 1) * (d - 1), (n + d + 1) * (n + d))
+    got = distances._mr_distance_at_p(n, d, 1.0)
+    assert abs(Fraction(got) - exact) / exact < 1e-15
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 20, 1000])
+@pytest.mark.parametrize("n", [1, 3, 64, 512])
+def test_mr_float_path_equals_array_path_bit_for_bit(n, d):
+    ps = np.concatenate([np.linspace(0.0, 1.0, 41), [1e-300, 0.5 + 1e-13, 1.0 - 2**-53]])
+    got = distances._mr_distance_at_p(n, d, ps)
+    for p, want in zip(ps.tolist(), got.tolist()):
+        value = distances._mr_distance_at_p(n, d, p)
+        assert type(value) is float
+        assert value == want, p
+
+
 # -- reference-extended evaluation through the Choi tensor --------------------
 
 

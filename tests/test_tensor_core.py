@@ -248,3 +248,24 @@ def test_trace_norm_tensor_power_states(d, n):
     diff = psi1.tensor_power(n).projector() - psi2.tensor_power(n).projector()
     tn = np.sum(np.abs(np.linalg.eigvalsh(diff)))
     assert abs(tn - 2 * np.sqrt(1 - cosphi ** (2 * n))) < 1e-9
+
+
+def test_tensor_power_checks_the_budget_first(monkeypatch):
+    # 2^11 amplitudes over a 1000-entry budget: refused before anything is built
+    import reflectron.tensor_core as tensor_core
+
+    built = []
+    monkeypatch.setattr(tensor_core, "_kron_fold", lambda *args: built.append(args))
+    monkeypatch.setenv("REFLECTRON_BUDGET", "1000")
+    with pytest.raises(DimensionBudgetError, match="tensor power state of dimension 2048"):
+        haar_random_state(2, 0).tensor_power(11)
+    assert built == []
+
+
+@pytest.mark.parametrize("d, n", [(2, 1), (2, 5), (3, 3), (4, 2)])
+def test_tensor_power_equals_repeated_kron_bit_for_bit(d, n):
+    psi = haar_random_state(d, n)
+    want = psi.amplitudes
+    for _ in range(n - 1):
+        want = np.kron(want, psi.amplitudes)
+    assert np.array_equal(psi.tensor_power(n).amplitudes, want)
