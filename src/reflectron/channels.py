@@ -7,14 +7,13 @@ its axis state, which is what the distance module's one-parameter reduction
 relies on.
 """
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from .config import NonChannelElementError, ensure_operator_budget, ensure_vector_budget
-from .cyclic import CyclicElement, apply_element, is_channel_element
-from .tensor_core import PureState, _kron_fold, as_state, as_vector
+from .config import ensure_operator_budget, ensure_vector_budget
+from .cyclic import CyclicElement, _require_channel_element, apply_element
+from .tensor_core import _kron_fold, as_state, as_vector
 
 
 @lru_cache(maxsize=64)
@@ -48,16 +47,7 @@ def make_rotation_channel(psi, alpha: float):
     return unitary_channel(rotation_unitary(psi, alpha))
 
 
-def _require_channel_element(e: CyclicElement):
-    if not is_channel_element(e):
-        raise NonChannelElementError(
-            "cyclic element is not trace-preserving (needs |ct_0| = 1 and "
-            "sum |c_l|^2 = 1)"
-        )
-
-
-@dataclass
-class EffectiveChannel:
+def effective_channel(e: CyclicElement, psi):
     """Closed-form action of the approximate reflection channel on C^d.
 
     With s = ct_0 - c_0, q = sum_{l>=1} |c_l|^2 and P = |psi><psi|:
@@ -69,50 +59,25 @@ class EffectiveChannel:
     exactly when the element is channel-normalized. Verified against the
     dense partial-trace oracle in the test suite.
     """
-
-    d: int
-    psi: PureState
-    a_x: complex
-    a_px: complex
-    a_xp: complex
-    a_tr: complex
-    a_trp: complex
-    _projector: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self._projector = _projector_of(self.psi.amplitudes.tobytes())
-
-    def __call__(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=complex)
-        P = self._projector
-        PX = P @ X
-        tr_x = X.trace(axis1=-2, axis2=-1)[..., None, None]
-        tr_px = PX.trace(axis1=-2, axis2=-1)[..., None, None]
-        return (
-            self.a_x * X
-            + self.a_px * PX
-            + self.a_xp * (X @ P)
-            + self.a_tr * tr_x * P
-            + self.a_trp * tr_px * P
-        )
-
-
-def effective_channel(e: CyclicElement, psi) -> EffectiveChannel:
     _require_channel_element(e)
-    psi = as_state(psi)
+    P = _projector_of(as_state(psi).amplitudes.tobytes())
     c0 = e.coeffs[0]
     tail = e.coeffs[1:]
     s = tail.sum()
     q = float((np.abs(tail) ** 2).sum())
-    return EffectiveChannel(
-        d=psi.dim,
-        psi=psi,
-        a_x=abs(c0) ** 2,
-        a_px=c0.conjugate() * s,
-        a_xp=c0 * s.conjugate(),
-        a_tr=q,
-        a_trp=abs(s) ** 2 - q,
-    )
+    a_x = abs(c0) ** 2
+    a_px = c0.conjugate() * s
+    a_xp = c0 * s.conjugate()
+    a_trp = abs(s) ** 2 - q
+
+    def channel(X):
+        X = np.asarray(X, dtype=complex)
+        PX = P @ X
+        tr_x = X.trace(axis1=-2, axis2=-1)[..., None, None]
+        tr_px = PX.trace(axis1=-2, axis2=-1)[..., None, None]
+        return a_x * X + a_px * PX + a_xp * (X @ P) + q * tr_x * P + a_trp * tr_px * P
+
+    return channel
 
 
 def dense_reflection_channel(e: CyclicElement, psi, X) -> np.ndarray:

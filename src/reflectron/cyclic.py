@@ -9,9 +9,8 @@ from math import acos
 
 import numpy as np
 
-from .config import ensure_operator_budget, ensure_vector_budget
-
-UNITARY_TOL = 1e-10
+from .config import NonChannelElementError, ensure_operator_budget, ensure_vector_budget
+from .tensor_core import UNITARY_TOL
 
 
 def _coefficients(n: int, fill: complex = 0.0) -> np.ndarray:
@@ -71,6 +70,18 @@ def is_channel_element(e: CyclicElement, sums=None) -> bool:
     """
     ct0, total = channel_sums(e) if sums is None else sums
     return abs(abs(ct0) - 1.0) <= UNITARY_TOL and abs(total - 1.0) <= UNITARY_TOL
+
+
+def _require_channel_element(e: CyclicElement) -> tuple:
+    """channel_sums(e), after raising NonChannelElementError unless the
+    element defines a channel: the one raise site of the condition."""
+    sums = channel_sums(e)
+    if not is_channel_element(e, sums=sums):
+        raise NonChannelElementError(
+            "cyclic element is not trace-preserving (needs |ct_0| = 1 and "
+            "sum |c_l|^2 = 1)"
+        )
+    return sums
 
 
 def f_opt(n: int) -> float:

@@ -11,21 +11,15 @@ from math import isfinite, isqrt, sqrt
 
 import numpy as np
 
-from .config import (
-    ConsistencyError,
-    NonChannelElementError,
-    budget_entries,
-    ensure_operator_budget,
-    ensure_vector_budget,
-)
+from .config import ConsistencyError, budget_entries, ensure_operator_budget, ensure_vector_budget
 from .channels import (
     effective_channel,
     make_rotation_channel,
     orthonormal_frame,
     unit_images,
 )
-from .cyclic import CyclicElement, channel_sums, is_channel_element
-from .tensor_core import PureState, as_state, haar_random_state
+from .cyclic import CyclicElement, _require_channel_element
+from .tensor_core import PureState, as_state, haar_random_state, require_unitary
 
 CLOSED_FORM_TOL = 1e-9
 GRID_TOL = 1e-8
@@ -94,18 +88,17 @@ def _probe_distances(K: np.ndarray, probes: np.ndarray) -> np.ndarray:
     return out
 
 
-def _element_invariants(e: CyclicElement, alpha: float):
+def _invariants(c0: complex, ct0: complex, alpha: float) -> tuple:
+    """(|c_0|^2, |ct_0 conj(c_0) - e^{i alpha}|): all that a distance of the
+    covariant pair reads of a channel element."""
+    return abs(c0) ** 2, abs(ct0 * c0.conjugate() - cmath.exp(1j * alpha))
+
+
+def _element_invariants(e: CyclicElement, alpha: float) -> tuple:
     if not isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha}")
-    sums = channel_sums(e)
-    if not is_channel_element(e, sums=sums):
-        raise NonChannelElementError(
-            "distance formulas require a trace-preserving cyclic element"
-        )
-    c0 = complex(e.coeffs[0])
-    ct0 = sums[0]
-    gap = abs(ct0 * c0.conjugate() - cmath.exp(1j * alpha))
-    return abs(c0) ** 2, gap
+    ct0, _ = _require_channel_element(e)
+    return _invariants(complex(e.coeffs[0]), ct0, alpha)
 
 
 def _closed_distance_at_p(c0sq: float, gap: float, p):
@@ -264,10 +257,8 @@ def diamond_unitary_channels(U, V) -> float:
     """Diamond distance of two unitary channels via the spectral arc."""
     U = np.asarray(U, dtype=complex)
     V = np.asarray(V, dtype=complex)
-    for M in (U, V):
-        dev = np.abs(M @ M.conj().T - np.eye(M.shape[0])).max()
-        if dev > 1e-10:
-            raise ValueError(f"input is not unitary, deviation {dev}")
+    require_unitary(U)
+    require_unitary(V)
     eig = np.linalg.eigvals(U.conj().T @ V)
     phases = np.sort(np.mod(np.angle(eig), 2.0 * np.pi))
     gaps = np.diff(np.concatenate([phases, [phases[0] + 2.0 * np.pi]]))

@@ -11,6 +11,7 @@ from .distances import (
     _check_angle,
     _element_invariants,
     _golden_max,
+    _invariants,
     _rotation_distance,
     closed_form_rotation_distance,
 )
@@ -98,11 +99,13 @@ def _theta_objective(n: int, alpha: float):
     bit for bit, on one element whose coefficients each call rewrites in
     place; n, alpha and the coefficient budget are checked once, here."""
     _check_angle(alpha)
-    e = r_theta_coeffs(n, 0.0)
+    c = r_theta_coeffs(n, 0.0).coeffs
 
     def objective(theta):
-        _fill_r_theta(e.coeffs, theta)
-        return -_rotation_distance(*_element_invariants(e, alpha))
+        _fill_r_theta(c, theta)
+        # every r_theta element is a channel: no check, and complex(c.sum())
+        # is the ct_0 that channel_sums would read
+        return -_rotation_distance(*_invariants(complex(c[0]), complex(c.sum()), alpha))
 
     return objective
 
@@ -125,9 +128,8 @@ def theta_star(n: int, alpha: float) -> float:
 
 
 def domain_classify(e: CyclicElement, alpha: float) -> Domain:
-    c0 = e.coeffs[0]
-    ct0 = np.sum(e.coeffs)
-    margin = (1.0 - abs(c0) ** 2) - abs(ct0 * np.conj(c0) - np.exp(1j * alpha))
+    c0sq, gap = _element_invariants(e, alpha)
+    margin = (1.0 - c0sq) - gap
     if margin >= DOMAIN_TOL:
         return Domain.A
     if margin <= -DOMAIN_TOL:

@@ -14,6 +14,7 @@ import numpy as np
 from .config import ensure_operator_budget, ensure_vector_budget
 
 NORM_TOL = 1e-12
+UNITARY_TOL = 1e-10
 
 
 @dataclass
@@ -69,6 +70,13 @@ def as_state(psi) -> PureState:
         return psi
     v = as_vector(psi)
     return PureState(v, v.size, 1)
+
+
+def require_unitary(U) -> None:
+    """Raise ValueError unless max |U U^dag - I| <= UNITARY_TOL; a NaN fails too."""
+    dev = np.abs(U @ U.conj().T - np.eye(U.shape[0])).max()
+    if not dev <= UNITARY_TOL:
+        raise ValueError(f"input is not unitary, deviation {dev}")
 
 
 def permutation_operator(perm, d: int) -> np.ndarray:

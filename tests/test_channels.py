@@ -401,19 +401,24 @@ def test_effective_channel_equals_term_by_term_reference_bit_for_bit(d):
 
 
 def test_channels_on_one_state_share_a_read_only_projector():
-    from reflectron.channels import rotation_unitary
+    from reflectron.channels import _projector_of, rotation_unitary
     from reflectron.tensor_core import PureState
+
+    def projector_read_by(chan):
+        return chan.__closure__[chan.__code__.co_freevars.index("P")].cell_contents
 
     v = haar_random_state(3, 8).amplitudes.copy()
     psi = PureState(v, 3)
-    P = effective_channel(r_theta_coeffs(2, 1.0), psi)._projector
+    P = projector_read_by(effective_channel(r_theta_coeffs(2, 1.0), psi))
+    assert P is _projector_of(psi.amplitudes.tobytes())
     assert np.array_equal(P, psi.projector())
-    assert effective_channel(r_theta_coeffs(4, 0.3), psi)._projector is P
+    assert projector_read_by(effective_channel(r_theta_coeffs(4, 0.3), psi)) is P
     with pytest.raises(ValueError):
         P[0, 0] = 0.0
     # a state changed in place gets the projector of its new amplitudes
     psi.amplitudes[:] = haar_random_state(3, 9).amplitudes
-    Q = effective_channel(r_theta_coeffs(2, 1.0), psi)._projector
+    Q = projector_read_by(effective_channel(r_theta_coeffs(2, 1.0), psi))
+    assert Q is _projector_of(psi.amplitudes.tobytes()) and Q is not P
     assert np.array_equal(Q, psi.projector())
     U = rotation_unitary(psi, 0.7)
     assert np.array_equal(U, np.eye(3) + (np.exp(0.7j) - 1.0) * psi.projector())

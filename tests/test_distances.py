@@ -627,11 +627,13 @@ def test_dense_oracle_catches_perturbed_channel_on_other_states(name, seed, monk
     ids=["ct0-unit-norm-off", "norm-unit-ct0-off"],
 )
 def test_every_entry_point_rejects_planted_non_channel_element(coeffs):
+    from reflectron.channels import dense_reflection_channel
     from reflectron.config import NonChannelElementError
-    from reflectron.cyclic import CyclicElement
+    from reflectron.cyclic import CyclicElement, channel_sums
+    from reflectron.optima import domain_classify
 
     bad = CyclicElement(1, coeffs)
-    ct0, total = distances.channel_sums(bad)
+    ct0, total = channel_sums(bad)
     # exactly one of the two channel conditions fails
     assert (abs(abs(ct0) - 1.0) < 1e-12) != (abs(total - 1.0) < 1e-12)
     psi = haar_random_state(2, 7)
@@ -640,7 +642,9 @@ def test_every_entry_point_rejects_planted_non_channel_element(coeffs):
         lambda: diamond_covariant(bad, pi, psi=psi),
         lambda: distance_at_p(bad, pi, 0.5),
         lambda: closed_form_rotation_distance(bad, pi),
+        lambda: domain_classify(bad, pi),
         lambda: effective_channel(bad, psi),
+        lambda: dense_reflection_channel(bad, psi, np.eye(2)),
     ]
     for call in calls:
         with pytest.raises(NonChannelElementError):
@@ -706,3 +710,18 @@ def test_checks_fail_on_nan(name, monkeypatch):
     monkeypatch.setattr(distances, name, lambda *args: float("nan"))
     with pytest.raises(ConsistencyError):
         diamond_covariant(optimal_reflection_coeffs(4), pi)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_unitarity_checks_reject_non_finite_entries(bad):
+    from reflectron.universal import eigendecompose_target
+
+    U = np.eye(2, dtype=complex)
+    U[0, 1] = bad
+    for call in (
+        lambda: diamond_unitary_channels(U, np.eye(2)),
+        lambda: diamond_unitary_channels(np.eye(2), U),
+        lambda: eigendecompose_target(U),
+    ):
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="not unitary"):
+            call()

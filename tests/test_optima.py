@@ -256,6 +256,19 @@ def test_theta_objective_equals_negated_closed_form_bit_for_bit(n):
             assert objective(float(theta)) == want
 
 
+def test_theta_star_runs_no_channel_check(monkeypatch):
+    import reflectron.cyclic as cyclic
+
+    calls = []
+    real = cyclic.is_channel_element
+    monkeypatch.setattr(cyclic, "is_channel_element", lambda *a, **k: calls.append(1) or real(*a, **k))
+    theta_star(8, 2.0)
+    assert calls == []
+    # the spy sees the check where it runs
+    closed_form_rotation_distance(r_theta_coeffs(8, 1.0), 2.0)
+    assert calls == [1]
+
+
 def test_theta_star_checks_its_inputs_before_searching(monkeypatch):
     from reflectron.config import DimensionBudgetError
 

@@ -136,11 +136,11 @@ def test_scaling_fit_constant():
 
 
 def test_assemble_identity_target():
-    program, chan = assemble_universal_channel(np.eye(2), 0.25)
+    rotations, chan = assemble_universal_channel(np.eye(2), 0.25)
     rng = np.random.default_rng(0)
     X = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     assert np.abs(chan(X) - X).max() < 1e-12
-    assert program.rotations == []
+    assert rotations == []
 
 
 def test_assembled_channel_trace_preserving_and_cp():
@@ -165,9 +165,9 @@ def test_single_rotation_reduction_d2():
     alpha = 2.0
     U = rotation_unitary(psi, alpha)
     eps = 0.2
-    program, chan = assemble_universal_channel(U, eps)
-    assert len(program.rotations) == 1
-    rec = program.rotations[0]
+    rotations, chan = assemble_universal_channel(U, eps)
+    assert len(rotations) == 1
+    rec = rotations[0]
     target = make_rotation_channel(rec.psi, rec.alpha)
     sampled = sampled_diamond_lower_bound(target, chan, 2, 400, seed=5)
     # binary truncation + finite copies both contribute; stay within budget
@@ -178,8 +178,8 @@ def test_program_record_invariants():
     # binary truncation error per rotation stays within the encoder share
     for d, eps, seed in ((2, 0.2, 0), (3, 0.4, 1)):
         U = haar_random_unitary(d, seed)
-        program, _ = assemble_universal_channel(U, eps)
-        for rec in program.rotations:
+        rotations, _ = assemble_universal_channel(U, eps)
+        for rec in rotations:
             assert abs(rec.alpha - pi * rec.a) <= eps / (6 * (d - 1)) + 1e-12
             assert rec.theta == pi * rec.a
             assert rec.n_copies == ceil(9 * (d - 1) * abs(rec.alpha) / eps)
