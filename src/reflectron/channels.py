@@ -127,27 +127,6 @@ def lmr_sequential_dense(thetas, psi, X) -> np.ndarray:
     return rho
 
 
-def orthonormal_frame(psi) -> np.ndarray:
-    """Deterministic orthonormal completion of psi, columns perpendicular.
-
-    Gram-Schmidt seeded by the computational basis with the largest-overlap
-    vector dropped; any frame works by covariance, this one is reproducible.
-    """
-    v = as_vector(psi)
-    d = v.size
-    drop = int(np.argmax(np.abs(v)))
-    cols = [v]
-    for i in range(d):
-        if i == drop:
-            continue
-        w = np.zeros(d, dtype=complex)
-        w[i] = 1.0
-        for u in cols:
-            w = w - u * np.vdot(u, w)
-        cols.append(w / np.linalg.norm(w))
-    return np.stack(cols[1:], axis=1)
-
-
 def unit_images(channel, d: int) -> np.ndarray:
     """E(|i><j|) at row i d + j, from one call of E on the (d^2, d, d) unit stack.
 

@@ -41,7 +41,7 @@ from .repthy import (
     solve_q_d2,
     support_bound,
 )
-from .tensor_core import _kron_fold
+from .tensor_core import _kron_fold, haar_random_state
 from .universal import budget as universal_budget
 from .universal import haar_targets, scaling_fit, verify_budget
 from . import selftest as _selftest
@@ -339,10 +339,8 @@ def cmd_c_verify(args) -> int:
     expected = 2 * args.n * circ.ancilla
     ensure_vector_budget(2**circ.total_qubits, "circuit state")
     rng = np.random.default_rng(args.seed)
-    phi = rng.normal(size=2) + 1j * rng.normal(size=2)
-    phi /= np.linalg.norm(phi)
-    psi = rng.normal(size=2) + 1j * rng.normal(size=2)
-    psi /= np.linalg.norm(psi)
+    phi = haar_random_state(2, rng).amplitudes
+    psi = haar_random_state(2, rng).amplitudes
     inp = _kron_fold(phi, psi, args.n)
     state = np.zeros(2**circ.total_qubits, dtype=complex)
     state[: inp.size] = inp  # ancilla starts in |0...0>

@@ -109,10 +109,8 @@ def r_theta_coeffs(n: int, theta: float) -> CyclicElement:
     return CyclicElement(n, _fill_r_theta(_coefficients(n), theta))
 
 
-def optimal_reflection_coeffs(n: int, sign: int = +1) -> CyclicElement:
-    if sign not in (+1, -1):
-        raise ValueError("sign must be +1 or -1")
-    return r_theta_coeffs(n, sign * optimal_angle(n))
+def optimal_reflection_coeffs(n: int) -> CyclicElement:
+    return r_theta_coeffs(n, optimal_angle(n))
 
 
 def lmr_coeffs(thetas) -> CyclicElement:

@@ -12,12 +12,7 @@ from math import isfinite, isqrt, sqrt
 import numpy as np
 
 from .config import ConsistencyError, budget_entries, ensure_operator_budget, ensure_vector_budget
-from .channels import (
-    effective_channel,
-    make_rotation_channel,
-    orthonormal_frame,
-    unit_images,
-)
+from .channels import effective_channel, make_rotation_channel, unit_images
 from .cyclic import CyclicElement, _require_channel_element
 from .tensor_core import PureState, as_state, haar_random_state, require_unitary
 
@@ -35,23 +30,6 @@ _P_GRID.flags.writeable = False
 def trace_norm(X) -> float:
     """Sum of singular values."""
     return float(np.sum(np.linalg.svd(np.asarray(X, dtype=complex), compute_uv=False)))
-
-
-def _phi_p_builder(psi: PureState):
-    """ps -> the phi_p probes on C^{d^2}, one row per p, all sharing one frame:
-    sqrt(p)|0>|psi> + sqrt((1-p)/(d-1)) sum_i |i>|psi_i>."""
-    v = psi.amplitudes
-    d = v.size
-    frame = orthonormal_frame(v).T
-
-    def rows(ps) -> np.ndarray:
-        ps = np.asarray(ps, dtype=float)
-        out = np.zeros((ps.size, d, d), dtype=complex)
-        out[:, 0] = np.sqrt(ps)[:, None] * v
-        out[:, 1:] = np.sqrt((1.0 - ps) / (d - 1))[:, None, None] * frame
-        return out.reshape(ps.size, d * d)
-
-    return rows
 
 
 def _choi_difference(channel_a, channel_b, d: int) -> np.ndarray:
@@ -113,16 +91,22 @@ def _closed_distance_at_p(c0sq: float, gap: float, p):
 
 
 def _dense_distance_at_p(e: CyclicElement, alpha: float, p: float, psi: PureState) -> float:
-    """The phi_p trace distance on C^{d^2}, with no Choi matrix.
+    """The phi_p trace distance on C^{d^2}, with no Choi matrix and no frame.
 
-    With M the probe reshaped to d x d (row i the system vector next to
-    reference ket |i>), (I x E)(|phi_p><phi_p|) has block (i, j) equal to
-    E(|m_i><m_j|); each channel acts once on that (d, d, d, d) block stack.
+    Up to a unitary on the reference, which leaves the trace distance alone,
+    phi_p = sqrt(p)|conj(psi) psi> + c(|Omega> - |conj(psi) psi>), with
+    c = sqrt((1-p)/(d-1)) and |Omega> = sum_i |ii>. Its d x d probe matrix
+    (row i the system vector next to reference ket |i>) is therefore
+    M = c I + (sqrt(p) - c) conj(psi) psi^T, and (I x E)(|phi_p><phi_p|) has
+    block (i, j) equal to E(|m_i><m_j|); each channel acts once on that
+    (d, d, d, d) block stack.
     """
     d = psi.dim
     ensure_operator_budget(d * d, "phi_p block stack")
-    phi_p = _default_phi_p(d) if psi is _default_psi(d) else _phi_p_builder(psi)
-    M = phi_p([p]).reshape(d, d)
+    v = psi.amplitudes
+    c = sqrt((1.0 - p) / (d - 1))
+    M = (sqrt(p) - c) * np.outer(v.conj(), v)
+    M.flat[:: d + 1] += c
     blocks = M[:, None, :, None] * M.conj()[None, :, None, :]
     diff = make_rotation_channel(psi, alpha)(blocks) - effective_channel(e, psi)(blocks)
     eig = np.linalg.eigvalsh(diff.transpose(0, 2, 1, 3).reshape(d * d, d * d))
@@ -135,12 +119,6 @@ def _default_psi(d: int) -> PureState:
     state = haar_random_state(d, _DEFAULT_PSI_SEED)
     state.amplitudes.flags.writeable = False
     return state
-
-
-@lru_cache(maxsize=None)
-def _default_phi_p(d: int):
-    """The phi_p builder of _default_psi(d); its frame is built once per d."""
-    return _phi_p_builder(_default_psi(d))
 
 
 def distance_at_p(e: CyclicElement, alpha: float, p: float, psi=None) -> float:
@@ -247,10 +225,6 @@ def equal_angle_distance(n: int, alpha: float) -> float:
     if alpha >= threshold:
         return float(4.0 * n * (1.0 - np.cos(alpha)) / (n + 1) ** 2)
     return float(2.0 / ((n + 1) / np.sin(alpha / 2.0) - n))
-
-
-def linear_bound(n: int, alpha: float) -> float:
-    return 3.0 * alpha / n
 
 
 def diamond_unitary_channels(U, V) -> float:

@@ -17,6 +17,8 @@ from .distances import (
 )
 
 DOMAIN_TOL = 1e-10
+# u samples of boundary_curve on [0, 2 pi]
+BOUNDARY_POINTS = 257
 
 
 class Domain(Enum):
@@ -69,7 +71,7 @@ def landscape(n: int, grid_r: int = 513, grid_u: int = 513) -> np.ndarray:
     return out
 
 
-def boundary_curve(n: int, num: int = 257) -> np.ndarray:
+def boundary_curve(n: int) -> np.ndarray:
     """Domain A/B boundary points (r, u), bisected along r for each u."""
     _check_n(n)
 
@@ -78,7 +80,7 @@ def boundary_curve(n: int, num: int = 257) -> np.ndarray:
         return (1.0 - c0sq) - gap
 
     pts = []
-    for u in np.linspace(0.0, 2.0 * np.pi, num):
+    for u in np.linspace(0.0, 2.0 * np.pi, BOUNDARY_POINTS):
         lo, hi = 0.0, 1.0
         m_lo = margin(lo, u)
         if m_lo * margin(hi, u) > 0:

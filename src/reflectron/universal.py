@@ -9,7 +9,7 @@ import numpy as np
 
 from .channels import effective_channel, unitary_channel
 from .cyclic import r_theta_coeffs
-from .distances import linear_bound, sampled_diamond_lower_bound
+from .distances import sampled_diamond_lower_bound
 from .repthy import _check_eps
 from .tensor_core import UNITARY_TOL, PureState, haar_random_unitary, require_unitary, sym_dim
 
@@ -155,7 +155,6 @@ class VerifyReport:
     sampled_distance: float
     passed: bool
     slack: float
-    per_rotation_linear_bounds: list
 
 
 def verify_budget(U, epsilon: float, trials: int = 200, seed: int = 0) -> VerifyReport:
@@ -163,17 +162,15 @@ def verify_budget(U, epsilon: float, trials: int = 200, seed: int = 0) -> Verify
     the sampled value must sit below epsilon."""
     U = np.asarray(U, dtype=complex)
     d = U.shape[0]
-    rotations, composed = assemble_universal_channel(U, epsilon)
+    _, composed = assemble_universal_channel(U, epsilon)
     target = unitary_channel(U)
     sampled = sampled_diamond_lower_bound(target, composed, d, trials, seed)
-    per_rot = [linear_bound(r.n_copies, abs(pi * r.a)) for r in rotations]
     return VerifyReport(
         d=d,
         epsilon=epsilon,
         sampled_distance=sampled,
         passed=bool(sampled <= epsilon + 1e-12),
         slack=float(epsilon - sampled),
-        per_rotation_linear_bounds=per_rot,
     )
 
 

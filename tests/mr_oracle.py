@@ -12,9 +12,9 @@ from math import comb
 
 import numpy as np
 
-from reflectron.channels import orthonormal_frame
-from reflectron.distances import _choi_difference, _golden_max, _phi_p_builder, _probe_distances
+from reflectron.distances import _choi_difference, _golden_max, _probe_distances
 from reflectron.tensor_core import as_state
+from probe_oracle import orthonormal_frame, phi_p_rows
 
 
 class MeasureReflectChannel:
@@ -65,13 +65,12 @@ def dense_diamond_covariant(channel_a, channel_b, psi, num_grid: int = 201) -> t
     """
     psi = as_state(psi)
     K = _choi_difference(channel_a, channel_b, psi.dim)
-    phi_p = _phi_p_builder(psi)
 
     def at_p(p):
-        return float(_probe_distances(K, phi_p([p]))[0])
+        return float(_probe_distances(K, phi_p_rows(psi, [p]))[0])
 
     grid = np.linspace(0.0, 1.0, num_grid)
-    vals = _probe_distances(K, phi_p(grid))
+    vals = _probe_distances(K, phi_p_rows(psi, grid))
     k = int(np.argmax(vals))
     lo = grid[max(k - 1, 0)]
     hi = grid[min(k + 1, num_grid - 1)]

@@ -30,7 +30,6 @@ from reflectron.distances import (
     closed_form_rotation_distance,
     diamond_covariant,
     equal_angle_distance,
-    linear_bound,
     mr_diamond_distance,
 )
 from reflectron.optima import (
@@ -50,6 +49,10 @@ from reflectron.repthy import (
 from reflectron.universal import scaling_fit, verify_budget
 from reflectron.circuits import apply_circuit, build_rotation_circuit, gate_counts
 from mr_oracle import dense_diamond_covariant
+
+
+def linear_bound(n, alpha):
+    return 3.0 * alpha / n
 
 
 def lambert_sandwich_holds(x: float) -> bool:

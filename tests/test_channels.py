@@ -12,9 +12,9 @@ from reflectron.channels import (
     effective_channel,
     lmr_sequential_dense,
     make_rotation_channel,
-    orthonormal_frame,
 )
 from mr_oracle import MeasureReflectChannel
+from probe_oracle import orthonormal_frame
 
 
 def random_matrix(d, rng):

@@ -92,10 +92,10 @@ def test_optimal_reflection_values():
     assert abs(f_opt(1) + 13 / 27) < 1e-15
     for n in (1, 2, 5):
         assert is_unitary_element(optimal_reflection_coeffs(n))
-        assert is_unitary_element(optimal_reflection_coeffs(n, -1))
+        assert is_unitary_element(r_theta_coeffs(n, -optimal_angle(n)))
     # the two signs are conjugate coefficient families
-    plus = optimal_reflection_coeffs(3, +1).coeffs
-    minus = optimal_reflection_coeffs(3, -1).coeffs
+    plus = optimal_reflection_coeffs(3).coeffs
+    minus = r_theta_coeffs(3, -optimal_angle(3)).coeffs
     assert np.abs(plus - minus.conj()).max() < 1e-14
 
 

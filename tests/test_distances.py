@@ -11,7 +11,6 @@ from reflectron.distances import (
     diamond_unitary_channels,
     distance_at_p,
     equal_angle_distance,
-    linear_bound,
     mr_diamond_distance,
     sampled_diamond_lower_bound,
     trace_norm,
@@ -21,6 +20,7 @@ import reflectron.distances as distances
 from reflectron.channels import effective_channel, make_rotation_channel, rotation_unitary
 from reflectron.config import ConsistencyError
 from mr_oracle import MeasureReflectChannel, dense_diamond_covariant
+from probe_oracle import orthonormal_frame, phi_p_rows
 
 
 def test_trace_norm_basics():
@@ -31,15 +31,13 @@ def test_trace_norm_basics():
 def test_phi_p_normalized():
     psi = haar_random_state(4, 0)
     ps = np.array([0.0, 0.3, 1.0])
-    rows = distances._phi_p_builder(psi)(ps)
+    rows = phi_p_rows(psi, ps)
     assert np.abs(np.linalg.norm(rows, axis=1) - 1.0).max() < 1e-12
     # the system-0 block is sqrt(p) psi
     assert np.abs(rows[:, :4] - np.sqrt(ps)[:, None] * psi.amplitudes).max() < 1e-15
 
 
 def test_frame_completion_orthonormal():
-    from reflectron.channels import orthonormal_frame
-
     for d, seed in ((2, 0), (3, 1), (5, 2)):
         psi = haar_random_state(d, seed)
         frame = orthonormal_frame(psi.amplitudes)
@@ -130,6 +128,10 @@ def test_closed_form_trivials():
     assert abs(closed_form_rotation_distance(r_theta_coeffs(4, pi / 2), pi / 2) - 0.64) < 1e-12
     with pytest.raises(ValueError):
         closed_form_rotation_distance(r_theta_coeffs(2, 1.0), -0.5)
+
+
+def linear_bound(n, alpha):
+    return 3.0 * alpha / n
 
 
 def test_equal_angle_cases_and_linear_bound():
@@ -329,8 +331,6 @@ def _loop_trace_distance(channel_a, channel_b, d, v):
 
 
 def _phi_p_reference(psi, p):
-    from reflectron.channels import orthonormal_frame
-
     v = psi.amplitudes
     d = v.size
     frame = orthonormal_frame(v)
@@ -388,12 +388,12 @@ def test_choi_contraction_equals_blockwise(d):
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_batched_phi_p_grid_equals_scalar_loop(d):
-    from reflectron.distances import _choi_difference, _phi_p_builder, _probe_distances
+    from reflectron.distances import _choi_difference, _probe_distances
 
     chans = _channels(d, seed=d)
     psi = haar_random_state(d, d)
     grid = np.linspace(0.0, 1.0, 201)
-    probes = _phi_p_builder(psi)(grid)
+    probes = phi_p_rows(psi, grid)
     assert np.abs(probes - [_phi_p_reference(psi, p) for p in grid]).max() < 1e-15
     for a, b in (("rotation", "effective"), ("rotation", "measure-reflect")):
         got = _probe_distances(_choi_difference(chans[a], chans[b], d), probes)
@@ -435,7 +435,7 @@ def test_probe_chunks_cover_every_probe(monkeypatch):
     got = sampled_diamond_lower_bound(a, b, 3, trials, seed=2)
     assert abs(got - _sampled_loop(a, b, 3, trials, seed=2)) < 1e-13
     K = D._choi_difference(a, b, 3)
-    probes = D._phi_p_builder(haar_random_state(3, 1))(np.linspace(0.0, 1.0, 201))
+    probes = phi_p_rows(haar_random_state(3, 1), np.linspace(0.0, 1.0, 201))
     whole = D._probe_distances(K, probes)
     monkeypatch.setattr(D, "_PROBE_CHUNK", 16)
     assert np.abs(D._probe_distances(K, probes) - whole).max() < 1e-13
@@ -447,7 +447,7 @@ def test_probe_chunks_fit_the_budget(monkeypatch):
 
     chans = _channels(3, seed=1)
     K = D._choi_difference(chans["rotation"], chans["measure-reflect"], 3)
-    probes = D._phi_p_builder(haar_random_state(3, 1))(np.linspace(0.0, 1.0, 201))
+    probes = phi_p_rows(haar_random_state(3, 1), np.linspace(0.0, 1.0, 201))
     whole = D._probe_distances(K, probes)
     sizes = []
     eigvalsh = np.linalg.eigvalsh
@@ -459,11 +459,11 @@ def test_probe_chunks_fit_the_budget(monkeypatch):
 
 @pytest.mark.parametrize("n", [1, 4, 64, 512])
 def test_mr_distance_is_flat_in_p_at_d2(n):
-    from reflectron.distances import _choi_difference, _phi_p_builder, _probe_distances
+    from reflectron.distances import _choi_difference, _probe_distances
 
     psi = haar_random_state(2, n)
     K = _choi_difference(make_rotation_channel(psi, pi), MeasureReflectChannel(psi, n), 2)
-    vals = _probe_distances(K, _phi_p_builder(psi)(np.linspace(0.0, 1.0, 201)))
+    vals = _probe_distances(K, phi_p_rows(psi, np.linspace(0.0, 1.0, 201)))
     assert np.abs(vals - 8 * (n + 1) / ((n + 2) * (n + 3))).max() < 1e-12
 
 
@@ -481,7 +481,7 @@ def test_mr_d3_matches_scalar_path(n, seed):
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 64, 512])
 def test_mr_sector_formula_equals_dense_oracle(n, d):
-    from reflectron.distances import _choi_difference, _phi_p_builder, _probe_distances
+    from reflectron.distances import _choi_difference, _probe_distances
 
     ps = np.array([0.0, 0.13, 0.5, 0.91, 1.0])
     got = distances._mr_distance_at_p(n, d, ps)
@@ -490,7 +490,7 @@ def test_mr_sector_formula_equals_dense_oracle(n, d):
     for seed in (1, 2, 3):
         psi = haar_random_state(d, 100 * d + seed)
         rot, mr = make_rotation_channel(psi, pi), MeasureReflectChannel(psi, n)
-        want = _probe_distances(_choi_difference(rot, mr, d), _phi_p_builder(psi)(ps))
+        want = _probe_distances(_choi_difference(rot, mr, d), phi_p_rows(psi, ps))
         assert np.abs(got - want).max() < 1e-12
         assert abs(value - dense_diamond_covariant(rot, mr, psi)[0]) < 1e-12
     if d == 2:
@@ -584,30 +584,6 @@ def test_distance_at_p_rejects_p_outside_unit_interval():
             distance_at_p(e, pi, p)
 
 
-def test_default_probe_frame_is_built_once(monkeypatch):
-    e = optimal_reflection_coeffs(4)
-    diamond_covariant(e, pi)  # the first default-probe call may build the frame
-    calls = []
-    frame = distances.orthonormal_frame
-
-    def counted(v):
-        calls.append(v)
-        return frame(v)
-
-    monkeypatch.setattr(distances, "orthonormal_frame", counted)
-    first = diamond_covariant(e, pi)
-    for alpha in (pi, 1.1, 0.3):
-        diamond_covariant(e, alpha)
-        distance_at_p(e, alpha, 0.4)
-    assert calls == []
-    assert diamond_covariant(e, pi) == first
-    # any other state still builds its own frame, on every call
-    psi = haar_random_state(2, 5)
-    diamond_covariant(e, pi, psi=psi)
-    diamond_covariant(e, pi, psi=psi)
-    assert len(calls) == 2
-
-
 @pytest.mark.parametrize("seed", [0, 3])
 @pytest.mark.parametrize("name", ["effective_channel", "make_rotation_channel"])
 def test_dense_oracle_catches_perturbed_channel_on_other_states(name, seed, monkeypatch):
@@ -651,9 +627,9 @@ def test_every_entry_point_rejects_planted_non_channel_element(coeffs):
             call()
 
 
-@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
 def test_block_stack_oracle_equals_choi_route(d):
-    from reflectron.distances import _choi_difference, _phi_p_builder, _probe_distances
+    from reflectron.distances import _choi_difference, _probe_distances
 
     elements = {
         "optimal": (optimal_reflection_coeffs(5), pi),
@@ -665,7 +641,7 @@ def test_block_stack_oracle_equals_choi_route(d):
             _, p_star = diamond_covariant(e, alpha, psi=psi)
             K = _choi_difference(make_rotation_channel(psi, alpha), effective_channel(e, psi), d)
             for p in (0.0, p_star, 0.5, 1.0):
-                choi = _probe_distances(K, _phi_p_builder(psi)([p]))[0]
+                choi = _probe_distances(K, phi_p_rows(psi, [p]))[0]
                 got = distances._dense_distance_at_p(e, alpha, p, psi)
                 assert abs(got - choi) < 1e-13, (name, p)
 
@@ -675,11 +651,73 @@ def test_block_stack_oracle_checks_the_budget_first(monkeypatch):
     from reflectron.config import DimensionBudgetError
 
     built = []
-    monkeypatch.setattr(distances, "_phi_p_builder", lambda psi: built.append(psi))
+    for name in ("make_rotation_channel", "effective_channel"):
+        monkeypatch.setattr(distances, name, lambda *args, _name=name: built.append(_name))
     monkeypatch.setenv("REFLECTRON_BUDGET", "1000")
     with pytest.raises(DimensionBudgetError, match="phi_p block stack of dimension 36x36"):
         distances._dense_distance_at_p(r_theta_coeffs(2, 1.0), 1.0, 0.5, haar_random_state(6, 0))
     assert built == []
+
+
+def _oracle_block_stack(psi, p, monkeypatch):
+    """The (d, d, d, d) block stack the dense oracle hands the rotation channel."""
+    seen = []
+    make = distances.make_rotation_channel
+
+    def recording(*args):
+        channel = make(*args)
+        return lambda X: seen.append(X.copy()) or channel(X)
+
+    with monkeypatch.context() as m:
+        m.setattr(distances, "make_rotation_channel", recording)
+        distances._dense_distance_at_p(r_theta_coeffs(3, 1.0), 1.0, p, psi)
+    (blocks,) = seen
+    return blocks
+
+
+def _block_stack(M):
+    """Blocks |m_i><m_j| of the probe whose d x d matrix has rows m_i."""
+    return M[:, None, :, None] * M.conj()[None, :, None, :]
+
+
+def _rank_one_probe(v, p, c):
+    return c * np.eye(v.size) + (np.sqrt(p) - c) * np.outer(v.conj(), v)
+
+
+def _schmidt_data_error(blocks, v, p):
+    """Largest deviation of a probe's marginals from phi_p's: reference
+    eigenvalues p once and (1-p)/(d-1) d - 1 times, system marginal
+    p |v><v| + (1-p)/(d-1) (I - |v><v|)."""
+    d = v.size
+    s = (1.0 - p) / (d - 1)
+    reference = np.einsum("ijaa->ij", blocks)
+    system = np.einsum("iiab->ab", blocks)
+    P = np.outer(v, v.conj())
+    spectrum = np.linalg.eigvalsh(reference)
+    want = np.sort([p] + [s] * (d - 1))
+    return max(np.abs(spectrum - want).max(), np.abs(system - (p * P + s * (np.eye(d) - P))).max())
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_rank_one_probe_has_the_schmidt_data_of_phi_p(d, monkeypatch):
+    for psi in (distances._default_psi(d), haar_random_state(d, 60 + d)):
+        v = psi.amplitudes
+        for p in (0.0, 0.13, 0.5, 0.91, 1.0):
+            blocks = _oracle_block_stack(psi, p, monkeypatch)
+            assert _schmidt_data_error(blocks, v, p) < 1e-14, p
+            # the frame-built phi_p has the same data, in another reference basis
+            frame_built = _block_stack(phi_p_rows(psi, [p]).reshape(d, d))
+            assert _schmidt_data_error(frame_built, v, p) < 1e-14, p
+
+
+@pytest.mark.parametrize("d", [2, 3, 6])
+def test_rank_one_probe_with_a_wrong_coefficient_fails_the_schmidt_check(d):
+    v = haar_random_state(d, 70 + d).amplitudes
+    for p in (0.0, 0.13, 0.5, 0.91):
+        right = _block_stack(_rank_one_probe(v, p, np.sqrt((1.0 - p) / (d - 1))))
+        wrong = _block_stack(_rank_one_probe(v, p, np.sqrt((1.0 - p) / d)))
+        assert _schmidt_data_error(right, v, p) < 1e-14
+        assert _schmidt_data_error(wrong, v, p) > 1e-3, p
 
 
 def _golden_guard(c0sq, gap):

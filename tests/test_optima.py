@@ -6,6 +6,7 @@ import pytest
 from reflectron.cyclic import lmr_coeffs, optimal_angle, optimal_reflection_coeffs, r_theta_coeffs
 from reflectron.distances import closed_form_rotation_distance
 from reflectron.optima import (
+    BOUNDARY_POINTS,
     Domain,
     boundary_curve,
     domain_classify,
@@ -59,7 +60,7 @@ def test_landscape_row_count_contract():
 
 
 def test_boundary_curve_sits_on_boundary():
-    pts = boundary_curve(4, 257)
+    pts = boundary_curve(4)
     assert len(pts) > 20
     for r, u in pts[::7]:
         c0sq = (1 + 2 * 4 * r * np.cos(u) + (4 * r) ** 2) / 25
@@ -236,9 +237,9 @@ def _two_margin_boundary(n, num):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 64])
-@pytest.mark.parametrize("num", [5, 257])
+@pytest.mark.parametrize("num", [BOUNDARY_POINTS])
 def test_boundary_curve_equals_two_margin_bisection(n, num):
-    got = boundary_curve(n, num)
+    got = boundary_curve(n)
     assert got.size > 0
     assert np.array_equal(got, _two_margin_boundary(n, num))
 

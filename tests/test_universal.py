@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from reflectron.tensor_core import haar_random_state, haar_random_unitary
-from reflectron.distances import linear_bound
 from reflectron.universal import (
     assemble_universal_channel,
     binary_angle,
@@ -110,6 +109,10 @@ def test_budget_formulas():
     assert rep.total_qubits == rep.phase_qubits + rep.copy_count_qubits + rep.symmetric_program_qubits
 
 
+def linear_bound(n, alpha):
+    return 3.0 * alpha / n
+
+
 def test_budget_per_rotation_linear_bound():
     for d in (2, 3, 4):
         for eps in (0.3, 0.05):
@@ -205,7 +208,7 @@ def test_composed_channel_not_covariant():
     # axis stabilizer, guarding misuse of the covariant formula
     from reflectron.cyclic import r_theta_coeffs
     from reflectron.channels import effective_channel
-    from reflectron.channels import orthonormal_frame
+    from probe_oracle import orthonormal_frame
 
     psi1 = haar_random_state(3, 7)
     psi2 = haar_random_state(3, 8)
