@@ -7,8 +7,6 @@ its axis state, which is what the distance module's one-parameter reduction
 relies on.
 """
 
-from functools import lru_cache
-
 import numpy as np
 
 from .config import ensure_operator_budget, ensure_vector_budget
@@ -16,23 +14,10 @@ from .cyclic import CyclicElement, _require_channel_element, apply_element
 from .tensor_core import _kron_fold, as_state, as_vector
 
 
-@lru_cache(maxsize=64)
-def _projector_of(amplitudes: bytes) -> np.ndarray:
-    """|v><v| for the complex amplitudes v given as bytes, read-only.
-
-    Keyed by content, so the channels built on one state share one
-    projector and a state changed in place gets a new one.
-    """
-    v = np.frombuffer(amplitudes, dtype=complex)
-    P = np.outer(v, v.conj())
-    P.flags.writeable = False
-    return P
-
-
 def rotation_unitary(psi, alpha: float) -> np.ndarray:
     """e^{i alpha |psi><psi|} = I + (e^{i alpha} - 1) |psi><psi|."""
-    v = as_vector(psi)
-    return np.eye(v.size) + (np.exp(1j * alpha) - 1.0) * _projector_of(v.tobytes())
+    state = as_state(psi)
+    return np.eye(state.dim) + (np.exp(1j * alpha) - 1.0) * state.projector
 
 
 def unitary_channel(U):
@@ -60,7 +45,7 @@ def effective_channel(e: CyclicElement, psi):
     dense partial-trace oracle in the test suite.
     """
     _require_channel_element(e)
-    P = _projector_of(as_state(psi).amplitudes.tobytes())
+    P = as_state(psi).projector
     c0 = e.coeffs[0]
     tail = e.coeffs[1:]
     s = tail.sum()

@@ -4,31 +4,37 @@ The forward transform is unnormalized, ct_k = sum_l exp(2 pi i l k/(n+1)) c_l,
 so ct_0 is literally the coefficient sum; the inverse carries the 1/(n+1).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import acos
 
 import numpy as np
 
 from .config import NonChannelElementError, ensure_operator_budget, ensure_vector_budget
-from .tensor_core import UNITARY_TOL
+from .tensor_core import UNITARY_TOL, _read_only_copy
 
 
-def _coefficients(n: int, fill: complex = 0.0) -> np.ndarray:
-    """The n + 1 coefficients of a new element, checked against the budget
-    before they are allocated."""
+def _coefficients(n: int) -> np.ndarray:
+    """The n + 1 zero coefficients of a new element, checked against the
+    budget before they are allocated."""
     ensure_vector_budget(n + 1, "cyclic element coefficients")
-    return np.full(n + 1, fill, dtype=complex)
+    return np.zeros(n + 1, dtype=complex)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CyclicElement:
+    """An element with a read-only copy of its coefficients and the two sums
+    the channel condition tests, (ct_0, sum_l |c_l|^2), read once here."""
+
     n: int
     coeffs: np.ndarray
+    sums: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=complex).reshape(-1)
-        if self.coeffs.size != self.n + 1:
-            raise ValueError(f"expected {self.n + 1} coefficients, got {self.coeffs.size}")
+        c = _read_only_copy(self.coeffs)
+        if c.size != self.n + 1:
+            raise ValueError(f"expected {self.n + 1} coefficients, got {c.size}")
+        object.__setattr__(self, "coeffs", c)
+        object.__setattr__(self, "sums", (complex(c.sum()), float(np.vdot(c, c).real)))
 
     @classmethod
     def identity(cls, n: int) -> "CyclicElement":
@@ -52,36 +58,26 @@ def is_unitary_element(e: CyclicElement) -> bool:
     return bool(np.max(np.abs(np.abs(fourier(e)) - 1.0)) <= UNITARY_TOL)
 
 
-def channel_sums(e: CyclicElement) -> tuple:
-    """(ct_0, sum_l |c_l|^2), one pass over the coefficients each: the two
-    sums the channel condition tests."""
-    c = e.coeffs
-    return complex(c.sum()), float(np.vdot(c, c).real)
-
-
-def is_channel_element(e: CyclicElement, sums=None) -> bool:
+def is_channel_element(e: CyclicElement) -> bool:
     """True iff the element defines a trace-preserving reflection channel.
 
-    Needs |ct_0| = 1 and sum_l |c_l|^2 = 1. Unitary elements always qualify;
-    the sequential-interaction coefficient families qualify without being
-    unitary elements of the algebra. A caller that already holds
-    ``channel_sums(e)`` passes it as ``sums`` so the coefficients are not
-    read again.
+    Needs |ct_0| = 1 and sum_l |c_l|^2 = 1, read from the element's stored
+    sums. Unitary elements always qualify; the sequential-interaction
+    coefficient families qualify without being unitary elements of the
+    algebra.
     """
-    ct0, total = channel_sums(e) if sums is None else sums
+    ct0, total = e.sums
     return abs(abs(ct0) - 1.0) <= UNITARY_TOL and abs(total - 1.0) <= UNITARY_TOL
 
 
-def _require_channel_element(e: CyclicElement) -> tuple:
-    """channel_sums(e), after raising NonChannelElementError unless the
-    element defines a channel: the one raise site of the condition."""
-    sums = channel_sums(e)
-    if not is_channel_element(e, sums=sums):
+def _require_channel_element(e: CyclicElement) -> None:
+    """Raise NonChannelElementError unless the element defines a channel:
+    the one raise site of the condition."""
+    if not is_channel_element(e):
         raise NonChannelElementError(
             "cyclic element is not trace-preserving (needs |ct_0| = 1 and "
             "sum |c_l|^2 = 1)"
         )
-    return sums
 
 
 def f_opt(n: int) -> float:

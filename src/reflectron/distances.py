@@ -75,8 +75,8 @@ def _invariants(c0: complex, ct0: complex, alpha: float) -> tuple:
 def _element_invariants(e: CyclicElement, alpha: float) -> tuple:
     if not isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha}")
-    ct0, _ = _require_channel_element(e)
-    return _invariants(complex(e.coeffs[0]), ct0, alpha)
+    _require_channel_element(e)
+    return _invariants(complex(e.coeffs[0]), e.sums[0], alpha)
 
 
 def _closed_distance_at_p(c0sq: float, gap: float, p):
@@ -115,10 +115,8 @@ def _dense_distance_at_p(e: CyclicElement, alpha: float, p: float, psi: PureStat
 
 @lru_cache(maxsize=None)
 def _default_psi(d: int) -> PureState:
-    """The seeded default probe state, built once per d and shared read-only."""
-    state = haar_random_state(d, _DEFAULT_PSI_SEED)
-    state.amplitudes.flags.writeable = False
-    return state
+    """The seeded default probe state, built once per d and shared."""
+    return haar_random_state(d, _DEFAULT_PSI_SEED)
 
 
 def distance_at_p(e: CyclicElement, alpha: float, p: float, psi=None) -> float:

@@ -6,7 +6,7 @@ from enum import Enum
 import numpy as np
 
 from .config import ensure_vector_budget
-from .cyclic import CyclicElement, _fill_r_theta, lmr_coeffs, r_theta_coeffs
+from .cyclic import CyclicElement, _coefficients, _fill_r_theta, lmr_coeffs
 from .distances import (
     _check_angle,
     _element_invariants,
@@ -98,15 +98,17 @@ def boundary_curve(n: int) -> np.ndarray:
 
 def _theta_objective(n: int, alpha: float):
     """theta -> -closed_form_rotation_distance(r_theta_coeffs(n, theta), alpha),
-    bit for bit, on one element whose coefficients each call rewrites in
-    place; n, alpha and the coefficient budget are checked once, here."""
+    bit for bit, on one coefficient array that each call rewrites in place;
+    n, alpha and the coefficient budget are checked once, here."""
     _check_angle(alpha)
-    c = r_theta_coeffs(n, 0.0).coeffs
+    if n < 1:
+        raise ValueError("need n >= 1")
+    c = _coefficients(n)
 
     def objective(theta):
         _fill_r_theta(c, theta)
         # every r_theta element is a channel: no check, and complex(c.sum())
-        # is the ct_0 that channel_sums would read
+        # is the ct_0 its element would store
         return -_rotation_distance(*_invariants(complex(c[0]), complex(c.sum()), alpha))
 
     return objective

@@ -95,7 +95,7 @@ def _checks():
         psi2 = haar_random_state(2, rng)
         cosphi = abs(np.vdot(psi1.amplitudes, psi2.amplitudes))
         n = 3
-        diff = psi1.tensor_power(n).projector() - psi2.tensor_power(n).projector()
+        diff = psi1.tensor_power(n).projector - psi2.tensor_power(n).projector
         return abs(trace_norm(diff) - 2 * np.sqrt(1 - cosphi ** (2 * n))) < 1e-9
 
     def circuit_counts():

@@ -7,6 +7,7 @@ receives the contents of slot ``s``.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 
 import numpy as np
@@ -17,16 +18,23 @@ NORM_TOL = 1e-12
 UNITARY_TOL = 1e-10
 
 
-@dataclass
+def _read_only_copy(x) -> np.ndarray:
+    """A flat complex copy of x that owns its data and refuses writes."""
+    a = np.ravel(x).astype(complex)
+    a.flags.writeable = False
+    return a
+
+
+@dataclass(frozen=True)
 class PureState:
-    """Normalized vector on (C^d)^{x factors}."""
+    """Normalized vector on (C^d)^{x factors}; its amplitudes are a read-only copy."""
 
     amplitudes: np.ndarray
     local_dim: int
     factors: int = 1
 
     def __post_init__(self):
-        self.amplitudes = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
+        object.__setattr__(self, "amplitudes", _read_only_copy(self.amplitudes))
         dim = self.local_dim**self.factors
         if self.amplitudes.size != dim:
             raise ValueError(
@@ -41,8 +49,12 @@ class PureState:
     def dim(self) -> int:
         return self.amplitudes.size
 
+    @cached_property
     def projector(self) -> np.ndarray:
-        return np.outer(self.amplitudes, self.amplitudes.conj())
+        """|psi><psi|, built on first use and shared read-only."""
+        P = np.outer(self.amplitudes, self.amplitudes.conj())
+        P.flags.writeable = False
+        return P
 
     def tensor_power(self, n: int) -> "PureState":
         ensure_vector_budget(self.dim**n, "tensor power state")

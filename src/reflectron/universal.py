@@ -174,11 +174,11 @@ def verify_budget(U, epsilon: float, trials: int = 200, seed: int = 0) -> Verify
     )
 
 
-def lower_bound_via_universal(d: int, epsilon: float, constant: float = 1.0) -> float:
-    """(d+1)/2 log2(C d^-5 / eps), the reduction-based lower bound."""
+def lower_bound_via_universal(d: int, epsilon: float) -> float:
+    """(d+1)/2 log2(C d^-5 / eps) with C = 1, the reduction-based lower bound."""
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    return (d + 1) / 2.0 * log2(constant * d**-5 / epsilon)
+    return (d + 1) / 2.0 * log2(d**-5 / epsilon)
 
 
 def scaling_fit() -> tuple:

@@ -42,7 +42,7 @@ def test_rotation_zero_angle_identity():
 
 def test_reflection_fixes_axis():
     psi = haar_random_state(2, 1)
-    P = psi.projector()
+    P = psi.projector
     assert np.abs(make_rotation_channel(psi, pi)(P) - P).max() < 1e-12
 
 
@@ -67,7 +67,7 @@ def test_dense_channel_swap_replaces_with_program():
     psi = haar_random_state(2, rng)
     X = random_matrix(2, rng)
     out = dense_reflection_channel(CyclicElement(1, [0.0, 1.0]), psi, X)
-    assert np.abs(out - np.trace(X) * psi.projector()).max() < 1e-12
+    assert np.abs(out - np.trace(X) * psi.projector).max() < 1e-12
 
 
 @pytest.mark.parametrize("n,d", [(1, 2), (2, 2), (4, 2), (6, 2), (1, 3), (2, 3), (3, 3), (2, 4)])
@@ -180,7 +180,7 @@ def test_effective_identity_and_swap_cases():
     ident = effective_channel(r_theta_coeffs(3, 0.0), psi)
     assert np.abs(ident(X) - X).max() < 1e-12
     swap = effective_channel(CyclicElement(1, [0.0, 1.0]), psi)
-    assert np.abs(swap(X) - np.trace(X) * psi.projector()).max() < 1e-12
+    assert np.abs(swap(X) - np.trace(X) * psi.projector).max() < 1e-12
 
 
 def test_effective_trace_preserving():
@@ -207,7 +207,7 @@ def test_lmr_sequential_trivialities():
     X = random_matrix(2, rng)
     assert np.abs(lmr_sequential_dense([0.0, 0.0], psi, X) - X).max() < 1e-12
     out = lmr_sequential_dense([pi / 2], psi, X)
-    assert np.abs(out - np.trace(X) * psi.projector()).max() < 1e-12
+    assert np.abs(out - np.trace(X) * psi.projector).max() < 1e-12
 
 
 def test_lmr_sequential_matches_effective():
@@ -265,7 +265,7 @@ def test_choi_swap_channel():
     psi = haar_random_state(2, 13)
     chan = effective_channel(CyclicElement(1, [0.0, 1.0]), psi)
     J = choi(chan, 2)
-    assert np.abs(J - np.kron(np.eye(2), psi.projector())).max() < 1e-12
+    assert np.abs(J - np.kron(np.eye(2), psi.projector)).max() < 1e-12
 
 
 def test_choi_complete_positivity_random_elements():
@@ -401,24 +401,33 @@ def test_effective_channel_equals_term_by_term_reference_bit_for_bit(d):
 
 
 def test_channels_on_one_state_share_a_read_only_projector():
-    from reflectron.channels import _projector_of, rotation_unitary
-    from reflectron.tensor_core import PureState
+    from reflectron.channels import rotation_unitary
 
     def projector_read_by(chan):
         return chan.__closure__[chan.__code__.co_freevars.index("P")].cell_contents
 
-    v = haar_random_state(3, 8).amplitudes.copy()
-    psi = PureState(v, 3)
+    psi = haar_random_state(3, 8)
     P = projector_read_by(effective_channel(r_theta_coeffs(2, 1.0), psi))
-    assert P is _projector_of(psi.amplitudes.tobytes())
-    assert np.array_equal(P, psi.projector())
+    assert P is psi.projector
     assert projector_read_by(effective_channel(r_theta_coeffs(4, 0.3), psi)) is P
     with pytest.raises(ValueError):
         P[0, 0] = 0.0
-    # a state changed in place gets the projector of its new amplitudes
-    psi.amplitudes[:] = haar_random_state(3, 9).amplitudes
-    Q = projector_read_by(effective_channel(r_theta_coeffs(2, 1.0), psi))
-    assert Q is _projector_of(psi.amplitudes.tobytes()) and Q is not P
-    assert np.array_equal(Q, psi.projector())
     U = rotation_unitary(psi, 0.7)
-    assert np.array_equal(U, np.eye(3) + (np.exp(0.7j) - 1.0) * psi.projector())
+    assert np.array_equal(U, np.eye(3) + (np.exp(0.7j) - 1.0) * P)
+
+
+@pytest.mark.parametrize(
+    "v", [[1.0, 1.0], [0.6, 0.0, 0.0], [np.nan, 0.0]], ids=["norm-sqrt2", "norm-0.6", "nan"]
+)
+def test_channels_reject_an_unnormalized_state(v):
+    from reflectron.channels import rotation_unitary
+
+    v = np.array(v)
+    calls = [
+        lambda: rotation_unitary(v, pi),
+        lambda: make_rotation_channel(v, pi),
+        lambda: effective_channel(r_theta_coeffs(2, 1.0), v),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="state norm"):
+            call()

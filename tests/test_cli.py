@@ -440,6 +440,16 @@ def test_coefficient_vector_budget(argv, capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def test_lmr_distance_past_the_rounding_drift_exits_1(capsys):
+    # a known failure kept visible (README `distance` row): at theta = 1/n the
+    # rounding drift of the O(n) lmr coefficients passes UNITARY_TOL, and the
+    # channel check refuses the element; the tolerance is not widened
+    code, out, err = run(["distance", "--n", "4000000", "--alpha", "1", "--algo", "lmr"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: validation: cyclic element is not trace-preserving")
+    assert "Traceback" not in err
+
+
 
 @pytest.mark.parametrize(
     "argv",

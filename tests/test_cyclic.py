@@ -1,3 +1,4 @@
+from dataclasses import FrozenInstanceError
 from math import pi
 
 import numpy as np
@@ -280,17 +281,37 @@ def test_coefficient_constructors_check_budget(monkeypatch):
 
 
 def test_channel_sums_feed_is_channel_element():
-    from reflectron.cyclic import channel_sums
-
     rng = np.random.default_rng(11)
     elements = [r_theta_coeffs(5, 1.2), lmr_coeffs(rng.uniform(0, pi, 6))]
     elements += [CyclicElement(3, rng.normal(size=4) + 1j * rng.normal(size=4))]
     elements += [CyclicElement(1, [0.5, 0.5]), CyclicElement(1, [0.6, -0.8])]
     for e in elements:
-        ct0, total = channel_sums(e)
-        assert ct0 == complex(e.coeffs.sum())
-        assert total == np.vdot(e.coeffs, e.coeffs).real
+        c = e.coeffs
+        ct0, total = e.sums
+        assert type(ct0) is complex and type(total) is float
+        assert (ct0, total) == (complex(c.sum()), float(np.vdot(c, c).real))
         expected = abs(abs(ct0) - 1.0) <= 1e-10 and abs(total - 1.0) <= 1e-10
         assert is_channel_element(e) is expected
-        assert is_channel_element(e, sums=(ct0, total)) is expected
     assert [is_channel_element(e) for e in elements] == [True, True, False, False, False]
+
+
+def test_element_coefficients_are_read_only():
+    e = r_theta_coeffs(3, 0.9)
+    with pytest.raises(ValueError):
+        e.coeffs[0] = 1.0
+    with pytest.raises(ValueError):
+        e.coeffs *= 2.0
+    for name, value in (("coeffs", np.zeros(4)), ("sums", (1.0, 1.0)), ("n", 4)):
+        with pytest.raises(FrozenInstanceError):
+            setattr(e, name, value)
+
+
+def test_element_copies_the_callers_array():
+    c = np.array([0.6, 0.8j])
+    e = CyclicElement(1, c)
+    sums = e.sums
+    assert c.flags.writeable and e.coeffs is not c
+    c[0] = 5.0
+    assert np.array_equal(e.coeffs, [0.6, 0.8j])
+    # the write would break the channel condition if the element re-read c
+    assert e.sums == sums and is_channel_element(e)

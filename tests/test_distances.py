@@ -605,11 +605,11 @@ def test_dense_oracle_catches_perturbed_channel_on_other_states(name, seed, monk
 def test_every_entry_point_rejects_planted_non_channel_element(coeffs):
     from reflectron.channels import dense_reflection_channel
     from reflectron.config import NonChannelElementError
-    from reflectron.cyclic import CyclicElement, channel_sums
+    from reflectron.cyclic import CyclicElement
     from reflectron.optima import domain_classify
 
     bad = CyclicElement(1, coeffs)
-    ct0, total = channel_sums(bad)
+    ct0, total = bad.sums
     # exactly one of the two channel conditions fails
     assert (abs(abs(ct0) - 1.0) < 1e-12) != (abs(total - 1.0) < 1e-12)
     psi = haar_random_state(2, 7)
@@ -625,6 +625,34 @@ def test_every_entry_point_rejects_planted_non_channel_element(coeffs):
     for call in calls:
         with pytest.raises(NonChannelElementError):
             call()
+
+
+def test_queries_read_the_stored_sums_not_the_coefficients():
+    from reflectron.cyclic import CyclicElement
+    from reflectron.optima import domain_classify
+
+    class Counted(np.ndarray):
+        """Counts sums over the whole coefficient vector, by method or by np.vdot."""
+
+        full_sums = 0
+
+        def sum(self, *args, **kwargs):
+            Counted.full_sums += self.size == 9
+            return super().sum(*args, **kwargs)
+
+        def __array_function__(self, func, types, args, kwargs):
+            if func is np.vdot:
+                Counted.full_sums += self.size == 9
+            return super().__array_function__(func, types, args, kwargs)
+
+    c = optimal_reflection_coeffs(8).coeffs
+    e = CyclicElement(8, c.view(Counted))
+    assert type(e.coeffs) is Counted and Counted.full_sums == 2
+    value = diamond_covariant(e, pi)
+    closed_form_rotation_distance(e, pi)
+    domain_classify(e, pi)
+    assert Counted.full_sums == 2
+    assert value == diamond_covariant(optimal_reflection_coeffs(8), pi)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])

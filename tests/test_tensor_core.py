@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import FrozenInstanceError
 from math import comb, factorial
 
 import numpy as np
@@ -245,7 +246,7 @@ def test_trace_norm_tensor_power_states(d, n):
     psi1 = haar_random_state(d, rng)
     psi2 = haar_random_state(d, rng)
     cosphi = abs(np.vdot(psi1.amplitudes, psi2.amplitudes))
-    diff = psi1.tensor_power(n).projector() - psi2.tensor_power(n).projector()
+    diff = psi1.tensor_power(n).projector - psi2.tensor_power(n).projector
     tn = np.sum(np.abs(np.linalg.eigvalsh(diff)))
     assert abs(tn - 2 * np.sqrt(1 - cosphi ** (2 * n))) < 1e-9
 
@@ -269,3 +270,33 @@ def test_tensor_power_equals_repeated_kron_bit_for_bit(d, n):
     for _ in range(n - 1):
         want = np.kron(want, psi.amplitudes)
     assert np.array_equal(psi.tensor_power(n).amplitudes, want)
+
+
+def test_state_amplitudes_are_read_only():
+    psi = haar_random_state(3, 5)
+    with pytest.raises(ValueError):
+        psi.amplitudes[0] = 1.0
+    with pytest.raises(ValueError):
+        psi.amplitudes *= 2.0
+    for name, value in (("amplitudes", np.eye(3)[0]), ("local_dim", 2), ("factors", 2)):
+        with pytest.raises(FrozenInstanceError):
+            setattr(psi, name, value)
+
+
+def test_state_copies_the_callers_array():
+    v = np.array([0.6, 0.8j])
+    want = np.outer(v, v.conj())
+    psi = PureState(v, 2)
+    assert v.flags.writeable and psi.amplitudes is not v
+    v[0] = 5.0
+    assert np.array_equal(psi.amplitudes, [0.6, 0.8j])
+    assert np.array_equal(psi.projector, want)
+
+
+def test_state_projector_is_built_once_and_read_only():
+    psi = haar_random_state(3, 6)
+    P = psi.projector
+    assert psi.projector is P
+    assert np.array_equal(P, np.outer(psi.amplitudes, psi.amplitudes.conj()))
+    with pytest.raises(ValueError):
+        P[0, 0] = 0.0
