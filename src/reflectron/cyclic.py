@@ -89,20 +89,15 @@ def optimal_angle(n: int) -> float:
     return acos(f_opt(n))
 
 
-def _fill_r_theta(c: np.ndarray, theta: float) -> np.ndarray:
-    """Write the coefficients of r_theta into c, an array of n + 1, in place."""
-    n = c.size - 1
-    phase = np.exp(1j * theta)
-    c[:] = (phase - 1.0) / (n + 1)
-    c[0] = (n + phase) / (n + 1)
-    return c
-
-
 def r_theta_coeffs(n: int, theta: float) -> CyclicElement:
     """Coefficients of I + (e^{i theta} - 1)/(n+1) sum_l C^l."""
     if n < 1:
         raise ValueError("need n >= 1")
-    return CyclicElement(n, _fill_r_theta(_coefficients(n), theta))
+    c = _coefficients(n)
+    phase = np.exp(1j * theta)
+    c[:] = (phase - 1.0) / (n + 1)
+    c[0] = (n + phase) / (n + 1)
+    return CyclicElement(n, c)
 
 
 def optimal_reflection_coeffs(n: int) -> CyclicElement:

@@ -171,25 +171,6 @@ def _grid_max(c0sq: float, gap: float) -> float:
     return float(np.max(_closed_distance_at_p(c0sq, gap, lo + (hi - lo) * _P_GRID)))
 
 
-def _golden_max(f, a, b, tol=1e-12):
-    a, b = float(a), float(b)
-    gr = (sqrt(5.0) - 1.0) / 2.0
-    c = b - gr * (b - a)
-    d = a + gr * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - gr * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + gr * (b - a)
-            fd = f(d)
-    mid = 0.5 * (a + b)
-    return mid, float(f(mid))
-
-
 def _check_angle(alpha: float) -> None:
     if not 0.0 <= alpha <= np.pi + 1e-12:
         raise ValueError("alpha must lie in [0, pi]")
@@ -200,10 +181,9 @@ def _rotation_distance(c0sq: float, gap: float) -> float:
     A = 1.0 - c0sq
     if gap <= A:
         return 2.0 * A
-    den = 2.0 * gap + c0sq - 1.0
-    if den <= 0.0:  # 2 gap was lost against c0sq (gap below ~1e-16); 2 gap - A >= gap > 0
-        den = 2.0 * gap - A
-    return float(2.0 * gap * gap / den)
+    # 2 gap - A >= gap > 0 keeps its digits at a small gap, where
+    # 2 gap + c0sq - 1 would round the sum to the ulp of 1 first
+    return float(2.0 * gap * gap / (2.0 * gap - A))
 
 
 def closed_form_rotation_distance(e: CyclicElement, alpha: float) -> float:
@@ -240,36 +220,35 @@ def diamond_unitary_channels(U, V) -> float:
     return float(2.0 * np.sin(arc / 2.0))
 
 
-def _mr_distance_at_p(n: int, d: int, p):
-    """The phi_p trace distance of measure-and-reflect from the exact
-    reflection, for a float p or an array of them.
+def _mr_terms(n, d) -> tuple:
+    """The terms of _mr_distance_at_p from t1 = T(n)/T(n+1), t2 = T(n)/T(n+2),
+    T(m) = C(m+d-1, d-1): integer quotients, exact for Fraction n and d, with
+    t1 - t2 and 1 - off_perp as single quotients (differences of numbers
+    near 1 would lose digits like 1e-17 n)."""
+    nd = (n + d) * (n + d + 1)
+    t2 = (n + 1) * (n + 2) / nd
+    spread = 4 * t2 / (n + 2)
+    spread_perp = 4 * t2 / ((n + 1) * (n + 2))
+    t1_minus_t2 = (n + 1) * (d - 1) / nd
+    one_minus_off_perp = 4 / (n + d + 1)
+    z = 2 * ((d - 2) * (n + d + 1) + 2 * (n + 1)) / nd
+    return t1_minus_t2, one_minus_off_perp, z, spread, spread_perp
+
+
+def _mr_distance_at_p(n: int, d: int, p: float) -> float:
+    """The phi_p trace distance of measure-and-reflect from the exact reflection.
 
     Both channels are covariant under the unitaries fixing psi, so on phi_p
     their difference is block diagonal in the psi-adapted basis: the 2 x 2
     block [[x, w], [w, y]], w = sqrt(p(1-p)) z, on {|0 psi>, sum_i |i psi_i>},
     and scalars on |0 psi_i>, on |i psi> and on the traceless rest of
-    span{|i psi_j>}. Only ratios T(n)/T(n+k) of the symmetric-subspace
-    dimensions T(m) = C(m+d-1, d-1) enter, so nothing of size d is built.
-    A float p takes the math functions, which give the same bits as numpy's.
+    span{|i psi_j>}. Nothing of size d is built.
     """
-    if isinstance(p, np.ndarray):
-        sqrt_, abs_, max_ = np.sqrt, np.abs, np.maximum
-    else:
-        sqrt_, abs_, max_ = sqrt, abs, max
-    nd = (n + d) * (n + d + 1)
-    t2 = (n + 1) * (n + 2) / nd
-    spread = 4 * t2 / (n + 2)
-    spread_perp = 4 * t2 / ((n + 1) * (n + 2))
-    # t1 - t2, 1 - off_perp and 1 + off_psi, with t1 = T(n)/T(n+1) and
-    # t2 = T(n)/T(n+2), as single quotients: their differences of numbers
-    # near 1 would lose digits like 1e-17 n
-    t1_minus_t2 = (n + 1) * (d - 1) / nd
-    one_minus_off_perp = 4 / (n + d + 1)
-    z = 2 * ((d - 2) * (n + d + 1) + 2 * (n + 1)) / nd
+    t1_minus_t2, one_minus_off_perp, z, spread, spread_perp = _mr_terms(n, d)
     s = (1.0 - p) / (d - 1)
     x = 4.0 * p * t1_minus_t2
     y = s * ((d - 1) * one_minus_off_perp - spread_perp)
-    block = max_(abs_(x + y), sqrt_((x - y) ** 2 + 4.0 * p * (1.0 - p) * z * z))
+    block = max(abs(x + y), sqrt((x - y) ** 2 + 4.0 * p * (1.0 - p) * z * z))
     # ((d-1)^2 - 1) s = d(d-2)/(d-1) (1-p): the integer quotient rounds once, finite for any float d
     return block + (d - 1) * spread * (p + s) + d * (d - 2) / (d - 1) * (1.0 - p) * spread_perp
 
@@ -278,23 +257,24 @@ def mr_diamond_distance(n: int, d: int) -> tuple:
     """Diamond distance of measure-and-reflect from the exact reflection on
     C^d, with its argmax p; the same for every axis state.
 
-    The 201-point p grid is refined by golden section between the
-    neighbours of its argmax; an argmax at p = 0 or 1 keeps its own value
-    when the refinement finds nothing larger.
+    The argmax is a critical point. In _mr_distance_at_p, f = l + max(|x + y|,
+    sqrt(Q)) with l, x, y linear in p and Q = (x - y)^2 + 4p(1 - p)z^2 =
+    q2 p^2 + q1 p + q0. l + |x + y| is convex, so it peaks at p = 0 or 1,
+    where x or y is 0 and sqrt(Q) = |x + y|: max f = max f2, f2 = l + sqrt(Q).
+    f2 is concave, as sqrt(Q)'' has the sign of 4 q2 q0 - q1^2 =
+    -256 d^2 (d-2)^2 (d+n-1)^2 / ((d+n)^4 (d+n+1)^2). At p = 1,
+    f2' = -2 (d-2)(d-n-1)(d^2 + 3dn + d - 2n - 2) / ((d-1)(n+1)(d+n)(d+n+1)),
+    so p = 1 for d <= n + 1 (f2'(1) = 0 at d = n + 1). For d >= n + 2,
+    f2'(0) > 0 > f2'(1), and p is the root in (0, 1) of (2 q2 p + q1)^2 =
+    4 l'^2 Q with 2 q2 p + q1 < 0 < l': p* = ((d-1)(d+n-1) - 2)/(2d(d-2)).
+    The tests check each step in exact rationals on _mr_terms.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     if d < 2:
         raise ValueError("need d >= 2")
-    grid = np.linspace(0.0, 1.0, 201)
-    values = _mr_distance_at_p(n, d, grid)
-    k = int(np.argmax(values))
-    lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, 200)]
-    p_best, value = _golden_max(lambda p: _mr_distance_at_p(n, d, p), lo, hi)
-    # golden section returns a midpoint, never the endpoint itself
-    if k in (0, 200) and values[k] >= value:
-        p_best, value = float(grid[k]), float(values[k])
-    return value, p_best
+    p = 1.0 if d <= n + 1 else ((d - 1) * (d + n - 1) - 2) / (2 * d * (d - 2))
+    return _mr_distance_at_p(n, d, p), p
 
 
 def sampled_diamond_lower_bound(channel_a, channel_b, d: int, trials: int, seed=0) -> float:

@@ -1,16 +1,17 @@
 """Optimization sweeps: the (r, u) distance landscape, optimal angles
 theta*(alpha), domain classification, and the improved sequential angle."""
 
+import cmath
 from enum import Enum
+from math import sqrt
 
 import numpy as np
 
 from .config import ensure_vector_budget
-from .cyclic import CyclicElement, _coefficients, _fill_r_theta, lmr_coeffs
+from .cyclic import CyclicElement, lmr_coeffs
 from .distances import (
     _check_angle,
     _element_invariants,
-    _golden_max,
     _invariants,
     _rotation_distance,
     closed_form_rotation_distance,
@@ -97,21 +98,37 @@ def boundary_curve(n: int) -> np.ndarray:
 
 
 def _theta_objective(n: int, alpha: float):
-    """theta -> -closed_form_rotation_distance(r_theta_coeffs(n, theta), alpha),
-    bit for bit, on one coefficient array that each call rewrites in place;
-    n, alpha and the coefficient budget are checked once, here."""
+    """theta -> -closed_form_rotation_distance(r_theta_coeffs(n, theta), alpha)
+    from c_0 = (n + e^{i theta})/(n + 1) and ct_0 = e^{i theta}, all a distance
+    reads of the channel element r_theta; n and alpha are checked once, here."""
     _check_angle(alpha)
     if n < 1:
         raise ValueError("need n >= 1")
-    c = _coefficients(n)
 
     def objective(theta):
-        _fill_r_theta(c, theta)
-        # every r_theta element is a channel: no check, and complex(c.sum())
-        # is the ct_0 its element would store
-        return -_rotation_distance(*_invariants(complex(c[0]), complex(c.sum()), alpha))
+        phase = cmath.exp(1j * theta)
+        return -_rotation_distance(*_invariants((n + phase) / (n + 1), phase, alpha))
 
     return objective
+
+
+def _golden_max(f, a, b, tol=1e-12):
+    a, b = float(a), float(b)
+    gr = (sqrt(5.0) - 1.0) / 2.0
+    c = b - gr * (b - a)
+    d = a + gr * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > tol:
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - gr * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + gr * (b - a)
+            fd = f(d)
+    mid = 0.5 * (a + b)
+    return mid, float(f(mid))
 
 
 def theta_star(n: int, alpha: float) -> float:

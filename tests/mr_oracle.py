@@ -12,7 +12,8 @@ from math import comb
 
 import numpy as np
 
-from reflectron.distances import _choi_difference, _golden_max, _probe_distances
+from reflectron.distances import _choi_difference, _probe_distances
+from reflectron.optima import _golden_max
 from reflectron.tensor_core import as_state
 from probe_oracle import orthonormal_frame, phi_p_rows
 

@@ -118,6 +118,33 @@ def test_mr_endpoint_maximum_equals_lower_bound(capsys, d):
     assert abs(payload["value"] - payload["lower_bound"]) <= np.spacing(payload["lower_bound"])
 
 
+def _readme_mr_table():
+    """(argv, value, argmax_p, n · value, 8(d − 1)) of each row of the README's
+    measure-and-reflect table, as the table prints them."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path) as f:
+        text = f.read()
+    section = text.split("### Measure-and-reflect against its asymptote", 1)[1].split("\n## ", 1)[0]
+    rows = []
+    for line in section.splitlines():
+        cells = [c.strip() for c in line.strip("|").split("|")]
+        if cells[0].startswith("`mr "):
+            rows.append((cells[0].strip("`").split(), *cells[1:5]))
+    return rows
+
+
+def test_readme_mr_table_matches_the_cli(capsys):
+    rows = _readme_mr_table()
+    assert len(rows) == 20
+    for argv, value, argmax_p, n_value, asymptote in rows:
+        code, out, _ = run(argv, capsys)
+        payload = json.loads(out)
+        assert code == 0
+        assert (repr(payload["value"]), repr(payload["argmax_p"])) == (value, argmax_p), argv
+        assert f"{payload['n'] * payload['value']:.4f}" == n_value, argv
+        assert f"{payload['asymptote_times_n']:.0f}" == asymptote, argv
+
+
 def test_distance_checks_at_the_requested_d(capsys, monkeypatch):
     import reflectron.distances as distances
 

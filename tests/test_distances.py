@@ -103,8 +103,9 @@ def test_closed_form_rotation_matches_maximization():
         theta = rng.uniform(0, pi)
         alpha = rng.uniform(0, pi)
         cases.append((r_theta_coeffs(n, theta), alpha))
-    # at alpha = 5e-324 the gap is one denormal and 2 gap + |c_0|^2 - 1 rounds
-    # to 0; the division once raised ZeroDivisionError
+    # at alpha = 5e-324 the gap is one denormal, where 2 gap + |c_0|^2 - 1
+    # rounded to 0 and the division once raised ZeroDivisionError; the
+    # denominator 2 gap - (1 - |c_0|^2) is at least the gap
     for alpha in (5e-324, 1e-300, 1e-17):
         cases += [(lmr_coeffs(np.full(3, alpha / 3)), alpha), (r_theta_coeffs(3, alpha), alpha)]
     for e, alpha in cases:
@@ -128,6 +129,21 @@ def test_closed_form_trivials():
     assert abs(closed_form_rotation_distance(r_theta_coeffs(4, pi / 2), pi / 2) - 0.64) < 1e-12
     with pytest.raises(ValueError):
         closed_form_rotation_distance(r_theta_coeffs(2, 1.0), -0.5)
+
+
+@pytest.mark.parametrize("alpha", [1e-4, 1e-6, 1e-8, 1e-10, 1e-12])
+def test_rotation_distance_keeps_its_digits_at_a_small_gap(alpha):
+    # domain B with a gap of order alpha: the exact value of the formula on
+    # the same float invariants, against the function's rounding
+    from fractions import Fraction
+
+    e = r_theta_coeffs(3, alpha / 2)
+    c0sq, gap = distances._element_invariants(e, alpha)
+    A = 1 - Fraction(c0sq)
+    assert gap > A
+    exact = 2 * Fraction(gap) ** 2 / (2 * Fraction(gap) - A)
+    got = closed_form_rotation_distance(e, alpha)
+    assert abs(Fraction(got) - exact) / exact <= 2e-16
 
 
 def linear_bound(n, alpha):
@@ -303,12 +319,90 @@ def test_mr_at_p1_keeps_its_digits_at_large_n(n):
 @pytest.mark.parametrize("d", [2, 3, 5, 20, 1000])
 @pytest.mark.parametrize("n", [1, 3, 64, 512])
 def test_mr_float_path_equals_array_path_bit_for_bit(n, d):
+    # the one path takes floats; an array's float64 elements, as the oracles
+    # pass them, give the same bits
     ps = np.concatenate([np.linspace(0.0, 1.0, 41), [1e-300, 0.5 + 1e-13, 1.0 - 2**-53]])
-    got = distances._mr_distance_at_p(n, d, ps)
-    for p, want in zip(ps.tolist(), got.tolist()):
-        value = distances._mr_distance_at_p(n, d, p)
+    for p in ps:
+        value = distances._mr_distance_at_p(n, d, float(p))
         assert type(value) is float
-        assert value == want, p
+        assert value == distances._mr_distance_at_p(n, d, p), p
+
+
+def test_mr_diamond_distance_evaluates_a_few_float_points(monkeypatch):
+    real = distances._mr_distance_at_p
+    calls = []
+
+    def spy(n, d, p):
+        calls.append(p)
+        return real(n, d, p)
+
+    monkeypatch.setattr(distances, "_mr_distance_at_p", spy)
+    for n, d in [(1, 2), (2, 2), (64, 1000), (512, 3), (1000, 1001), (1000, 1002), (3, 10**5)]:
+        calls.clear()
+        value, p = mr_diamond_distance(n, d)
+        assert 1 <= len(calls) <= 3
+        assert all(type(q) is float for q in calls)
+        assert value == real(n, d, p)
+        assert p == 1.0 if d <= n + 1 else 0.0 < p < 1.0
+
+
+def _exact_sqrt(x):
+    """The square root of a Fraction that is the square of a rational."""
+    from math import isqrt
+
+    num, den = isqrt(x.numerator), isqrt(x.denominator)
+    assert num * num == x.numerator and den * den == x.denominator, x
+    return type(x)(num, den)
+
+
+def test_mr_argmax_conditions_hold_in_exact_rationals():
+    # f = l + max(|x + y|, sqrt(Q)) on the library's own terms, in exact
+    # rationals: x = a p, y = b (1 - p), l = l0 + l1 p, Q = q2 p^2 + q1 p + q0
+    from fractions import Fraction
+
+    for n in range(1, 41):
+        for d in range(2, n + 13):
+            t1_minus_t2, one_minus_off_perp, z, spread, spread_perp = distances._mr_terms(
+                Fraction(n), Fraction(d)
+            )
+            assert all(type(t) is Fraction for t in (t1_minus_t2, one_minus_off_perp, z, spread, spread_perp))
+            a = 4 * t1_minus_t2
+            b = ((d - 1) * one_minus_off_perp - spread_perp) / (d - 1)
+            l0 = spread + Fraction(d * (d - 2), d - 1) * spread_perp
+            l1 = (d - 2) * spread - Fraction(d * (d - 2), d - 1) * spread_perp
+            q2, q1, q0 = (a + b) ** 2 - 4 * z * z, 4 * z * z - 2 * b * (a + b), b * b
+            convexity = 4 * q2 * q0 - q1 * q1  # the sign of sqrt(Q)'' on [0, 1]
+            root_q0, root_q_at_1 = _exact_sqrt(q0), _exact_sqrt(q2 + q1 + q0)
+            # sqrt(Q) = |x - y| = |x + y| at both ends
+            assert root_q0 == abs(b) and root_q_at_1 == abs(a)
+            f0, f1 = l0 + root_q0, l0 + l1 + root_q_at_1
+            slope0 = l1 + q1 / (2 * root_q0)
+            slope1 = l1 + (2 * q2 + q1) / (2 * root_q_at_1)
+            assert f0 <= f1, (n, d)
+            # the factored forms the docstring states
+            assert convexity == -256 * d * d * (d - 2) ** 2 * (d + n - 1) ** 2 / Fraction(
+                (d + n) ** 4 * (d + n + 1) ** 2
+            )
+            assert slope1 == -2 * (d - 2) * (d - n - 1) * (d * d + 3 * d * n + d - 2 * n - 2) / Fraction(
+                (d - 1) * (n + 1) * (d + n) * (d + n + 1)
+            )
+            value, p = mr_diamond_distance(n, d)
+            if d <= n + 1:
+                assert convexity >= 0 or slope1 >= 0, (n, d)
+                # the crossover; at d = 2 the distance is flat in p
+                assert (slope1 == 0) == (d in (2, n + 1)), (n, d)
+                assert p == 1.0
+                assert abs(Fraction(value) - f1) <= 4e-16 * f1
+                continue
+            assert convexity < 0 and slope0 > 0 > slope1, (n, d)
+            # the root of (2 q2 p + q1)^2 = 4 l1^2 Q with 2 q2 p + q1 of the
+            # sign opposite to l1 > 0
+            u = -l1 * _exact_sqrt((q1 * q1 - 4 * q2 * q0) / (l1 * l1 - q2))
+            root = (u - q1) / (2 * q2)
+            assert 0 < root < 1 and l1 > 0
+            assert p == float(root), (n, d)
+            peak = float(l0 + l1 * root) + np.sqrt(float(q2 * root * root + q1 * root + q0))
+            assert abs(value - peak) <= 4e-16 * peak
 
 
 # -- reference-extended evaluation through the Choi tensor --------------------
@@ -339,7 +433,7 @@ def _phi_p_reference(psi, p):
 
 
 def _scalar_dense_diamond(channel_a, channel_b, psi, num_grid=201):
-    from reflectron.distances import _golden_max
+    from reflectron.optima import _golden_max
 
     d = psi.dim
     at_p = lambda p: _loop_trace_distance(channel_a, channel_b, d, _phi_p_reference(psi, p))
@@ -484,8 +578,7 @@ def test_mr_sector_formula_equals_dense_oracle(n, d):
     from reflectron.distances import _choi_difference, _probe_distances
 
     ps = np.array([0.0, 0.13, 0.5, 0.91, 1.0])
-    got = distances._mr_distance_at_p(n, d, ps)
-    assert [distances._mr_distance_at_p(n, d, float(p)) for p in ps] == pytest.approx(got, abs=1e-15)
+    got = np.array([distances._mr_distance_at_p(n, d, float(p)) for p in ps])
     value, p_best = mr_diamond_distance(n, d)
     for seed in (1, 2, 3):
         psi = haar_random_state(d, 100 * d + seed)
@@ -750,10 +843,12 @@ def test_rank_one_probe_with_a_wrong_coefficient_fails_the_schmidt_check(d):
 
 def _golden_guard(c0sq, gap):
     """The guard the second grid replaced: grid argmax, then golden section."""
+    from reflectron.optima import _golden_max
+
     ps = distances._P_GRID
     k = int(np.argmax(distances._closed_distance_at_p(c0sq, gap, ps)))
     lo, hi = ps[max(k - 1, 0)], ps[min(k + 1, len(ps) - 1)]
-    return distances._golden_max(lambda p: distances._closed_distance_at_p(c0sq, gap, p), lo, hi)[1]
+    return _golden_max(lambda p: distances._closed_distance_at_p(c0sq, gap, p), lo, hi)[1]
 
 
 def test_grid_guard_finds_the_analytic_maximum():

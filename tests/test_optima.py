@@ -124,8 +124,15 @@ def theta_star_reference(n, alpha, tolerance=1e-10):
 
 @pytest.mark.parametrize("n", [2, 4, 8, 16])
 def test_theta_star_equals_golden_min(n):
+    # the O(1) objective rounds differently from the coefficient array's
+    # sums; golden section resolves theta only to ~sqrt(eps) at a smooth
+    # minimum, so the value is compared, and theta to 1e-7
     for alpha in np.linspace(0.0, pi, 9):
-        assert theta_star(n, float(alpha)) == theta_star_reference(n, float(alpha))
+        alpha = float(alpha)
+        got, want = theta_star(n, alpha), theta_star_reference(n, alpha)
+        distance = lambda th: closed_form_rotation_distance(r_theta_coeffs(n, th), alpha)
+        assert distance(got) <= distance(want) + 4e-15
+        assert abs(got - want) <= 1e-7
 
 
 def test_domain_classification():
@@ -246,7 +253,8 @@ def test_boundary_curve_equals_two_margin_bisection(n, num):
 
 @pytest.mark.parametrize("n", range(1, 71))
 def test_theta_objective_equals_negated_closed_form_bit_for_bit(n):
-    # from n = 8 on, numpy sums the n + 1 coefficients pairwise
+    # the objective reads c_0 and ct_0 = e^{i theta} in closed form, the
+    # element sums its n + 1 coefficients: they agree to rounding
     from reflectron.optima import _theta_objective
 
     rng = np.random.default_rng(n)
@@ -254,7 +262,7 @@ def test_theta_objective_equals_negated_closed_form_bit_for_bit(n):
         objective = _theta_objective(n, float(alpha))
         for theta in [0.0, pi] + list(rng.uniform(0.0, pi, 6)):
             want = -closed_form_rotation_distance(r_theta_coeffs(n, float(theta)), float(alpha))
-            assert objective(float(theta)) == want
+            assert abs(objective(float(theta)) - want) <= 4e-15
 
 
 def test_theta_star_runs_no_channel_check(monkeypatch):
@@ -271,13 +279,11 @@ def test_theta_star_runs_no_channel_check(monkeypatch):
 
 
 def test_theta_star_checks_its_inputs_before_searching(monkeypatch):
-    from reflectron.config import DimensionBudgetError
-
     with pytest.raises(ValueError, match=r"alpha must lie in \[0, pi\]"):
         theta_star(3, 4.0)
     with pytest.raises(ValueError, match="need n >= 1"):
         theta_star(0, 1.0)
+    # nothing of size n is built: the n + 1 coefficients need not fit the budget
     monkeypatch.setenv("REFLECTRON_BUDGET", "8")
     assert theta_star(7, 1.0) > 0.0
-    with pytest.raises(DimensionBudgetError):
-        theta_star(8, 1.0)
+    assert theta_star(8, 1.0) > 0.0

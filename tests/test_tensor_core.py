@@ -233,6 +233,17 @@ def test_pure_state_validation():
             PureState(amplitudes, 2)
 
 
+def test_state_norm_check_holds_at_a_large_tensor_power():
+    # BLAS nrm2 over these 2^21 amplitudes read 1.3e-12 off 1; the pairwise
+    # sum of squares keeps the seed's 1e-16
+    power = haar_random_state(2, 0).tensor_power(21)
+    assert power.dim == 2**21
+    off = power.amplitudes * (1.0 + 1e-11)
+    for amplitudes in (off, haar_random_state(4, 0).amplitudes * (1.0 + 1e-11)):
+        with pytest.raises(ValueError, match="deviates from 1 beyond 1e-12"):
+            PureState(amplitudes, amplitudes.size)
+
+
 def test_budget_overflow():
     with pytest.raises(DimensionBudgetError):
         permutation_operator(tuple(range(24)), 2)
