@@ -16,6 +16,7 @@ from .circuits import apply_circuit, build_rotation_circuit, export_circuit, gat
 from .cyclic import apply_element, lmr_coeffs, optimal_angle, optimal_reflection_coeffs, r_theta_coeffs
 from .distances import (
     _default_psi,
+    _mr_distance_at_p,
     closed_form_rotation_distance,
     diamond_covariant,
     mr_diamond_distance,
@@ -199,10 +200,8 @@ def cmd_mr(args) -> int:
             "d": args.d,
             "value": value,
             "argmax_p": p_best,
-            "lower_bound": 8
-            * (args.n + 1)
-            * (args.d - 1)
-            / ((args.n + args.d + 1) * (args.n + args.d)),
+            # the distance at p = 1, 8(n+1)(d-1)/((n+d+1)(n+d)) in exact arithmetic
+            "lower_bound": _mr_distance_at_p(args.n, args.d, 1.0),
             "asymptote_times_n": 8.0 * (args.d - 1),
         },
     )

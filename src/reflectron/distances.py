@@ -1,8 +1,8 @@
 """Trace-norm and diamond-distance computation.
 
 Covariance reduces the diamond maximization to the one-parameter family
-phi_p; every closed form of the cyclic channels is cross-checked against a
-dense evaluation on C^{d^2}, and a grid guards the analytic critical point.
+phi_p, whose argmax is a proven closed form; every closed form of the cyclic
+channels is cross-checked against a dense evaluation on C^{d^2}.
 """
 
 import cmath
@@ -17,14 +17,10 @@ from .cyclic import CyclicElement, _require_channel_element
 from .tensor_core import PureState, as_state, haar_random_state, require_unitary
 
 CLOSED_FORM_TOL = 1e-9
-GRID_TOL = 1e-8
 
 _DEFAULT_PSI_SEED = 2024
 # most probes per reference-extended contraction; the budget lowers it at large d
 _PROBE_CHUNK = 256
-# the p grid that guards the analytic argmax in diamond_covariant
-_P_GRID = np.linspace(0.0, 1.0, 1001)
-_P_GRID.flags.writeable = False
 
 
 def trace_norm(X) -> float:
@@ -79,17 +75,6 @@ def _element_invariants(e: CyclicElement, alpha: float) -> tuple:
     return _invariants(complex(e.coeffs[0]), e.sums[0], alpha)
 
 
-def _closed_distance_at_p(c0sq: float, gap: float, p):
-    """The phi_p trace distance; a float for a float p, an array for an array.
-
-    math.sqrt and np.sqrt are both correctly rounded, so both give the same bits.
-    """
-    sqrt_ = np.sqrt if isinstance(p, np.ndarray) else sqrt
-    q = 1.0 - p
-    a = q * (1.0 - c0sq)
-    return a + sqrt_(a * a + 4.0 * p * q * gap * gap)
-
-
 def _dense_distance_at_p(e: CyclicElement, alpha: float, p: float, psi: PureState) -> float:
     """The phi_p trace distance on C^{d^2}, with no Choi matrix and no frame.
 
@@ -122,13 +107,17 @@ def _default_psi(d: int) -> PureState:
 def distance_at_p(e: CyclicElement, alpha: float, p: float, psi=None) -> float:
     """Trace distance on the phi_p probe, closed form checked densely.
 
-    The value is recomputed on C^{d^2} through the effective channel;
-    disagreement beyond 1e-9 raises ConsistencyError.
+    The closed form is (1-p)A + sqrt((1-p)^2 A^2 + 4p(1-p) gap^2) with
+    A = 1 - |c_0|^2. The value is recomputed on C^{d^2} through the effective
+    channel, on psi or the seeded default qubit probe; disagreement beyond
+    1e-9 raises ConsistencyError.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     c0sq, gap = _element_invariants(e, alpha)
-    value = float(_closed_distance_at_p(c0sq, gap, p))
+    q = 1.0 - p
+    a = q * (1.0 - c0sq)
+    value = float(a + sqrt(a * a + 4.0 * p * q * gap * gap))
     state = _default_psi(2) if psi is None else as_state(psi)
     dense = _dense_distance_at_p(e, alpha, p, state)
     if not abs(dense - value) <= CLOSED_FORM_TOL:  # a NaN fails too
@@ -141,34 +130,21 @@ def distance_at_p(e: CyclicElement, alpha: float, p: float, psi=None) -> float:
 def diamond_covariant(e: CyclicElement, alpha: float, psi=None) -> tuple:
     """Diamond distance of the covariant channel pair, with its argmax p.
 
-    The analytic critical point is used where it exists; a 1001-point grid
-    refined by a second one around its argmax must agree within 1e-8.
+    Covariance makes the phi_p family worst, so the distance is the maximum
+    over p in [0, 1] of distance_at_p's f(p) = (1-p)A + sqrt(Q), A = 1 - |c_0|^2,
+    g the gap, Q = q2 p^2 + q1 p + q0 with q2 = A^2 - 4g^2, q1 = 4g^2 - 2A^2 and
+    q0 = A^2. sqrt(Q)'' has the sign of 4 q2 q0 - q1^2 = -16 g^4 <= 0, so f is
+    concave on [0, 1]. f'(0) = 2(g^2 - A^2)/A, so for g <= A the argmax is
+    p = 0, where f = 2A (at A = 0 = g, f is 0). For g > A, p* = (g - A)/(2g - A)
+    lies in (0, 1), Q(p*) = g^2 and Q'(p*) = 2Ag, so f'(p*) = -A + 2Ag/(2g) = 0
+    and f(p*) = 2g^2/(2g - A), the interior branch of _rotation_distance. The
+    tests check each identity in exact rationals. The value is distance_at_p's
+    at p*, with its dense check.
     """
     c0sq, gap = _element_invariants(e, alpha)
     A = 1.0 - c0sq
-    if gap > A:
-        p_star = (gap - A) / (2.0 * gap - A)
-        value = float(_closed_distance_at_p(c0sq, gap, p_star))
-    else:
-        p_star = 0.0
-        value = 2.0 * A
-    refined = _grid_max(c0sq, gap)
-    if not abs(refined - value) <= GRID_TOL:
-        raise ConsistencyError(
-            f"diamond maximization mismatch: analytic {value} vs grid {refined}"
-        )
-    state = _default_psi(2) if psi is None else as_state(psi)
-    distance_at_p(e, alpha, p_star, psi=state)
-    return value, p_star
-
-
-def _grid_max(c0sq: float, gap: float) -> float:
-    """Largest phi_p distance on the 1001-point p grid, refined by a second
-    1001-point grid between the neighbours of the coarse argmax."""
-    k = int(np.argmax(_closed_distance_at_p(c0sq, gap, _P_GRID)))
-    lo = _P_GRID[max(k - 1, 0)]
-    hi = _P_GRID[min(k + 1, len(_P_GRID) - 1)]
-    return float(np.max(_closed_distance_at_p(c0sq, gap, lo + (hi - lo) * _P_GRID)))
+    p_star = (gap - A) / (2.0 * gap - A) if gap > A else 0.0
+    return distance_at_p(e, alpha, p_star, psi), p_star
 
 
 def _check_angle(alpha: float) -> None:

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -115,7 +116,23 @@ def test_mr_endpoint_maximum_equals_lower_bound(capsys, d):
     payload = json.loads(out)
     assert code == 0
     assert payload["argmax_p"] == 1.0
-    assert abs(payload["value"] - payload["lower_bound"]) <= np.spacing(payload["lower_bound"])
+    assert payload["value"] == payload["lower_bound"]
+
+
+def test_mr_lower_bound_never_exceeds_value(monkeypatch):
+    # lower_bound is the distance at p = 1, so the maximum over p is never
+    # below it, and is it for d <= n + 1
+    payloads = []
+    monkeypatch.setattr(cli, "_emit_json", lambda args, payload: payloads.append(payload))
+    for n in range(1, 300):
+        for d in range(2, n + 40):
+            assert cli.cmd_mr(argparse.Namespace(n=n, d=d)) == 0
+    assert len(payloads) == 56212
+    for payload in payloads:
+        if payload["d"] <= payload["n"] + 1:
+            assert payload["lower_bound"] == payload["value"], payload
+        else:
+            assert payload["lower_bound"] <= payload["value"], payload
 
 
 def _readme_mr_table():

@@ -613,19 +613,8 @@ def test_dense_oracle_catches_perturbed_channel(name, monkeypatch, capsys):
     assert out.out == "" and out.err.startswith("error: consistency: phi_p distance mismatch")
 
 
-def test_grid_check_catches_perturbed_maximization(monkeypatch):
-    grid_max = distances._grid_max
-
-    def off_by_1e7(*args, **kwargs):
-        return grid_max(*args, **kwargs) + 1e-7
-
-    monkeypatch.setattr(distances, "_grid_max", off_by_1e7)
-    with pytest.raises(ConsistencyError, match="diamond maximization mismatch"):
-        diamond_covariant(r_theta_coeffs(4, 2.0), 1.7)
-
-
 def test_diamond_covariant_runs_every_check_on_every_call(monkeypatch):
-    counts = {"_grid_max": 0, "_dense_distance_at_p": 0}
+    counts = {"_dense_distance_at_p": 0}
     for name in counts:
         original = getattr(distances, name)
 
@@ -637,7 +626,7 @@ def test_diamond_covariant_runs_every_check_on_every_call(monkeypatch):
     e = lmr_coeffs(np.full(5, 0.4))
     results = {diamond_covariant(e, 2.0) for _ in range(3)}
     assert len(results) == 1
-    assert counts == {"_grid_max": 3, "_dense_distance_at_p": 3}
+    assert counts == {"_dense_distance_at_p": 3}
 
 
 def test_default_probe_is_built_once_and_read_only():
@@ -654,20 +643,6 @@ def test_sampled_bound_rejects_negative_trials():
     chan = make_rotation_channel(haar_random_state(2, 0), 1.0)
     with pytest.raises(ValueError, match="need trials >= 0"):
         sampled_diamond_lower_bound(chan, chan, 2, -1)
-
-
-def test_closed_distance_float_path_matches_array_path_bit_for_bit():
-    ps = distances._P_GRID
-    assert np.array_equal(ps, np.linspace(0.0, 1.0, 1001))
-    with pytest.raises(ValueError):
-        ps[0] = 0.5
-    rng = np.random.default_rng(7)
-    for c0sq, gap in rng.uniform(0.0, 1.0, size=(20, 2)):
-        c0sq, gap = float(c0sq), float(gap)
-        on_grid = distances._closed_distance_at_p(c0sq, gap, ps)
-        one_by_one = [distances._closed_distance_at_p(c0sq, gap, float(p)) for p in ps]
-        assert all(type(v) is float for v in one_by_one)
-        assert np.array_equal(on_grid, one_by_one)
 
 
 def test_distance_at_p_rejects_p_outside_unit_interval():
@@ -841,14 +816,33 @@ def test_rank_one_probe_with_a_wrong_coefficient_fails_the_schmidt_check(d):
         assert _schmidt_data_error(wrong, v, p) > 1e-3, p
 
 
+# -- the argmax of the phi_p family ---------------------------------------------
+
+_P_GRID = np.linspace(0.0, 1.0, 1001)
+
+
+def _phi_p_distance(c0sq, gap, p):
+    """distance_at_p's closed form, for a float or an array of p."""
+    q = 1.0 - p
+    a = q * (1.0 - c0sq)
+    return a + np.sqrt(a * a + 4.0 * p * q * gap * gap)
+
+
+def _grid_max(c0sq, gap):
+    """The largest phi_p distance on a 1001-point p grid, refined by a second
+    1001-point grid between the neighbours of the coarse argmax, with that
+    bracket."""
+    k = int(np.argmax(_phi_p_distance(c0sq, gap, _P_GRID)))
+    lo, hi = _P_GRID[max(k - 1, 0)], _P_GRID[min(k + 1, len(_P_GRID) - 1)]
+    return float(np.max(_phi_p_distance(c0sq, gap, lo + (hi - lo) * _P_GRID))), lo, hi
+
+
 def _golden_guard(c0sq, gap):
-    """The guard the second grid replaced: grid argmax, then golden section."""
+    """Golden section on the coarse grid's bracket instead of the second grid."""
     from reflectron.optima import _golden_max
 
-    ps = distances._P_GRID
-    k = int(np.argmax(distances._closed_distance_at_p(c0sq, gap, ps)))
-    lo, hi = ps[max(k - 1, 0)], ps[min(k + 1, len(ps) - 1)]
-    return _golden_max(lambda p: distances._closed_distance_at_p(c0sq, gap, p), lo, hi)[1]
+    _, lo, hi = _grid_max(c0sq, gap)
+    return _golden_max(lambda p: float(_phi_p_distance(c0sq, gap, p)), lo, hi)[1]
 
 
 def test_grid_guard_finds_the_analytic_maximum():
@@ -858,15 +852,79 @@ def test_grid_guard_finds_the_analytic_maximum():
     for c0sq, gap in cases:
         A = 1.0 - c0sq
         if gap > A:
-            analytic = float(distances._closed_distance_at_p(c0sq, gap, (gap - A) / (2.0 * gap - A)))
+            analytic = float(_phi_p_distance(c0sq, gap, (gap - A) / (2.0 * gap - A)))
         else:
             analytic = 2.0 * A
-        guard = distances._grid_max(c0sq, gap)
+        guard, _, _ = _grid_max(c0sq, gap)
         assert analytic - 1e-11 <= guard <= analytic + 1e-15
         assert abs(guard - _golden_guard(c0sq, gap)) < 1e-11
 
 
-@pytest.mark.parametrize("name", ["_grid_max", "_dense_distance_at_p"])
+def test_diamond_argmax_conditions_hold_in_exact_rationals():
+    # f = (1 - p) A + sqrt(Q), Q = (1 - p)^2 A^2 + 4 p (1 - p) g^2, as the
+    # diamond_covariant docstring states its proof
+    from fractions import Fraction
+
+    values = sorted({Fraction(k, 8) for k in range(17)} | {Fraction(1, 3), Fraction(5, 7), Fraction(1, 1000)})
+    for A in (v for v in values if v <= 1):
+        for g in values:
+            q2, q1, q0 = A * A - 4 * g * g, 4 * g * g - 2 * A * A, A * A
+
+            def Q(p):
+                return (1 - p) ** 2 * A * A + 4 * p * (1 - p) * g * g
+
+            for p in (Fraction(0), Fraction(1, 3), Fraction(1)):
+                assert Q(p) == q2 * p * p + q1 * p + q0
+            assert 4 * q2 * q0 - q1 * q1 == -16 * g**4
+            if A > 0:
+                slope0 = -A + q1 / (2 * _exact_sqrt(q0))
+                assert slope0 == 2 * (g * g - A * A) / A
+                assert A + _exact_sqrt(Q(Fraction(0))) == 2 * A
+                if g <= A:
+                    assert slope0 <= 0, (A, g)
+            if g <= A:
+                continue
+            p_star = (g - A) / (2 * g - A)
+            assert 0 < p_star < 1
+            assert Q(p_star) == g * g
+            assert 2 * q2 * p_star + q1 == 2 * A * g
+            assert -A + (2 * q2 * p_star + q1) / (2 * g) == 0
+            assert (1 - p_star) * A + _exact_sqrt(Q(p_star)) == 2 * g * g / (2 * g - A)
+
+
+def _argmax_cases():
+    """(element, alpha) pairs: r_theta, lmr and random Fourier-phase elements
+    at random angles, on both sides of gap = 1 - |c_0|^2."""
+    from reflectron.cyclic import inverse_fourier
+
+    rng = np.random.default_rng(23)
+    cases = []
+    for _ in range(110):
+        n = int(rng.integers(1, 12))
+        alpha = float(rng.uniform(0.0, pi))
+        cases.append((r_theta_coeffs(n, float(rng.uniform(0.0, pi))), alpha))
+        cases.append((lmr_coeffs(rng.uniform(0.0, pi, size=n)), alpha))
+        cases.append((inverse_fourier(np.exp(1j * rng.uniform(0.0, 2 * pi, size=n + 1))), alpha))
+    return cases
+
+
+def test_diamond_covariant_takes_the_grid_maximum_at_its_own_argmax():
+    interior = 0
+    cases = _argmax_cases()
+    for e, alpha in cases:
+        value, p = diamond_covariant(e, alpha)
+        c0sq, gap = distances._element_invariants(e, alpha)
+        oracle, _, _ = _grid_max(c0sq, gap)
+        assert abs(value - oracle) <= 1e-11 and oracle <= value + 1e-15, (value, oracle)
+        assert value == distance_at_p(e, alpha, p)
+        if p == 0.0:
+            assert value == 2.0 * (1.0 - c0sq)
+        else:
+            interior += 1
+    assert len(cases) >= 300 and 50 <= interior <= len(cases) - 50
+
+
+@pytest.mark.parametrize("name", ["_dense_distance_at_p"])
 def test_checks_fail_on_nan(name, monkeypatch):
     monkeypatch.setattr(distances, name, lambda *args: float("nan"))
     with pytest.raises(ConsistencyError):
