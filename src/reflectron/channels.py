@@ -17,7 +17,9 @@ from .tensor_core import _kron_fold, as_state, as_vector
 def rotation_unitary(psi, alpha: float) -> np.ndarray:
     """e^{i alpha |psi><psi|} = I + (e^{i alpha} - 1) |psi><psi|."""
     state = as_state(psi)
-    return np.eye(state.dim) + (np.exp(1j * alpha) - 1.0) * state.projector
+    U = (np.exp(1j * alpha) - 1.0) * state.projector
+    U.flat[:: state.dim + 1] += 1.0
+    return U
 
 
 def unitary_channel(U):

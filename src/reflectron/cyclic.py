@@ -10,7 +10,7 @@ from math import acos
 import numpy as np
 
 from .config import NonChannelElementError, ensure_operator_budget, ensure_vector_budget
-from .tensor_core import UNITARY_TOL, _read_only_copy
+from .tensor_core import UNITARY_TOL, _Fresh, _read_only
 
 
 def _coefficients(n: int) -> np.ndarray:
@@ -22,15 +22,16 @@ def _coefficients(n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CyclicElement:
-    """An element with a read-only copy of its coefficients and the two sums
-    the channel condition tests, (ct_0, sum_l |c_l|^2), read once here."""
+    """An element with read-only coefficients, a copy of the caller's array,
+    and the two sums the channel condition tests, (ct_0, sum_l |c_l|^2), read
+    once here."""
 
     n: int
     coeffs: np.ndarray
     sums: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        c = _read_only_copy(self.coeffs)
+        c = _read_only(self.coeffs)
         if c.size != self.n + 1:
             raise ValueError(f"expected {self.n + 1} coefficients, got {c.size}")
         object.__setattr__(self, "coeffs", c)
@@ -40,7 +41,7 @@ class CyclicElement:
     def identity(cls, n: int) -> "CyclicElement":
         c = _coefficients(n)
         c[0] = 1.0
-        return cls(n, c)
+        return cls(n, _Fresh(c))
 
 
 def fourier(e: CyclicElement) -> np.ndarray:
@@ -50,7 +51,7 @@ def fourier(e: CyclicElement) -> np.ndarray:
 
 def inverse_fourier(ct: np.ndarray) -> CyclicElement:
     ct = np.asarray(ct, dtype=complex).reshape(-1)
-    return CyclicElement(ct.size - 1, np.fft.fft(ct) / ct.size)
+    return CyclicElement(ct.size - 1, _Fresh(np.fft.fft(ct) / ct.size))
 
 
 def is_unitary_element(e: CyclicElement) -> bool:
@@ -97,7 +98,7 @@ def r_theta_coeffs(n: int, theta: float) -> CyclicElement:
     phase = np.exp(1j * theta)
     c[:] = (phase - 1.0) / (n + 1)
     c[0] = (n + phase) / (n + 1)
-    return CyclicElement(n, c)
+    return CyclicElement(n, _Fresh(c))
 
 
 def optimal_reflection_coeffs(n: int) -> CyclicElement:
@@ -125,7 +126,7 @@ def lmr_coeffs(thetas) -> CyclicElement:
     tails = np.append(np.cumsum(thetas[::-1])[-2::-1], 0.0)
     c[0] = prefix[n]
     c[1:] = np.exp(1j * tails) * 1j * np.sin(thetas) * prefix[:n]
-    return CyclicElement(n, c)
+    return CyclicElement(n, _Fresh(c))
 
 
 def apply_element(e: CyclicElement, d: int, vecs) -> np.ndarray:

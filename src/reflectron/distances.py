@@ -82,15 +82,15 @@ def _dense_distance_at_p(e: CyclicElement, alpha: float, p: float, psi: PureStat
     phi_p = sqrt(p)|conj(psi) psi> + c(|Omega> - |conj(psi) psi>), with
     c = sqrt((1-p)/(d-1)) and |Omega> = sum_i |ii>. Its d x d probe matrix
     (row i the system vector next to reference ket |i>) is therefore
-    M = c I + (sqrt(p) - c) conj(psi) psi^T, and (I x E)(|phi_p><phi_p|) has
+    M = c I + (sqrt(p) - c) conj(psi) psi^T, the transpose of psi's cached
+    projector scaled and shifted, and (I x E)(|phi_p><phi_p|) has
     block (i, j) equal to E(|m_i><m_j|); each channel acts once on that
     (d, d, d, d) block stack.
     """
     d = psi.dim
     ensure_operator_budget(d * d, "phi_p block stack")
-    v = psi.amplitudes
     c = sqrt((1.0 - p) / (d - 1))
-    M = (sqrt(p) - c) * np.outer(v.conj(), v)
+    M = (sqrt(p) - c) * psi.projector.T
     M.flat[:: d + 1] += c
     blocks = M[:, None, :, None] * M.conj()[None, :, None, :]
     diff = make_rotation_channel(psi, alpha)(blocks) - effective_channel(e, psi)(blocks)

@@ -20,6 +20,8 @@ from .distances import (
 DOMAIN_TOL = 1e-10
 # u samples of boundary_curve on [0, 2 pi]
 BOUNDARY_POINTS = 257
+# grid points per block of r rows that landscape evaluates at once
+_LANDSCAPE_BLOCK = 2**14
 
 
 class Domain(Enum):
@@ -36,9 +38,8 @@ def _check_n(n: int) -> None:
 def _landscape_invariants(n: int, r, u):
     """(|c_0|^2, reflection-target gap) at the landscape point (r, u).
 
-    No asarray here: boundary_curve bisects with plain floats, and 0-d
-    array arithmetic made it 1.8x slower. r and u broadcast, so an r column
-    against a u row takes its cosine and sine on the u axis alone.
+    r and u broadcast, so an r column against a u row takes its cosine and
+    sine on the u axis alone; boundary_curve passes one r per u.
     """
     cos_u = np.cos(u)
     c0sq = (1.0 + 2.0 * n * r * cos_u + (n * r) ** 2) / (n + 1) ** 2
@@ -58,43 +59,47 @@ def landscape_value(n: int, r, u):
 
 
 def landscape(n: int, grid_r: int = 513, grid_u: int = 513) -> np.ndarray:
-    """Record array (r, u, value) over the [0,1] x [0,2pi) grid, row-major in r."""
+    """Record array (r, u, value) over the [0,1] x [0,2pi] grid, row-major in r,
+    filled through a (grid_r, grid_u) view, the values a block of r rows at a time."""
     _check_n(n)
     if grid_r < 1 or grid_u < 1:
         raise ValueError(f"need a grid of at least 1 x 1 points, got {grid_r} x {grid_u}")
     ensure_vector_budget(grid_r * grid_u, "landscape grid")
-    rs = np.linspace(0.0, 1.0, grid_r)
+    rs = np.linspace(0.0, 1.0, grid_r)[:, None]
     us = np.linspace(0.0, 2.0 * np.pi, grid_u)
-    out = np.zeros(grid_r * grid_u, dtype=[("r", float), ("u", float), ("value", float)])
-    out["r"] = np.repeat(rs, grid_u)
-    out["u"] = np.tile(us, grid_r)
-    out["value"] = landscape_value(n, rs[:, None], us[None, :]).reshape(-1)
+    out = np.empty(grid_r * grid_u, dtype=[("r", float), ("u", float), ("value", float)])
+    grid = out.reshape(grid_r, grid_u)
+    grid["r"] = rs
+    grid["u"] = us
+    rows = max(1, _LANDSCAPE_BLOCK // grid_u)
+    for start in range(0, grid_r, rows):
+        grid["value"][start : start + rows] = landscape_value(n, rs[start : start + rows], us)
     return out
 
 
 def boundary_curve(n: int) -> np.ndarray:
-    """Domain A/B boundary points (r, u), bisected along r for each u."""
+    """Domain A/B boundary points (r, u): one row per u sample whose margin
+    changes sign on r in [0, 1], bisected along r in 60 steps, all u at once."""
     _check_n(n)
 
     def margin(r, u):
         c0sq, gap = _landscape_invariants(n, r, u)
         return (1.0 - c0sq) - gap
 
-    pts = []
-    for u in np.linspace(0.0, 2.0 * np.pi, BOUNDARY_POINTS):
-        lo, hi = 0.0, 1.0
-        m_lo = margin(lo, u)
-        if m_lo * margin(hi, u) > 0:
-            continue
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            m_mid = margin(mid, u)
-            if m_lo * m_mid <= 0:
-                hi = mid
-            else:
-                lo, m_lo = mid, m_mid
-        pts.append((0.5 * (lo + hi), u))
-    return np.array(pts, dtype=float)
+    u = np.linspace(0.0, 2.0 * np.pi, BOUNDARY_POINTS)
+    lo, hi = np.zeros_like(u), np.ones_like(u)
+    m_lo = margin(lo, u)
+    # a NaN product keeps its u, as the test "> 0" on one u would
+    crossing = ~(m_lo * margin(hi, u) > 0)
+    u, lo, hi, m_lo = u[crossing], lo[crossing], hi[crossing], m_lo[crossing]
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        m_mid = margin(mid, u)
+        left = m_lo * m_mid <= 0
+        hi = np.where(left, mid, hi)
+        lo = np.where(left, lo, mid)
+        m_lo = np.where(left, m_lo, m_mid)
+    return np.stack((0.5 * (lo + hi), u), axis=1)
 
 
 def _theta_objective(n: int, alpha: float):

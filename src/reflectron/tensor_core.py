@@ -18,23 +18,33 @@ NORM_TOL = 1e-12
 UNITARY_TOL = 1e-10
 
 
-def _read_only_copy(x) -> np.ndarray:
-    """A flat complex copy of x that owns its data and refuses writes."""
-    a = np.ravel(x).astype(complex)
+@dataclass
+class _Fresh:
+    """A flat complex array that the library has just built, or one that is
+    read-only already: a state or element keeps it without a copy."""
+
+    array: np.ndarray
+
+
+def _read_only(x) -> np.ndarray:
+    """The array of a _Fresh as it is, else a flat complex copy of x; either
+    way it refuses writes."""
+    a = x.array if isinstance(x, _Fresh) else np.ravel(x).astype(complex)
     a.flags.writeable = False
     return a
 
 
 @dataclass(frozen=True)
 class PureState:
-    """Normalized vector on (C^d)^{x factors}; its amplitudes are a read-only copy."""
+    """Normalized vector on (C^d)^{x factors}; its amplitudes are read-only, a
+    copy of the caller's array."""
 
     amplitudes: np.ndarray
     local_dim: int
     factors: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "amplitudes", _read_only_copy(self.amplitudes))
+        object.__setattr__(self, "amplitudes", _read_only(self.amplitudes))
         dim = self.local_dim**self.factors
         if self.amplitudes.size != dim:
             raise ValueError(
@@ -62,7 +72,7 @@ class PureState:
     def tensor_power(self, n: int) -> "PureState":
         ensure_vector_budget(self.dim**n, "tensor power state")
         vec = _kron_fold(self.amplitudes, self.amplitudes, n - 1)
-        return PureState(vec, self.local_dim, self.factors * n)
+        return PureState(_Fresh(vec), self.local_dim, self.factors * n)
 
 
 def _kron_fold(head: np.ndarray, v: np.ndarray, copies: int) -> np.ndarray:
@@ -182,7 +192,7 @@ def _as_rng(seed) -> np.random.Generator:
 def haar_random_state(d: int, seed=0) -> PureState:
     rng = _as_rng(seed)
     v = rng.normal(size=d) + 1j * rng.normal(size=d)
-    return PureState(v / np.linalg.norm(v), d, 1)
+    return PureState(_Fresh(v / np.linalg.norm(v)), d, 1)
 
 
 def haar_random_unitary(d: int, seed=0) -> np.ndarray:

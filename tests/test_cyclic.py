@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import FrozenInstanceError
 from math import pi
 
@@ -315,3 +316,46 @@ def test_element_copies_the_callers_array():
     assert np.array_equal(e.coeffs, [0.6, 0.8j])
     # the write would break the channel condition if the element re-read c
     assert e.sums == sums and is_channel_element(e)
+
+
+def test_element_copies_a_read_only_callers_array():
+    c = np.array([0.6, 0.8j])
+    c.flags.writeable = False
+    e = CyclicElement(1, c)
+    assert not np.shares_memory(e.coeffs, c)
+    c.flags.writeable = True
+    c[0] = 5.0
+    assert np.array_equal(e.coeffs, [0.6, 0.8j]) and is_channel_element(e)
+    # the read-only coefficients of another element are copied too
+    other = r_theta_coeffs(3, 0.9)
+    assert not np.shares_memory(CyclicElement(3, other.coeffs).coeffs, other.coeffs)
+
+
+def test_library_elements_are_read_only_and_share_no_callers_array():
+    thetas = np.full(6, 0.3)
+    ct = np.exp(1j * np.arange(5.0))
+    built = [
+        (CyclicElement.identity(4), []),
+        (r_theta_coeffs(4, 0.7), []),
+        (lmr_coeffs(thetas), [thetas]),
+        (lmr_coeffs(np.broadcast_to(0.2, 5)), []),
+        (inverse_fourier(ct), [ct]),
+    ]
+    for e, held in built:
+        c = e.coeffs
+        assert not c.flags.writeable
+        with pytest.raises(ValueError):
+            c[0] = 1.0
+        assert not any(np.shares_memory(c, a) for a in held)
+        assert e.sums == (complex(c.sum()), float(np.vdot(c, c).real))
+    # one element's coefficients are no other's
+    for (a, _), (b, _) in itertools.combinations(built, 2):
+        assert not np.shares_memory(a.coeffs, b.coeffs)
+
+
+def test_r_theta_coeffs_peak_stays_within_its_coefficients():
+    from traced import traced_peak
+
+    # a copy of the coefficients would double the peak
+    e, peak = traced_peak(lambda: r_theta_coeffs(2**18, 0.3))
+    assert peak <= 1.1 * e.coeffs.nbytes, peak

@@ -287,3 +287,32 @@ def test_theta_star_checks_its_inputs_before_searching(monkeypatch):
     monkeypatch.setenv("REFLECTRON_BUDGET", "8")
     assert theta_star(7, 1.0) > 0.0
     assert theta_star(8, 1.0) > 0.0
+
+
+@pytest.mark.parametrize("n", range(1, 65))
+def test_boundary_curve_equals_the_scalar_bisection(n):
+    from landscape_oracle import scalar_boundary_curve
+
+    got = boundary_curve(n)
+    assert got.shape[1:] == (2,) and got.size > 0
+    assert np.array_equal(got, scalar_boundary_curve(n))
+
+
+# 33 x 513: 33 rows is not a multiple of the 31 rows of one block
+@pytest.mark.parametrize("grid", [(1, 1), (7, 31), (33, 513), (513, 513)])
+def test_landscape_in_row_blocks_equals_the_one_call_grid(grid):
+    from landscape_oracle import one_call_landscape
+
+    for n in (1, 4, 9):
+        got = landscape(n, *grid)
+        want = one_call_landscape(n, *grid)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+def test_landscape_peak_stays_within_its_result_plus_2mb():
+    from traced import traced_peak
+
+    # the one-call grid peaks at 3x its 6 MB result: repeat, tile and the values
+    points, peak = traced_peak(lambda: landscape(4, 513, 513))
+    assert peak <= points.nbytes + 2 * 2**20, peak

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from reflectron.config import DimensionBudgetError
 from reflectron.tensor_core import (
     PureState,
+    as_state,
     cyclic_perm_tuple,
     haar_random_state,
     haar_random_unitary,
@@ -302,6 +303,41 @@ def test_state_copies_the_callers_array():
     v[0] = 5.0
     assert np.array_equal(psi.amplitudes, [0.6, 0.8j])
     assert np.array_equal(psi.projector, want)
+
+
+def test_state_copies_a_read_only_callers_array():
+    for make in (lambda v: PureState(v, 2), as_state):
+        v = np.array([0.6, 0.8j])
+        v.flags.writeable = False
+        psi = make(v)
+        assert not np.shares_memory(psi.amplitudes, v)
+        v.flags.writeable = True
+        v[0] = 5.0
+        assert np.array_equal(psi.amplitudes, [0.6, 0.8j])
+    # the read-only amplitudes of another state are copied too
+    other = haar_random_state(3, 2)
+    assert not np.shares_memory(as_state(other.amplitudes).amplitudes, other.amplitudes)
+
+
+def test_library_states_are_read_only_and_share_no_callers_array():
+    psi = haar_random_state(3, 5)
+    power = psi.tensor_power(3)
+    for state in (psi, power, haar_random_state(2, 1).tensor_power(2)):
+        assert not state.amplitudes.flags.writeable
+        with pytest.raises(ValueError):
+            state.amplitudes[0] = 1.0
+    assert not np.shares_memory(power.amplitudes, psi.amplitudes)
+
+
+def test_tensor_power_peak_drops_by_a_copy():
+    from traced import traced_peak
+
+    psi = haar_random_state(2, 1)
+    # 2^20 amplitudes are 16 MB; they and the norm check's 16 MB of squares
+    # make the 32 MB peak, and a copy of the amplitudes would add 16 MB more
+    power, peak = traced_peak(lambda: psi.tensor_power(20))
+    assert power.amplitudes.nbytes == 16 * 2**20
+    assert peak <= 36 * 2**20, peak
 
 
 def test_state_projector_is_built_once_and_read_only():
