@@ -27,7 +27,6 @@ from .optima import (
     landscape,
     lmr_equal_angle_distance,
     lmr_improved_angle,
-    lmr_improvement,
     theta_star,
 )
 from .repthy import (
@@ -185,7 +184,7 @@ def cmd_lmr(args) -> int:
         payload["distance_improved"] = lmr_equal_angle_distance(
             args.n, alpha, payload["theta_prime"]
         )
-        payload["gap"] = lmr_improvement(args.n, alpha)
+        payload["gap"] = payload["distance_equal_angle"] - payload["distance_improved"]
     _emit_json(args, payload)
     return 0
 

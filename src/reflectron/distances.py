@@ -63,9 +63,10 @@ def _probe_distances(K: np.ndarray, probes: np.ndarray) -> np.ndarray:
 
 
 def _invariants(c0: complex, ct0: complex, alpha: float) -> tuple:
-    """(|c_0|^2, |ct_0 conj(c_0) - e^{i alpha}|): all that a distance of the
-    covariant pair reads of a channel element."""
-    return abs(c0) ** 2, abs(ct0 * c0.conjugate() - cmath.exp(1j * alpha))
+    """(A, gap) = (1 - |c_0|^2, |ct_0 conj(c_0) - e^{i alpha}|): all that a
+    distance of the covariant pair reads of a channel element, and the one
+    place A is formed."""
+    return 1.0 - abs(c0) ** 2, abs(ct0 * c0.conjugate() - cmath.exp(1j * alpha))
 
 
 def _element_invariants(e: CyclicElement, alpha: float) -> tuple:
@@ -104,47 +105,32 @@ def _default_psi(d: int) -> PureState:
     return haar_random_state(d, _DEFAULT_PSI_SEED)
 
 
-def distance_at_p(e: CyclicElement, alpha: float, p: float, psi=None) -> float:
-    """Trace distance on the phi_p probe, closed form checked densely.
-
-    The closed form is (1-p)A + sqrt((1-p)^2 A^2 + 4p(1-p) gap^2) with
-    A = 1 - |c_0|^2. The value is recomputed on C^{d^2} through the effective
-    channel, on psi or the seeded default qubit probe; disagreement beyond
-    1e-9 raises ConsistencyError.
-    """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
-    c0sq, gap = _element_invariants(e, alpha)
-    q = 1.0 - p
-    a = q * (1.0 - c0sq)
-    value = float(a + sqrt(a * a + 4.0 * p * q * gap * gap))
-    state = _default_psi(2) if psi is None else as_state(psi)
-    dense = _dense_distance_at_p(e, alpha, p, state)
-    if not abs(dense - value) <= CLOSED_FORM_TOL:  # a NaN fails too
-        raise ConsistencyError(
-            f"phi_p distance mismatch: closed {value} vs dense {dense}"
-        )
-    return value
-
-
 def diamond_covariant(e: CyclicElement, alpha: float, psi=None) -> tuple:
     """Diamond distance of the covariant channel pair, with its argmax p.
 
     Covariance makes the phi_p family worst, so the distance is the maximum
-    over p in [0, 1] of distance_at_p's f(p) = (1-p)A + sqrt(Q), A = 1 - |c_0|^2,
-    g the gap, Q = q2 p^2 + q1 p + q0 with q2 = A^2 - 4g^2, q1 = 4g^2 - 2A^2 and
-    q0 = A^2. sqrt(Q)'' has the sign of 4 q2 q0 - q1^2 = -16 g^4 <= 0, so f is
-    concave on [0, 1]. f'(0) = 2(g^2 - A^2)/A, so for g <= A the argmax is
-    p = 0, where f = 2A (at A = 0 = g, f is 0). For g > A, p* = (g - A)/(2g - A)
-    lies in (0, 1), Q(p*) = g^2 and Q'(p*) = 2Ag, so f'(p*) = -A + 2Ag/(2g) = 0
-    and f(p*) = 2g^2/(2g - A), the interior branch of _rotation_distance. The
-    tests check each identity in exact rationals. The value is distance_at_p's
-    at p*, with its dense check.
+    over p in [0, 1] of its trace distance f(p) = (1-p)A + sqrt(Q),
+    A = 1 - |c_0|^2, g the gap, Q = q2 p^2 + q1 p + q0 with q2 = A^2 - 4g^2,
+    q1 = 4g^2 - 2A^2 and q0 = A^2. sqrt(Q)'' has the sign of 4 q2 q0 - q1^2 =
+    -16 g^4 <= 0, so f is concave on [0, 1]. f'(0) = 2(g^2 - A^2)/A, so for
+    g <= A the argmax is p = 0, where f = 2A (at A = 0 = g, f is 0). For g > A,
+    p* = (g - A)/(2g - A) lies in (0, 1), Q(p*) = g^2 and Q'(p*) = 2Ag, so
+    f'(p*) = -A + 2Ag/(2g) = 0 and f(p*) = 2g^2/(2g - A). The tests check each
+    identity in exact rationals. The value is that two-case closed form,
+    _rotation_distance, equal to closed_form_rotation_distance; the dense phi_p
+    distance at p*, on psi or the seeded default qubit probe, must agree with it
+    within CLOSED_FORM_TOL, or ConsistencyError is raised.
     """
-    c0sq, gap = _element_invariants(e, alpha)
-    A = 1.0 - c0sq
+    A, gap = _element_invariants(e, alpha)
     p_star = (gap - A) / (2.0 * gap - A) if gap > A else 0.0
-    return distance_at_p(e, alpha, p_star, psi), p_star
+    value = _rotation_distance(A, gap)
+    state = _default_psi(2) if psi is None else as_state(psi)
+    dense = _dense_distance_at_p(e, alpha, p_star, state)
+    if not abs(dense - value) <= CLOSED_FORM_TOL:  # a NaN fails too
+        raise ConsistencyError(
+            f"phi_p distance mismatch: closed {value} vs dense {dense}"
+        )
+    return value, p_star
 
 
 def _check_angle(alpha: float) -> None:
@@ -152,13 +138,12 @@ def _check_angle(alpha: float) -> None:
         raise ValueError("alpha must lie in [0, pi]")
 
 
-def _rotation_distance(c0sq: float, gap: float) -> float:
-    """The two-case rotation distance from the invariants (|c_0|^2, gap)."""
-    A = 1.0 - c0sq
+def _rotation_distance(A: float, gap: float) -> float:
+    """The two-case rotation distance from the invariants (A, gap)."""
     if gap <= A:
         return 2.0 * A
     # 2 gap - A >= gap > 0 keeps its digits at a small gap, where
-    # 2 gap + c0sq - 1 would round the sum to the ulp of 1 first
+    # 2 gap + |c_0|^2 - 1 would round the sum to the ulp of 1 first
     return float(2.0 * gap * gap / (2.0 * gap - A))
 
 

@@ -154,8 +154,8 @@ def theta_star(n: int, alpha: float) -> float:
 
 
 def domain_classify(e: CyclicElement, alpha: float) -> Domain:
-    c0sq, gap = _element_invariants(e, alpha)
-    margin = (1.0 - c0sq) - gap
+    A, gap = _element_invariants(e, alpha)
+    margin = A - gap
     if margin >= DOMAIN_TOL:
         return Domain.A
     if margin <= -DOMAIN_TOL:

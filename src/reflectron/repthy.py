@@ -15,7 +15,7 @@ from sys import float_info
 import numpy as np
 
 from .config import budget_entries, ensure_operator_budget, ensure_vector_budget
-from .tensor_core import PureState, as_vector
+from .tensor_core import PureState, as_vector, sym_dim
 
 EIG_CUTOFF = 1e-12
 
@@ -435,11 +435,11 @@ def ensemble_entropy(n: int, d: int, probe) -> float:
 def entropy_target(n: int, d: int) -> float:
     if d == 2:
         return log2(comb(n + 2, 2))
-    return 2.0 * log2(comb(n + d - 1, d - 1))
+    return 2.0 * log2(sym_dim(n, d))
 
 
 def support_bound(n: int, d: int) -> int:
-    return comb(n + d - 1, d - 1) ** 2
+    return sym_dim(n, d) ** 2
 
 
 @dataclass
@@ -641,8 +641,8 @@ def lower_bound_fd(epsilon: float, n: int, d: int) -> float:
             - log(2.0)
         )
     return (
-        2.0 * log(comb(n + d - 1, d - 1))
-        - 4.0 * n * np.sqrt(2.0 * epsilon) * log(comb(n + d * d - 1, d * d - 1))
+        2.0 * log(sym_dim(n, d))
+        - 4.0 * n * np.sqrt(2.0 * epsilon) * log(sym_dim(n, d * d))
         - log(2.0)
     )
 

@@ -20,7 +20,8 @@ from .cyclic import (
     r_theta_coeffs,
 )
 from .distances import (
-    closed_form_rotation_distance,
+    _default_psi,
+    _dense_distance_at_p,
     diamond_covariant,
     equal_angle_distance,
     trace_norm,
@@ -126,10 +127,13 @@ def _checks():
     def lambert_fixed_points():
         return abs(lambert_w0(np.e) - 1.0) < 1e-12 and abs(lambert_w0(0.0)) < 1e-12
 
-    def rotation_closed_form_consistency():
-        e = r_theta_coeffs(6, 1.9)
-        value, _ = diamond_covariant(e, 1.3)
-        return abs(value - closed_form_rotation_distance(e, 1.3)) < 1e-9
+    def closed_form_is_the_maximum():
+        # the dense phi_p distance stays below the value on a p grid and meets it at p*
+        e, alpha, psi = r_theta_coeffs(6, 1.9), 1.3, _default_psi(2)
+        value, p_star = diamond_covariant(e, alpha)
+        grid = max(_dense_distance_at_p(e, alpha, p, psi) for p in (0.0, 0.25, 0.5, 0.75, 1.0))
+        at_p_star = _dense_distance_at_p(e, alpha, p_star, psi)
+        return grid <= value + 1e-9 and abs(at_p_star - value) <= 1e-9
 
     return [
         ("fourier roundtrip", fourier_roundtrip),
@@ -145,7 +149,7 @@ def _checks():
         ("circuit gate counts", circuit_counts),
         ("d=2 lower bound pipeline", lowerbound_d2),
         ("lambert fixed points", lambert_fixed_points),
-        ("closed form vs maximization", rotation_closed_form_consistency),
+        ("closed form vs maximization", closed_form_is_the_maximum),
     ]
 
 

@@ -9,7 +9,6 @@ from reflectron.distances import (
     closed_form_rotation_distance,
     diamond_covariant,
     diamond_unitary_channels,
-    distance_at_p,
     equal_angle_distance,
     mr_diamond_distance,
     sampled_diamond_lower_bound,
@@ -46,34 +45,43 @@ def test_frame_completion_orthonormal():
         assert np.abs(frame.conj().T @ psi.amplitudes).max() < 1e-12
 
 
+def _dense_against_closed_form(e, alpha, p, psi):
+    """The dense phi_p distance at p, checked against the phi_p closed form."""
+    dense = distances._dense_distance_at_p(e, alpha, p, psi)
+    closed = _phi_p_distance(*distances._element_invariants(e, alpha), p)
+    assert abs(dense - closed) <= distances.CLOSED_FORM_TOL, (dense, closed)
+    return dense
+
+
 def test_distance_at_p_trivials():
     ident = r_theta_coeffs(2, 0.0)
-    assert distance_at_p(ident, 0.0, 1.0) < 1e-12
+    assert _dense_against_closed_form(ident, 0.0, 1.0, distances._default_psi(2)) < 1e-12
     # p = 0 gives 2(1 - |c0|^2)
     e = r_theta_coeffs(3, 1.1)
     c0 = e.coeffs[0]
-    assert abs(distance_at_p(e, pi, 0.0) - 2 * (1 - abs(c0) ** 2)) < 1e-12
+    dense = _dense_against_closed_form(e, pi, 0.0, distances._default_psi(2))
+    assert abs(dense - 2 * (1 - abs(c0) ** 2)) < 1e-12
 
 
 def test_distance_at_p_pi_algorithm_value():
     # n=3, theta=pi, alpha=pi, p=0: 2(1 - (1/2)^2) = 3/2
     e = r_theta_coeffs(3, pi)
-    assert abs(distance_at_p(e, pi, 0.0) - 1.5) < 1e-12
+    assert abs(_dense_against_closed_form(e, pi, 0.0, distances._default_psi(2)) - 1.5) < 1e-12
 
 
 def test_distance_at_p_dense_check_runs_for_lmr_elements():
-    # the dense oracle inside distance_at_p covers the non-unitary
+    # the phi_p closed form holds to the dense oracle for the non-unitary
     # channel-normalized family as well
     rng = np.random.default_rng(1)
     e = lmr_coeffs(rng.uniform(0, pi, size=4))
     for p in (0.0, 0.4, 0.9):
-        distance_at_p(e, 1.3, p, psi=haar_random_state(2, rng))
+        _dense_against_closed_form(e, 1.3, p, haar_random_state(2, rng))
 
 
 def test_distance_at_p_dense_check_d3():
     e = r_theta_coeffs(3, 2.2)
     psi = haar_random_state(3, 5)
-    distance_at_p(e, 0.8, 0.35, psi=psi)
+    _dense_against_closed_form(e, 0.8, 0.35, psi)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -138,10 +146,9 @@ def test_rotation_distance_keeps_its_digits_at_a_small_gap(alpha):
     from fractions import Fraction
 
     e = r_theta_coeffs(3, alpha / 2)
-    c0sq, gap = distances._element_invariants(e, alpha)
-    A = 1 - Fraction(c0sq)
+    A, gap = distances._element_invariants(e, alpha)
     assert gap > A
-    exact = 2 * Fraction(gap) ** 2 / (2 * Fraction(gap) - A)
+    exact = 2 * Fraction(gap) ** 2 / (2 * Fraction(gap) - Fraction(A))
     got = closed_form_rotation_distance(e, alpha)
     assert abs(Fraction(got) - exact) / exact <= 2e-16
 
@@ -607,14 +614,14 @@ def test_dense_oracle_catches_perturbed_channel(name, monkeypatch, capsys):
     with pytest.raises(ConsistencyError, match="phi_p distance mismatch"):
         diamond_covariant(e, pi)
     with pytest.raises(ConsistencyError, match="phi_p distance mismatch"):
-        distance_at_p(e, 1.1, 0.3)
+        diamond_covariant(e, 1.1)
     assert cli.main(["distance", "--n", "3", "--alpha", "pi"]) == 2
     out = capsys.readouterr()
     assert out.out == "" and out.err.startswith("error: consistency: phi_p distance mismatch")
 
 
 def test_diamond_covariant_runs_every_check_on_every_call(monkeypatch):
-    counts = {"_dense_distance_at_p": 0}
+    counts = {"_element_invariants": 0, "_dense_distance_at_p": 0}
     for name in counts:
         original = getattr(distances, name)
 
@@ -626,7 +633,7 @@ def test_diamond_covariant_runs_every_check_on_every_call(monkeypatch):
     e = lmr_coeffs(np.full(5, 0.4))
     results = {diamond_covariant(e, 2.0) for _ in range(3)}
     assert len(results) == 1
-    assert counts == {"_dense_distance_at_p": 3}
+    assert counts == {"_element_invariants": 3, "_dense_distance_at_p": 3}
 
 
 def test_default_probe_is_built_once_and_read_only():
@@ -645,13 +652,6 @@ def test_sampled_bound_rejects_negative_trials():
         sampled_diamond_lower_bound(chan, chan, 2, -1)
 
 
-def test_distance_at_p_rejects_p_outside_unit_interval():
-    e = r_theta_coeffs(3, 1.1)
-    for p in (-0.5, 1.5, float("nan")):
-        with pytest.raises(ValueError, match=r"p must lie in \[0, 1\]"):
-            distance_at_p(e, pi, p)
-
-
 @pytest.mark.parametrize("seed", [0, 3])
 @pytest.mark.parametrize("name", ["effective_channel", "make_rotation_channel"])
 def test_dense_oracle_catches_perturbed_channel_on_other_states(name, seed, monkeypatch):
@@ -662,7 +662,7 @@ def test_dense_oracle_catches_perturbed_channel_on_other_states(name, seed, monk
     with pytest.raises(ConsistencyError, match="phi_p distance mismatch"):
         diamond_covariant(e, pi, psi=psi)
     with pytest.raises(ConsistencyError, match="phi_p distance mismatch"):
-        distance_at_p(e, 1.1, 0.3, psi=psi)
+        diamond_covariant(e, 1.1, psi=psi)
 
 
 @pytest.mark.parametrize(
@@ -684,7 +684,7 @@ def test_every_entry_point_rejects_planted_non_channel_element(coeffs):
     calls = [
         lambda: diamond_covariant(bad, pi),
         lambda: diamond_covariant(bad, pi, psi=psi),
-        lambda: distance_at_p(bad, pi, 0.5),
+        lambda: distances._dense_distance_at_p(bad, pi, 0.5, psi),
         lambda: closed_form_rotation_distance(bad, pi),
         lambda: domain_classify(bad, pi),
         lambda: effective_channel(bad, psi),
@@ -821,28 +821,29 @@ def test_rank_one_probe_with_a_wrong_coefficient_fails_the_schmidt_check(d):
 _P_GRID = np.linspace(0.0, 1.0, 1001)
 
 
-def _phi_p_distance(c0sq, gap, p):
-    """distance_at_p's closed form, for a float or an array of p."""
+def _phi_p_distance(A, gap, p):
+    """The phi_p trace distance (1-p)A + sqrt((1-p)^2 A^2 + 4p(1-p) gap^2),
+    A = 1 - |c_0|^2, for a float or an array of p."""
     q = 1.0 - p
-    a = q * (1.0 - c0sq)
+    a = q * A
     return a + np.sqrt(a * a + 4.0 * p * q * gap * gap)
 
 
-def _grid_max(c0sq, gap):
+def _grid_max(A, gap):
     """The largest phi_p distance on a 1001-point p grid, refined by a second
     1001-point grid between the neighbours of the coarse argmax, with that
     bracket."""
-    k = int(np.argmax(_phi_p_distance(c0sq, gap, _P_GRID)))
+    k = int(np.argmax(_phi_p_distance(A, gap, _P_GRID)))
     lo, hi = _P_GRID[max(k - 1, 0)], _P_GRID[min(k + 1, len(_P_GRID) - 1)]
-    return float(np.max(_phi_p_distance(c0sq, gap, lo + (hi - lo) * _P_GRID))), lo, hi
+    return float(np.max(_phi_p_distance(A, gap, lo + (hi - lo) * _P_GRID))), lo, hi
 
 
-def _golden_guard(c0sq, gap):
+def _golden_guard(A, gap):
     """Golden section on the coarse grid's bracket instead of the second grid."""
     from reflectron.optima import _golden_max
 
-    _, lo, hi = _grid_max(c0sq, gap)
-    return _golden_max(lambda p: float(_phi_p_distance(c0sq, gap, p)), lo, hi)[1]
+    _, lo, hi = _grid_max(A, gap)
+    return _golden_max(lambda p: float(_phi_p_distance(A, gap, p)), lo, hi)[1]
 
 
 def test_grid_guard_finds_the_analytic_maximum():
@@ -852,12 +853,12 @@ def test_grid_guard_finds_the_analytic_maximum():
     for c0sq, gap in cases:
         A = 1.0 - c0sq
         if gap > A:
-            analytic = float(_phi_p_distance(c0sq, gap, (gap - A) / (2.0 * gap - A)))
+            analytic = float(_phi_p_distance(A, gap, (gap - A) / (2.0 * gap - A)))
         else:
             analytic = 2.0 * A
-        guard, _, _ = _grid_max(c0sq, gap)
+        guard, _, _ = _grid_max(A, gap)
         assert analytic - 1e-11 <= guard <= analytic + 1e-15
-        assert abs(guard - _golden_guard(c0sq, gap)) < 1e-11
+        assert abs(guard - _golden_guard(A, gap)) < 1e-11
 
 
 def test_diamond_argmax_conditions_hold_in_exact_rationals():
@@ -913,15 +914,34 @@ def test_diamond_covariant_takes_the_grid_maximum_at_its_own_argmax():
     cases = _argmax_cases()
     for e, alpha in cases:
         value, p = diamond_covariant(e, alpha)
-        c0sq, gap = distances._element_invariants(e, alpha)
-        oracle, _, _ = _grid_max(c0sq, gap)
+        A, gap = distances._element_invariants(e, alpha)
+        oracle, _, _ = _grid_max(A, gap)
         assert abs(value - oracle) <= 1e-11 and oracle <= value + 1e-15, (value, oracle)
-        assert value == distance_at_p(e, alpha, p)
+        assert value == closed_form_rotation_distance(e, alpha)
         if p == 0.0:
-            assert value == 2.0 * (1.0 - c0sq)
+            assert value == 2.0 * A
         else:
             interior += 1
     assert len(cases) >= 300 and 50 <= interior <= len(cases) - 50
+
+
+def test_diamond_covariant_value_is_the_closed_form_bit_for_bit():
+    # the argmax cases and the benchmark's covariant families: optimal, r_theta
+    # at theta = alpha and at a random theta, lmr at equal angles alpha / n
+    rng = np.random.default_rng(29)
+    cases = _argmax_cases()
+    for n in range(1, 65):
+        for alpha in [pi] + [float(a) for a in rng.uniform(0.05, pi, size=3)]:
+            theta = float(rng.uniform(0.05, pi))
+            cases += [
+                (optimal_reflection_coeffs(n), alpha),
+                (r_theta_coeffs(n, alpha), alpha),
+                (r_theta_coeffs(n, theta), alpha),
+                (lmr_coeffs(np.full(n, alpha / n)), alpha),
+            ]
+    differ = [k for k, (e, alpha) in enumerate(cases)
+              if diamond_covariant(e, alpha)[0] != closed_form_rotation_distance(e, alpha)]
+    assert differ == []
 
 
 @pytest.mark.parametrize("name", ["_dense_distance_at_p"])

@@ -60,6 +60,15 @@ def test_benchmark_and_readme_names_resolve():
         assert callable(getattr(reflectron, name))
 
 
+def test_readme_example_returns_what_its_comment_states():
+    block = re.search(r"^Example:\n\n```python\n(.*?)^```", _readme(), re.M | re.S).group(1)
+    value, p_star = map(float, re.search(r"# value == ([\d.]+) .* p\* = ([\d.]+)$", block, re.M).groups())
+    scope = {}
+    exec(block, scope)
+    assert abs(scope["value"] - value) <= 1e-12
+    assert abs(scope["p_star"] - p_star) <= 1e-12
+
+
 def test_init_exports_only_what_is_read():
     errors = {"ConsistencyError", "DimensionBudgetError", "NonChannelElementError"}
     read = {chain[0] for chain in _bench_reads() if len(chain) == 1}
