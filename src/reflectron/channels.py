@@ -34,35 +34,62 @@ def make_rotation_channel(psi, alpha: float):
     return unitary_channel(rotation_unitary(psi, alpha))
 
 
+# Largest d at which the effective channel is applied as one d^2 x d^2 product:
+# on a (d, d, d, d) stack the Kraus form is faster from d = 7 on (one BLAS thread).
+_ONE_PRODUCT_MAX_DIM = 6
+
+
 def effective_channel(e: CyclicElement, psi):
     """Closed-form action of the approximate reflection channel on C^d.
 
-    With s = ct_0 - c_0, q = sum_{l>=1} |c_l|^2 and P = |psi><psi|:
+    With s = sum_{l>=1} c_l, q = sum_{l>=1} |c_l|^2, P = |psi><psi| and
+    K = c_0 I + s P, the channel has the Kraus form
 
-        E(X) = a_x X + a_px P X + a_xp X P + a_tr tr(X) P + a_trp tr(P X) P
+        E(X) = K X K^dag + q tr((I - P) X) P.
 
-    where a_x = |c_0|^2, a_px = conj(c_0) s, a_xp = c_0 conj(s), a_tr = q,
-    a_trp = |s|^2 - q. Exact for any coefficient vector; trace-preserving
-    exactly when the element is channel-normalized. Verified against the
-    dense partial-trace oracle in the test suite.
+    Expanding K X K^dag with P X P = tr(P X) P gives |c_0|^2 X + conj(c_0) s P X
+    + c_0 conj(s) X P + |s|^2 tr(P X) P; adding q tr((I - P) X) P turns the
+    last term into q tr(X) P + (|s|^2 - q) tr(P X) P. These five terms are the
+    partial trace over the program copies. Exact for any coefficient vector;
+    trace-preserving exactly when the element is channel-normalized.
+    Verified against the dense partial-trace oracle in the test suite.
+
+    Up to d = 6 the map is the d^2 x d^2 matrix
+    S[(a, b), (c, e)] = E(|a><b|)[c, e] = K[c, a] conj(K[e, b]) + R[a, b] P[c, e],
+    R = q (I - P)^T, built once here and returned exactly by unit_images; the
+    closure applies it as one (1, d^2) row product per slice, so a slice has
+    the same bits alone or in a stack. Above that, S costs d^4 per slice and
+    d^4 entries, and the closure applies the Kraus form with two d x d
+    matmuls per slice instead.
     """
     _require_channel_element(e)
     P = as_state(psi).projector
-    c0 = e.coeffs[0]
+    d = P.shape[0]
     tail = e.coeffs[1:]
-    s = tail.sum()
     q = float((np.abs(tail) ** 2).sum())
-    a_x = abs(c0) ** 2
-    a_px = c0.conjugate() * s
-    a_xp = c0 * s.conjugate()
-    a_trp = abs(s) ** 2 - q
+    K = tail.sum() * P
+    K.flat[:: d + 1] += e.coeffs[0]
+    R = -q * P.T
+    R.flat[:: d + 1] += q
+    if d <= _ONE_PRODUCT_MAX_DIM:
+        ensure_operator_budget(d * d, "effective channel matrix")
+        S = K.T[:, None, :, None] * K.conj().T[None, :, None, :] + R[:, :, None, None] * P
+        S = S.reshape(d * d, d * d)
+
+        def act(X):
+            return np.matmul(X.reshape(X.shape[:-2] + (1, d * d)), S).reshape(X.shape)
+
+    else:
+        Kd = K.conj().T
+
+        def act(X):
+            return K @ X @ Kd + (X * R).sum(axis=(-2, -1))[..., None, None] * P
 
     def channel(X):
         X = np.asarray(X, dtype=complex)
-        PX = P @ X
-        tr_x = X.trace(axis1=-2, axis2=-1)[..., None, None]
-        tr_px = PX.trace(axis1=-2, axis2=-1)[..., None, None]
-        return a_x * X + a_px * PX + a_xp * (X @ P) + q * tr_x * P + a_trp * tr_px * P
+        if X.shape[-2:] != (d, d):
+            raise ValueError(f"effective channel acts on (..., {d}, {d}) operators, got {X.shape}")
+        return act(X)
 
     return channel
 

@@ -7,7 +7,7 @@ channels is cross-checked against a dense evaluation on C^{d^2}.
 
 import cmath
 from functools import lru_cache
-from math import isfinite, isqrt, sqrt
+from math import isqrt, sqrt
 
 import numpy as np
 
@@ -70,8 +70,7 @@ def _invariants(c0: complex, ct0: complex, alpha: float) -> tuple:
 
 
 def _element_invariants(e: CyclicElement, alpha: float) -> tuple:
-    if not isfinite(alpha):
-        raise ValueError(f"alpha must be finite, got {alpha}")
+    _check_angle(alpha)
     _require_channel_element(e)
     return _invariants(complex(e.coeffs[0]), e.sums[0], alpha)
 
@@ -119,12 +118,15 @@ def diamond_covariant(e: CyclicElement, alpha: float, psi=None) -> tuple:
     identity in exact rationals. The value is that two-case closed form,
     _rotation_distance, equal to closed_form_rotation_distance; the dense phi_p
     distance at p*, on psi or the seeded default qubit probe, must agree with it
-    within CLOSED_FORM_TOL, or ConsistencyError is raised.
+    within CLOSED_FORM_TOL, or ConsistencyError is raised. alpha must lie in
+    [0, pi] and psi must have dimension d >= 2, or ValueError is raised.
     """
     A, gap = _element_invariants(e, alpha)
+    state = _default_psi(2) if psi is None else as_state(psi)
+    if state.dim < 2:  # phi_p needs a nonzero psi-perp
+        raise ValueError("need a probe state of dimension d >= 2")
     p_star = (gap - A) / (2.0 * gap - A) if gap > A else 0.0
     value = _rotation_distance(A, gap)
-    state = _default_psi(2) if psi is None else as_state(psi)
     dense = _dense_distance_at_p(e, alpha, p_star, state)
     if not abs(dense - value) <= CLOSED_FORM_TOL:  # a NaN fails too
         raise ConsistencyError(
@@ -134,7 +136,7 @@ def diamond_covariant(e: CyclicElement, alpha: float, psi=None) -> tuple:
 
 
 def _check_angle(alpha: float) -> None:
-    if not 0.0 <= alpha <= np.pi + 1e-12:
+    if not 0.0 <= alpha <= np.pi + 1e-12:  # NaN and inf fail too
         raise ValueError("alpha must lie in [0, pi]")
 
 
@@ -149,7 +151,6 @@ def _rotation_distance(A: float, gap: float) -> float:
 
 def closed_form_rotation_distance(e: CyclicElement, alpha: float) -> float:
     """Two-case diamond distance formula for the rotation target."""
-    _check_angle(alpha)
     return _rotation_distance(*_element_invariants(e, alpha))
 
 

@@ -329,7 +329,7 @@ def _library_channels(d):
     }
 
 
-@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("d", [2, 3, 4, 8])
 def test_stacked_choi_equals_per_unit_loop(d):
     from reflectron.distances import _choi_difference
 
@@ -342,7 +342,7 @@ def test_stacked_choi_equals_per_unit_loop(d):
             assert np.array_equal(_choi_difference(chan, other, d), K), name
 
 
-@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("d", [2, 3, 4, 8])
 def test_library_channels_act_on_stacks_slice_by_slice(d):
     rng = np.random.default_rng(50 + d)
     stack = rng.normal(size=(5, d, d)) + 1j * rng.normal(size=(5, d, d))
@@ -389,30 +389,119 @@ def _effective_reference(e, psi, X):
     )
 
 
-@pytest.mark.parametrize("d", [2, 3, 4])
+def _kraus_reference(e, psi, X):
+    """E(X) = K X K^dag + q tr((I - P) X) P, K = c_0 I + s P, as the matrix
+    S[(a, b), (c, e)] = E(|a><b|)[c, e] = K[c, a] conj(K[e, b]) + R[a, b] P[c, e],
+    R = q (I - P)^T, from two outer products; applied as one (1, d^2) row
+    product per slice. Returns (E(X), S)."""
+    c = e.coeffs
+    d = psi.dim
+    P = psi.projector
+    K = c[0] * np.eye(d) + np.sum(c[1:]) * P
+    q = float(np.sum(np.abs(c[1:]) ** 2))
+    R = q * np.eye(d) - q * P.T
+    S = np.multiply.outer(K.T, K.T.conj()).transpose(0, 2, 1, 3) + np.multiply.outer(R, P)
+    S = S.reshape(d * d, d * d)
+    X = np.asarray(X, dtype=complex)
+    return np.matmul(X.reshape(X.shape[:-2] + (1, d * d)), S).reshape(X.shape), S
+
+
+def _factored_reference(e, psi, X):
+    """E(X) = K X K^dag + tr(R^T X) P, R = q (I - P)^T, with two matmuls per
+    slice."""
+    c = e.coeffs
+    d = psi.dim
+    P = psi.projector
+    K = c[0] * np.eye(d) + np.sum(c[1:]) * P
+    q = float(np.sum(np.abs(c[1:]) ** 2))
+    R = q * np.eye(d) - q * P.T
+    X = np.asarray(X, dtype=complex)
+    return K @ X @ K.conj().T + np.sum(X * R, axis=(-2, -1))[..., None, None] * P
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8])
 def test_effective_channel_equals_term_by_term_reference_bit_for_bit(d):
+    from reflectron.channels import _ONE_PRODUCT_MAX_DIM, unit_images
+    from reflectron.cyclic import inverse_fourier, optimal_reflection_coeffs
+
     rng = np.random.default_rng(50 + d)
     psi = haar_random_state(d, rng)
     X = rng.normal(size=(3, 2, d, d)) + 1j * rng.normal(size=(3, 2, d, d))
-    for e in (r_theta_coeffs(5, 2.4), lmr_coeffs(rng.uniform(0, pi, 9)), CyclicElement(1, [0.0, 1.0])):
+    elements = (
+        r_theta_coeffs(5, 2.4),
+        lmr_coeffs(rng.uniform(0, pi, 9)),
+        optimal_reflection_coeffs(4),
+        inverse_fourier(np.exp(1j * rng.uniform(0, 2 * pi, size=6))),
+        CyclicElement(1, [0.0, 1.0]),
+    )
+    for e in elements:
         chan = effective_channel(e, psi)
-        assert np.array_equal(chan(X), _effective_reference(e, psi, X))
-        assert np.array_equal(chan(X[1, 0]), _effective_reference(e, psi, X[1, 0]))
+        if d <= _ONE_PRODUCT_MAX_DIM:
+            # bit for bit: the Kraus-form matrix, applied by the same row product
+            out, S = _kraus_reference(e, psi, X)
+            # the matrix the closure applies is the one unit_images reads back
+            assert np.array_equal(unit_images(chan, d).reshape(d * d, d * d), S)
+        else:
+            out = _factored_reference(e, psi, X)
+        assert np.array_equal(chan(X), out)
+        assert np.array_equal(chan(X[1, 0]), out[1, 0])
+        # the five-term form agrees to rounding
+        for Y in (X, X[1, 0]):
+            assert np.abs(chan(Y) - _effective_reference(e, psi, Y)).max() <= 1e-14 * np.abs(Y).max()
 
 
-def test_channels_on_one_state_share_a_read_only_projector():
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8])
+def test_effective_channel_choi_is_positive_and_trace_preserving(d):
+    from reflectron.cyclic import inverse_fourier
+
+    rng = np.random.default_rng(60 + d)
+    psi = haar_random_state(d, rng)
+    for trial in range(8):
+        n = int(rng.integers(1, 7))
+        e = inverse_fourier(np.exp(1j * rng.uniform(0, 2 * pi, size=n + 1)))
+        J = choi(effective_channel(e, psi), d)
+        assert np.linalg.eigvalsh(J).min() >= -1e-14
+        # the trace over the output slot leaves the identity on the reference
+        red = np.trace(J.reshape(d, d, d, d), axis1=1, axis2=3)
+        assert np.abs(red - np.eye(d)).max() <= 1e-14
+
+
+def test_effective_channel_rejects_a_non_square_slice():
+    chan = effective_channel(r_theta_coeffs(3, 1.0), haar_random_state(2, 9))
+    for bad in (np.ones((4, 1)), np.ones(4), np.ones((3, 2, 2, 3))):
+        with pytest.raises(ValueError, match=r"acts on \(\.\.\., 2, 2\) operators"):
+            chan(bad)
+
+
+def test_effective_channel_peak_is_its_output():
+    from traced import traced_peak
+
+    rng = np.random.default_rng(70)
+    chan = effective_channel(r_theta_coeffs(5, 2.4), haar_random_state(4, rng))
+    X = rng.normal(size=(16384, 4, 4)) + 1j * rng.normal(size=(16384, 4, 4))
+    # a temporary of the stack's size on the way would double the peak
+    out, peak = traced_peak(lambda: chan(X))
+    assert out.nbytes == 4 * 2**20
+    assert peak <= out.nbytes + 64 * 2**10, peak
+
+
+def test_channels_on_one_state_share_a_read_only_projector(monkeypatch):
     from reflectron.channels import rotation_unitary
 
-    def projector_read_by(chan):
-        return chan.__closure__[chan.__code__.co_freevars.index("P")].cell_contents
-
     psi = haar_random_state(3, 8)
-    P = projector_read_by(effective_channel(r_theta_coeffs(2, 1.0), psi))
-    assert P is psi.projector
-    assert projector_read_by(effective_channel(r_theta_coeffs(4, 0.3), psi)) is P
+    outer = np.outer
+    built = []
+    monkeypatch.setattr(np, "outer", lambda *a, **k: built.append(1) or outer(*a, **k))
+    effective_channel(r_theta_coeffs(2, 1.0), psi)
+    P = psi.projector
+    assert built == [1]
+    # a second channel and a rotation on the state read the cached projector
+    effective_channel(r_theta_coeffs(4, 0.3), psi)
+    U = rotation_unitary(psi, 0.7)
+    assert built == [1]
+    assert psi.projector is P
     with pytest.raises(ValueError):
         P[0, 0] = 0.0
-    U = rotation_unitary(psi, 0.7)
     assert np.array_equal(U, np.eye(3) + (np.exp(0.7j) - 1.0) * P)
 
 

@@ -388,6 +388,7 @@ def test_invalid_size_and_angle_exit_code(argv, capsys):
         (["lmr", "--n", str(10**400), "--alpha", "1"], "too large"),
         (["landscape", "--n", str(10**400), "--grid", "2"], "too large"),
         (["universal", "budget", "--d", str(10**400), "--eps", "0.1"], "index-sized integer"),
+        (["distance", "--n", "3", "--alpha", "4"], "alpha must lie in [0, pi]"),
     ],
 )
 def test_universal_and_landscape_invalid_input_exit_code(argv, named, capsys):
@@ -429,11 +430,17 @@ def test_lowerbound_twirl_d2_matches_separate_entropy_and_rank(n, capsys):
             "M = 0 sector J^2 matrix of dimension 32x32",
         ),
         (["distance", "--n", "2", "--d", "{k}"], 5, "phi_p block stack of dimension 36x36"),
+        (
+            ["universal", "verify", "--d", "{k}", "--eps", "0.1", "--trials", "1", "--targets", "1"],
+            5,
+            "effective channel matrix of dimension 36x36",
+        ),
     ],
-    ids=["landscape", "universal-verify", "solve-q", "distance"],
+    ids=["landscape", "universal-verify", "solve-q", "distance", "universal-verify-d"],
 )
 def test_dense_allocation_budget(argv, largest, what, capsys, monkeypatch):
-    # grid^2 landscape rows, trials * d^2 probe amplitudes, an (n+1)^2 matrix
+    # grid^2 landscape rows, trials * d^2 probe amplitudes, an (n+1)^2 matrix,
+    # d^4 phi_p blocks, a d^2 x d^2 effective channel
     monkeypatch.setenv("REFLECTRON_BUDGET", "1000")
     code, out, _ = run([a.format(k=largest) for a in argv], capsys)
     assert code == 0 and out

@@ -951,6 +951,24 @@ def test_checks_fail_on_nan(name, monkeypatch):
         diamond_covariant(optimal_reflection_coeffs(4), pi)
 
 
+@pytest.mark.parametrize("alpha", [4.0, -0.5, np.nan, np.inf], ids=["4", "-0.5", "nan", "inf"])
+def test_covariant_entry_points_reject_an_angle_outside_0_pi(alpha):
+    from reflectron.optima import domain_classify
+
+    e = optimal_reflection_coeffs(3)
+    for call in (diamond_covariant, closed_form_rotation_distance, domain_classify):
+        with pytest.raises(ValueError, match=r"alpha must lie in \[0, pi\]"):
+            call(e, alpha)
+
+
+def test_diamond_covariant_rejects_a_one_dimensional_probe(monkeypatch):
+    checks = []
+    monkeypatch.setattr(distances, "_dense_distance_at_p", lambda *args: checks.append(1))
+    with pytest.raises(ValueError, match=r"need a probe state of dimension d >= 2"):
+        diamond_covariant(optimal_reflection_coeffs(3), pi, psi=[1.0])
+    assert checks == []
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
 def test_unitarity_checks_reject_non_finite_entries(bad):
     from reflectron.universal import eigendecompose_target
