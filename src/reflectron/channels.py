@@ -158,9 +158,3 @@ def unit_images(channel, d: int) -> np.ndarray:
             f"{images.shape}; it must act on a (..., d, d) stack slice by slice"
         )
     return images
-
-
-def choi(channel, d: int) -> np.ndarray:
-    """sum_ij |i><j| x E(|i><j|)."""
-    images = unit_images(channel, d).reshape(d, d, d, d)
-    return images.transpose(0, 2, 1, 3).reshape(d * d, d * d)

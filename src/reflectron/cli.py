@@ -11,7 +11,7 @@ from math import isfinite, pi
 import numpy as np
 
 from . import __version__
-from .config import ConsistencyError, DimensionBudgetError, ensure_vector_budget
+from .config import ConsistencyError, DimensionBudgetError, _check_n, ensure_vector_budget
 from .circuits import apply_circuit, build_rotation_circuit, export_circuit, gate_counts
 from .cyclic import apply_element, lmr_coeffs, optimal_angle, optimal_reflection_coeffs, r_theta_coeffs
 from .distances import (
@@ -41,9 +41,9 @@ from .repthy import (
     solve_q_d2,
     support_bound,
 )
-from .tensor_core import _kron_fold, haar_random_state
+from .tensor_core import _kron_fold, haar_random_state, haar_random_unitary
 from .universal import budget as universal_budget
-from .universal import haar_targets, scaling_fit, verify_budget
+from .universal import scaling_fit, verify_budget
 from . import selftest as _selftest
 
 SCHEMA = 1
@@ -107,8 +107,7 @@ def _check_d(d: int):
 
 
 def _algo_element(args, n: int, alpha: float):
-    if n < 1:
-        raise CliError("need n >= 1")
+    _check_n(n)
     if args.algo == "optimal":
         return optimal_reflection_coeffs(n), optimal_angle(n)
     if args.algo == "theta":
@@ -305,9 +304,14 @@ def cmd_u_verify(args) -> int:
     _check_d(args.d)
     if args.targets < 1:
         raise CliError(f"need --targets >= 1, got {args.targets}")
+    # each target takes the next two children of one SeedSequence, its unitary's
+    # and its probes' seeds, so no two --seed values share a target or a probe
+    root = np.random.SeedSequence(args.seed)
     reports = []
-    for k, U in enumerate(haar_targets(args.d, args.targets, args.seed)):
-        reports.append(verify_budget(U, args.eps, trials=args.trials, seed=args.seed + 1000 + k))
+    for _ in range(args.targets):
+        target_seed, probe_seed = root.spawn(2)
+        U = haar_random_unitary(args.d, target_seed)
+        reports.append(verify_budget(U, args.eps, trials=args.trials, seed=probe_seed))
     worst = max(reports, key=lambda r: r.sampled_distance)
     _emit_json(
         args,

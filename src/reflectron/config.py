@@ -23,6 +23,18 @@ class NonChannelElementError(ValueError):
     """Cyclic element does not define a trace-preserving channel."""
 
 
+def _check_n(n: int) -> None:
+    """The one check of a program-copy count."""
+    if n < 1:
+        raise ValueError(f"need n >= 1, got n = {n}")
+
+
+def _check_d(d: int) -> None:
+    """The one check of a local dimension."""
+    if d < 2:
+        raise ValueError(f"need d >= 2, got d = {d}")
+
+
 def budget_entries() -> int:
     raw = os.environ.get(BUDGET_ENV_VAR)
     if raw is None:

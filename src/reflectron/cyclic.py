@@ -9,7 +9,7 @@ from math import acos
 
 import numpy as np
 
-from .config import NonChannelElementError, ensure_operator_budget, ensure_vector_budget
+from .config import NonChannelElementError, _check_n, ensure_vector_budget
 from .tensor_core import UNITARY_TOL, _Fresh, _read_only
 
 
@@ -92,8 +92,7 @@ def optimal_angle(n: int) -> float:
 
 def r_theta_coeffs(n: int, theta: float) -> CyclicElement:
     """Coefficients of I + (e^{i theta} - 1)/(n+1) sum_l C^l."""
-    if n < 1:
-        raise ValueError("need n >= 1")
+    _check_n(n)
     c = _coefficients(n)
     phase = np.exp(1j * theta)
     c[:] = (phase - 1.0) / (n + 1)
@@ -149,11 +148,3 @@ def apply_element(e: CyclicElement, d: int, vecs) -> np.ndarray:
         block = out.reshape(m, d**l, d ** (k - l))
         block += c * rows.reshape(m, d ** (k - l), d**l).transpose(0, 2, 1)
     return out.reshape(vecs.shape)
-
-
-def dense_element(e: CyclicElement, d: int) -> np.ndarray:
-    """Materialize sum_l c_l C^l on (C^d)^{x(n+1)}; row x of the action on
-    the identity is the image of basis ket x."""
-    k = e.n + 1
-    ensure_operator_budget(d**k, "dense cyclic element")
-    return apply_element(e, d, np.eye(d**k, dtype=complex)).T

@@ -11,10 +11,10 @@ from math import isqrt, sqrt
 
 import numpy as np
 
-from .config import ConsistencyError, budget_entries, ensure_operator_budget, ensure_vector_budget
+from .config import ConsistencyError, _check_d, _check_n, budget_entries, ensure_operator_budget, ensure_vector_budget
 from .channels import effective_channel, make_rotation_channel, unit_images
 from .cyclic import CyclicElement, _require_channel_element
-from .tensor_core import PureState, as_state, haar_random_state, require_unitary
+from .tensor_core import PureState, as_state, haar_random_state
 
 CLOSED_FORM_TOL = 1e-9
 
@@ -154,34 +154,6 @@ def closed_form_rotation_distance(e: CyclicElement, alpha: float) -> float:
     return _rotation_distance(*_element_invariants(e, alpha))
 
 
-def equal_angle_distance(n: int, alpha: float) -> float:
-    """Diamond distance of the theta = alpha algorithm from the rotation."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    _check_angle(alpha)
-    if alpha == 0.0:
-        return 0.0
-    threshold = 2.0 * np.arcsin(min(1.0, (n + 1) / (2.0 * n)))
-    if alpha >= threshold:
-        return float(4.0 * n * (1.0 - np.cos(alpha)) / (n + 1) ** 2)
-    return float(2.0 / ((n + 1) / np.sin(alpha / 2.0) - n))
-
-
-def diamond_unitary_channels(U, V) -> float:
-    """Diamond distance of two unitary channels via the spectral arc."""
-    U = np.asarray(U, dtype=complex)
-    V = np.asarray(V, dtype=complex)
-    require_unitary(U)
-    require_unitary(V)
-    eig = np.linalg.eigvals(U.conj().T @ V)
-    phases = np.sort(np.mod(np.angle(eig), 2.0 * np.pi))
-    gaps = np.diff(np.concatenate([phases, [phases[0] + 2.0 * np.pi]]))
-    arc = 2.0 * np.pi - float(np.max(gaps))
-    if arc >= np.pi:
-        return 2.0
-    return float(2.0 * np.sin(arc / 2.0))
-
-
 def _mr_terms(n, d) -> tuple:
     """The terms of _mr_distance_at_p from t1 = T(n)/T(n+1), t2 = T(n)/T(n+2),
     T(m) = C(m+d-1, d-1): integer quotients, exact for Fraction n and d, with
@@ -231,10 +203,8 @@ def mr_diamond_distance(n: int, d: int) -> tuple:
     4 l'^2 Q with 2 q2 p + q1 < 0 < l': p* = ((d-1)(d+n-1) - 2)/(2d(d-2)).
     The tests check each step in exact rationals on _mr_terms.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if d < 2:
-        raise ValueError("need d >= 2")
+    _check_n(n)
+    _check_d(d)
     p = 1.0 if d <= n + 1 else ((d - 1) * (d + n - 1) - 2) / (2 * d * (d - 2))
     return _mr_distance_at_p(n, d, p), p
 

@@ -7,7 +7,7 @@ from math import sqrt
 
 import numpy as np
 
-from .config import ensure_vector_budget
+from .config import _check_n, ensure_vector_budget
 from .cyclic import CyclicElement, lmr_coeffs
 from .distances import (
     _check_angle,
@@ -30,13 +30,9 @@ class Domain(Enum):
     BOUNDARY = "Boundary"
 
 
-def _check_n(n: int) -> None:
-    if n < 1:
-        raise ValueError(f"need n >= 1 program copies, got n = {n}")
-
-
 def _landscape_invariants(n: int, r, u):
-    """(|c_0|^2, reflection-target gap) at the landscape point (r, u).
+    """(A, gap) = (1 - |c_0|^2, reflection-target gap) at the landscape point
+    (r, u), as distances._invariants gives them for a channel element.
 
     r and u broadcast, so an r column against a u row takes its cosine and
     sine on the u axis alone; boundary_curve passes one r per u.
@@ -44,18 +40,17 @@ def _landscape_invariants(n: int, r, u):
     cos_u = np.cos(u)
     c0sq = (1.0 + 2.0 * n * r * cos_u + (n * r) ** 2) / (n + 1) ** 2
     gap = np.sqrt((n + 2 + n * r * cos_u) ** 2 + (n * r * np.sin(u)) ** 2) / (n + 1)
-    return c0sq, gap
+    return 1.0 - c0sq, gap
 
 
 def landscape_value(n: int, r, u):
     """Reflection-target diamond distance at ct_0 = e^{i eta}, mean tail
-    phase r e^{i gamma}, u = eta - gamma. Vectorized over r and u."""
+    phase r e^{i gamma}, u = eta - gamma: _rotation_distance vectorized over
+    r and u, with its digit-safe denominator 2 gap - A."""
     r = np.asarray(r, dtype=float)
     u = np.asarray(u, dtype=float)
-    c0sq, gap = _landscape_invariants(n, r, u)
-    A = 1.0 - c0sq
-    value_b = 2.0 * gap**2 / (2.0 * gap + c0sq - 1.0)
-    return np.where(gap > A, value_b, 2.0 * A)
+    A, gap = _landscape_invariants(n, r, u)
+    return np.where(gap > A, 2.0 * gap * gap / (2.0 * gap - A), 2.0 * A)
 
 
 def landscape(n: int, grid_r: int = 513, grid_u: int = 513) -> np.ndarray:
@@ -83,8 +78,8 @@ def boundary_curve(n: int) -> np.ndarray:
     _check_n(n)
 
     def margin(r, u):
-        c0sq, gap = _landscape_invariants(n, r, u)
-        return (1.0 - c0sq) - gap
+        A, gap = _landscape_invariants(n, r, u)
+        return A - gap
 
     u = np.linspace(0.0, 2.0 * np.pi, BOUNDARY_POINTS)
     lo, hi = np.zeros_like(u), np.ones_like(u)
@@ -107,8 +102,7 @@ def _theta_objective(n: int, alpha: float):
     from c_0 = (n + e^{i theta})/(n + 1) and ct_0 = e^{i theta}, all a distance
     reads of the channel element r_theta; n and alpha are checked once, here."""
     _check_angle(alpha)
-    if n < 1:
-        raise ValueError("need n >= 1")
+    _check_n(n)
 
     def objective(theta):
         phase = cmath.exp(1j * theta)
@@ -165,8 +159,7 @@ def domain_classify(e: CyclicElement, alpha: float) -> Domain:
 
 def lmr_equal_angle_distance(n: int, alpha: float, theta: float | None = None) -> float:
     """Distance of the sequential channel with all angles equal."""
-    if n < 1:
-        raise ValueError("need n >= 1")
+    _check_n(n)
     theta = alpha / n if theta is None else theta
     # a read-only view: nothing of size n exists before lmr_coeffs checks the budget
     return closed_form_rotation_distance(lmr_coeffs(np.broadcast_to(theta, n)), alpha)

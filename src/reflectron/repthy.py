@@ -1,33 +1,22 @@
-"""Lower-bound machinery: SU(2) Clebsch-Gordan coefficients, the
-flat-spectrum probe systems, exact Haar twirling and ensemble spectra in
-one highest-weight Schur basis of U^{xn} x Ubar^{xn} for every d, Holevo
+"""Lower-bound machinery: the d = 2 flat-spectrum system from M = 0
+Clebsch-Gordan sums, exact Haar twirling and ensemble spectra in one
+highest-weight Schur basis of U^{xn} x Ubar^{xn} for every d, Holevo
 entropies, and the final program-dimension bounds.
 
-Spin arguments are doubled half-integers (two_j, two_m) throughout.
+Spin arguments are doubled half-integers (two_j) throughout.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, isfinite, log, log2, exp, e as _e
+from math import comb, isfinite, log, log2, exp, e as _e
 from sys import float_info
 
 import numpy as np
 
-from .config import budget_entries, ensure_operator_budget, ensure_vector_budget
+from .config import _check_d, _check_n, budget_entries, ensure_operator_budget, ensure_vector_budget
 from .tensor_core import PureState, as_vector, sym_dim
 
 EIG_CUTOFF = 1e-12
-
-
-def _check_d(d: int) -> None:
-    if d < 2:
-        raise ValueError(f"need d >= 2, got d = {d}")
-
-
-def _check_n(n: int) -> None:
-    if n < 1:
-        raise ValueError(f"need n >= 1, got n = {n}")
 
 
 def _check_float_d(d: int) -> None:
@@ -51,63 +40,6 @@ def weyl_dim(lam, d: int) -> int:
             num *= w[i] - w[j] + j - i
             den *= j - i
     return num // den
-
-
-# ---------------------------------------------------------------------------
-# SU(2) Clebsch-Gordan, exact rational Racah sum
-
-
-@lru_cache(maxsize=None)
-def _cg_su2_cached(tj1, tm1, tj2, tm2, tJ, tM):
-    Fr = Fraction
-    fact = factorial
-
-    def F(x):
-        return Fr(fact(x))
-
-    j1pj2mJ = (tj1 + tj2 - tJ) // 2
-    pref = Fr(tJ + 1) * F(j1pj2mJ) * F((tj1 - tj2 + tJ) // 2) * F((-tj1 + tj2 + tJ) // 2)
-    pref /= F((tj1 + tj2 + tJ) // 2 + 1)
-    pref *= (
-        F((tJ + tM) // 2)
-        * F((tJ - tM) // 2)
-        * F((tj1 - tm1) // 2)
-        * F((tj1 + tm1) // 2)
-        * F((tj2 - tm2) // 2)
-        * F((tj2 + tm2) // 2)
-    )
-    total = Fraction(0)
-    kmin = max(0, -(tJ - tj2 + tm1) // 2, -(tJ - tj1 - tm2) // 2)
-    kmax = min(j1pj2mJ, (tj1 - tm1) // 2, (tj2 + tm2) // 2)
-    for k in range(kmin, kmax + 1):
-        den = (
-            F(k)
-            * F(j1pj2mJ - k)
-            * F((tj1 - tm1) // 2 - k)
-            * F((tj2 + tm2) // 2 - k)
-            * F((tJ - tj2 + tm1) // 2 + k)
-            * F((tJ - tj1 - tm2) // 2 + k)
-        )
-        total += Fr((-1) ** k) / den
-    square = pref * total * total
-    sign = 1.0 if total >= 0 else -1.0
-    return sign * float(square) ** 0.5
-
-
-def cg_su2(two_j1: int, two_m1: int, two_j2: int, two_m2: int, two_J: int, two_M: int) -> float:
-    """Condon-Shortley <j1 m1 j2 m2 | J M>, exact rationals under the root."""
-    for tj, tm in ((two_j1, two_m1), (two_j2, two_m2), (two_J, two_M)):
-        if (tj - tm) % 2 or tj < 0:
-            raise ValueError("spin labels must be doubled half-integers of equal parity")
-    if two_M != two_m1 + two_m2:
-        return 0.0
-    if not abs(two_j1 - two_j2) <= two_J <= two_j1 + two_j2:
-        return 0.0
-    if (two_j1 + two_j2 + two_J) % 2:
-        return 0.0
-    if abs(two_m1) > two_j1 or abs(two_m2) > two_j2 or abs(two_M) > two_J:
-        return 0.0
-    return _cg_su2_cached(two_j1, two_m1, two_j2, two_m2, two_J, two_M)
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,8 @@ from .cyclic import (
 from .distances import (
     _default_psi,
     _dense_distance_at_p,
+    closed_form_rotation_distance,
     diamond_covariant,
-    equal_angle_distance,
     trace_norm,
 )
 from .repthy import (
@@ -75,7 +75,7 @@ def _checks():
         return np.abs(seq - effective_channel(lmr_coeffs(thetas), psi)(X)).max() < 1e-10
 
     def rotation_two_case():
-        return abs(equal_angle_distance(4, pi / 2) - 0.64) < 1e-12
+        return abs(closed_form_rotation_distance(r_theta_coeffs(4, pi / 2), pi / 2) - 0.64) < 1e-12
 
     def projector_trace():
         return abs(np.trace(symmetric_projector(3, 2)) - comb(4, 1)) < 1e-11

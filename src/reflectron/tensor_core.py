@@ -2,8 +2,6 @@
 
 Conventions: factor 0 is the leftmost tensor slot (the system register);
 the cyclic permutation pushes contents right, factor s -> factor s+1 mod k.
-Permutations are tuples ``perm`` of length k with ``perm[s]`` the slot that
-receives the contents of slot ``s``.
 """
 
 from dataclasses import dataclass
@@ -102,32 +100,6 @@ def require_unitary(U) -> None:
     dev = np.abs(U @ U.conj().T - np.eye(U.shape[0])).max()
     if not dev <= UNITARY_TOL:
         raise ValueError(f"input is not unitary, deviation {dev}")
-
-
-def permutation_operator(perm, d: int) -> np.ndarray:
-    """0/1 matrix sending |i_0 ... i_{k-1}> to the permuted basis ket."""
-    perm = tuple(perm)
-    k = len(perm)
-    if sorted(perm) != list(range(k)):
-        raise ValueError(f"{perm} is not a permutation of 0..{k - 1}")
-    if d < 2 or k < 1:
-        raise ValueError("need d >= 2 and k >= 1")
-    dim = d**k
-    ensure_operator_budget(dim, "permutation operator")
-    # column x maps to row y with y[perm[s]] = x[s]
-    idx = np.arange(dim)
-    digits = [(idx // d ** (k - 1 - s)) % d for s in range(k)]
-    rows = np.zeros(dim, dtype=np.int64)
-    for s in range(k):
-        rows += digits[s] * d ** (k - 1 - perm[s])
-    entries = np.zeros((dim, dim), dtype=complex)
-    entries[rows, idx] = 1.0
-    return entries
-
-
-def cyclic_perm_tuple(k: int, power: int = 1) -> tuple:
-    """Permutation tuple of C^power where C moves slot s to slot s+1 mod k."""
-    return tuple((s + power) % k for s in range(k))
 
 
 def partial_trace(X, keep, d: int, factors: int) -> np.ndarray:

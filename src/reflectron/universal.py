@@ -1,17 +1,18 @@
 """Universal-processor assembly: eigendecomposition of targets, binary angle
-encoding, copy/precision budgeting, composed-channel verification, and the
-program-dimension accounting on both sides of the bound."""
+encoding, copy/precision budgeting with its program-qubit accounting, and
+composed-channel verification."""
 
 from dataclasses import dataclass
 from math import ceil, isfinite, log2, pi
 
 import numpy as np
 
+from .config import _check_d
 from .channels import effective_channel, unitary_channel
 from .cyclic import r_theta_coeffs
 from .distances import sampled_diamond_lower_bound
 from .repthy import _check_eps
-from .tensor_core import UNITARY_TOL, PureState, haar_random_unitary, require_unitary, sym_dim
+from .tensor_core import UNITARY_TOL, PureState, require_unitary, sym_dim
 
 
 def eigendecompose_target(U) -> list:
@@ -92,8 +93,7 @@ def budget(d: int, epsilon: float, alphas) -> BudgetReport:
     the quantum program cost is the symmetric-subspace term, which is the
     part that scales as (d-1)^2 log(1/eps).
     """
-    if d < 2:
-        raise ValueError("need d >= 2")
+    _check_d(d)
     _check_eps(epsilon)
     alphas = [float(a) for a in alphas]
     copies = [9 * (d - 1) * abs(a) / epsilon for a in alphas]
@@ -157,9 +157,10 @@ class VerifyReport:
     slack: float
 
 
-def verify_budget(U, epsilon: float, trials: int = 200, seed: int = 0) -> VerifyReport:
+def verify_budget(U, epsilon: float, trials: int = 200, seed=0) -> VerifyReport:
     """Sampled diamond lower bound between target and assembled channel;
-    the sampled value must sit below epsilon."""
+    the sampled value must sit below epsilon. The probes are drawn from
+    np.random.default_rng(seed)."""
     U = np.asarray(U, dtype=complex)
     d = U.shape[0]
     _, composed = assemble_universal_channel(U, epsilon)
@@ -172,13 +173,6 @@ def verify_budget(U, epsilon: float, trials: int = 200, seed: int = 0) -> Verify
         passed=bool(sampled <= epsilon + 1e-12),
         slack=float(epsilon - sampled),
     )
-
-
-def lower_bound_via_universal(d: int, epsilon: float) -> float:
-    """(d+1)/2 log2(C d^-5 / eps) with C = 1, the reduction-based lower bound."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    return (d + 1) / 2.0 * log2(d**-5 / epsilon)
 
 
 def scaling_fit() -> tuple:
@@ -198,6 +192,3 @@ def scaling_fit() -> tuple:
     coeffs, *_ = np.linalg.lstsq(design, ys, rcond=None)
     return float(coeffs[0]), float(coeffs[1])
 
-
-def haar_targets(d: int, count: int, seed: int = 0) -> list:
-    return [haar_random_unitary(d, seed + k) for k in range(count)]

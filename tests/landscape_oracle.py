@@ -24,8 +24,8 @@ def one_call_landscape(n: int, grid_r: int, grid_u: int) -> np.ndarray:
 
 def scalar_boundary_curve(n: int) -> np.ndarray:
     def margin(r, u):
-        c0sq, gap = _landscape_invariants(n, r, u)
-        return (1.0 - c0sq) - gap
+        A, gap = _landscape_invariants(n, r, u)
+        return A - gap
 
     pts = []
     for u in np.linspace(0.0, 2.0 * np.pi, BOUNDARY_POINTS):

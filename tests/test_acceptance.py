@@ -14,7 +14,6 @@ import numpy as np
 
 from reflectron.tensor_core import haar_random_state, haar_random_unitary
 from reflectron.cyclic import (
-    dense_element,
     lmr_coeffs,
     optimal_angle,
     optimal_reflection_coeffs,
@@ -29,7 +28,6 @@ from reflectron.channels import (
 from reflectron.distances import (
     closed_form_rotation_distance,
     diamond_covariant,
-    equal_angle_distance,
     mr_diamond_distance,
 )
 from reflectron.optima import (
@@ -48,7 +46,9 @@ from reflectron.repthy import (
 )
 from reflectron.universal import scaling_fit, verify_budget
 from reflectron.circuits import apply_circuit, build_rotation_circuit, gate_counts
+from channel_oracle import equal_angle_distance
 from mr_oracle import dense_diamond_covariant
+from perm_oracle import dense_element
 
 
 def linear_bound(n, alpha):

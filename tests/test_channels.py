@@ -7,12 +7,12 @@ from reflectron.config import DimensionBudgetError, NonChannelElementError
 from reflectron.tensor_core import as_vector, haar_random_state
 from reflectron.cyclic import CyclicElement, lmr_coeffs, r_theta_coeffs
 from reflectron.channels import (
-    choi,
     dense_reflection_channel,
     effective_channel,
     lmr_sequential_dense,
     make_rotation_channel,
 )
+from channel_oracle import choi
 from mr_oracle import MeasureReflectChannel
 from probe_oracle import orthonormal_frame
 

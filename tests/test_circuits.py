@@ -5,7 +5,7 @@ import pytest
 
 from reflectron.config import DimensionBudgetError
 from reflectron.tensor_core import haar_random_state
-from reflectron.cyclic import dense_element, r_theta_coeffs
+from reflectron.cyclic import r_theta_coeffs
 from reflectron.circuits import (
     Gate,
     _apply_gate,
@@ -17,6 +17,7 @@ from reflectron.circuits import (
 )
 
 import kernel_oracle
+from perm_oracle import dense_element
 
 
 def test_rejects_bad_n():

@@ -73,6 +73,21 @@ def test_byte_identical_reruns(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_universal_verify_seeds_share_no_target(capsys):
+    # target k once took seed + k and its probes seed + 1000 + k, so --seed 0
+    # and --seed 1 shared seven of eight targets and printed the same line
+    worst = []
+    for seed in ("0", "1"):
+        code, out, _ = run(
+            ["universal", "verify", "--d", "2", "--eps", "0.2", "--trials", "40",
+             "--targets", "8", "--seed", seed],
+            capsys,
+        )
+        assert code == 0
+        worst.append(json.loads(out)["worst_sampled_distance"])
+    assert worst[0] != worst[1]
+
+
 def test_lowerbound_solve_q(capsys):
     code, out, _ = run(["lowerbound", "solve-q", "--n", "6"], capsys)
     payload = json.loads(out)
@@ -182,7 +197,8 @@ def test_distance_checks_at_the_requested_d(capsys, monkeypatch):
 
 
 def test_import_loads_no_scipy():
-    # the library runs on numpy alone; importing scipy.optimize once took most of the import time
+    # the library runs on numpy alone; importing scipy.optimize once took most of the import time.
+    # fractions and decimal (~1.8 ms) belong to the exact-rational test oracles only
     import os
     import subprocess
     import sys
@@ -191,7 +207,7 @@ def test_import_loads_no_scipy():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     probe = (
         "import sys, reflectron, reflectron.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'fractions', 'decimal')))"
     )
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
     assert done.returncode == 0, done.stderr
@@ -431,7 +447,9 @@ def test_lowerbound_twirl_d2_matches_separate_entropy_and_rank(n, capsys):
         ),
         (["distance", "--n", "2", "--d", "{k}"], 5, "phi_p block stack of dimension 36x36"),
         (
-            ["universal", "verify", "--d", "{k}", "--eps", "0.1", "--trials", "1", "--targets", "1"],
+            # at eps 0.2 even a phase-pi rotation's 9 (d - 1) pi / eps + 1 coefficients
+            # fit the budget at d = 6, so the channel matrix binds for any target
+            ["universal", "verify", "--d", "{k}", "--eps", "0.2", "--trials", "1", "--targets", "1"],
             5,
             "effective channel matrix of dimension 36x36",
         ),

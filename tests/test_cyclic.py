@@ -7,11 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reflectron.config import DimensionBudgetError
-from reflectron.tensor_core import cyclic_perm_tuple, haar_random_state, permutation_operator
+from reflectron.tensor_core import haar_random_state
 from reflectron.cyclic import (
     CyclicElement,
     apply_element,
-    dense_element,
     f_opt,
     fourier,
     inverse_fourier,
@@ -24,6 +23,13 @@ from reflectron.cyclic import (
 )
 
 import kernel_oracle
+import perm_oracle
+
+
+def applied_element(e, d):
+    """sum_l c_l C^l as apply_element acts: row x of its action on the
+    identity is the image of basis ket x."""
+    return apply_element(e, d, np.eye(d ** (e.n + 1), dtype=complex)).T
 
 
 def test_fourier_identity_element():
@@ -67,7 +73,7 @@ def test_unitary_flag_matches_dense_check():
         phases = np.exp(1j * rng.uniform(0, 2 * pi, size=n + 1))
         e = inverse_fourier(phases)
         assert is_unitary_element(e)
-        V = dense_element(e, d)
+        V = applied_element(e, d)
         assert np.abs(V @ V.conj().T - np.eye(d ** (n + 1))).max() < 1e-10
 
 
@@ -141,13 +147,13 @@ def test_lmr_equal_angle_ratio_structure():
 
 
 def test_dense_element_identity():
-    assert np.abs(dense_element(CyclicElement.identity(2), 2) - np.eye(8)).max() == 0
+    assert np.abs(applied_element(CyclicElement.identity(2), 2) - np.eye(8)).max() == 0
 
 
 def test_dense_element_reflection_eigencheck():
     # n=1, theta=pi: I - (I + SWAP)/1... acts with eigenvalue -1 on |psi psi>
     e = r_theta_coeffs(1, pi)
-    V = dense_element(e, 2)
+    V = applied_element(e, 2)
     psi = haar_random_state(2, 7)
     vec = np.kron(psi.amplitudes, psi.amplitudes)
     assert np.abs(V @ vec + vec).max() < 1e-12
@@ -157,7 +163,7 @@ def test_unitary_elements_preserve_program_sector_norm():
     rng = np.random.default_rng(4)
     for n, d in [(2, 2), (3, 2), (2, 3)]:
         e = r_theta_coeffs(n, rng.uniform(0, pi))
-        V = dense_element(e, d)
+        V = applied_element(e, d)
         phi = haar_random_state(d, rng)
         psi = haar_random_state(d, rng)
         vec = np.kron(phi.amplitudes, psi.tensor_power(n).amplitudes)
@@ -169,7 +175,7 @@ def test_lmr_restriction_is_isometric():
     # on the physical phi x psi^n sector
     rng = np.random.default_rng(5)
     e = lmr_coeffs(rng.uniform(0, pi, size=3))
-    V = dense_element(e, 2)
+    V = applied_element(e, 2)
     phi = haar_random_state(2, rng)
     psi = haar_random_state(2, rng)
     vec = np.kron(phi.amplitudes, psi.tensor_power(3).amplitudes)
@@ -181,24 +187,13 @@ def test_coefficient_length_validation():
         CyclicElement(2, [1.0, 0.0])
 
 
-def dense_element_reference(e, d):
-    """sum_l c_l C^l as a sum of dense permutation matrices."""
-    k = e.n + 1
-    acc = np.zeros((d**k, d**k), dtype=complex)
-    for l, c in enumerate(e.coeffs):
-        if c == 0:
-            continue
-        acc += c * permutation_operator(cyclic_perm_tuple(k, l), d)
-    return acc
-
-
 @pytest.mark.parametrize("n,d", [(1, 2), (3, 2), (7, 2), (1, 3), (3, 3), (2, 4)])
 def test_dense_element_equals_permutation_operator_sum(n, d):
     rng = np.random.default_rng(n * 10 + d)
     coeffs = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
     coeffs[-1] = 0.0
     for e in (CyclicElement(n, coeffs), r_theta_coeffs(n, 1.234), CyclicElement.identity(n)):
-        assert np.array_equal(dense_element(e, d), dense_element_reference(e, d))
+        assert np.array_equal(applied_element(e, d), perm_oracle.dense_element(e, d))
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -207,7 +202,7 @@ def test_apply_element_matches_dense_product(n, d):
     rng = np.random.default_rng(100 * d + n)
     e = CyclicElement(n, rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1))
     dim = d ** (n + 1)
-    V = dense_element(e, d)
+    V = perm_oracle.dense_element(e, d)
     vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     stack = rng.normal(size=(3, dim)) + 1j * rng.normal(size=(3, dim))
     assert np.abs(apply_element(e, d, vec) - V @ vec).max() < 1e-13

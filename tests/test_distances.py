@@ -8,8 +8,6 @@ from reflectron.cyclic import lmr_coeffs, optimal_reflection_coeffs, r_theta_coe
 from reflectron.distances import (
     closed_form_rotation_distance,
     diamond_covariant,
-    diamond_unitary_channels,
-    equal_angle_distance,
     mr_diamond_distance,
     sampled_diamond_lower_bound,
     trace_norm,
@@ -18,6 +16,7 @@ import reflectron.cli as cli
 import reflectron.distances as distances
 from reflectron.channels import effective_channel, make_rotation_channel, rotation_unitary
 from reflectron.config import ConsistencyError
+from channel_oracle import diamond_unitary_channels, equal_angle_distance
 from mr_oracle import MeasureReflectChannel, dense_diamond_covariant
 from probe_oracle import orthonormal_frame, phi_p_rows
 

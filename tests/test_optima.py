@@ -206,7 +206,7 @@ def _meshgrid_landscape(n, grid_r, grid_u):
     c0sq = (1.0 + 2.0 * n * R * np.cos(U) + (n * R) ** 2) / (n + 1) ** 2
     gap = np.sqrt((n + 2 + n * R * np.cos(U)) ** 2 + (n * R * np.sin(U)) ** 2) / (n + 1)
     A = 1.0 - c0sq
-    V = np.where(gap > A, 2.0 * gap**2 / (2.0 * gap + c0sq - 1.0), 2.0 * A)
+    V = np.where(gap > A, 2.0 * gap**2 / (2.0 * gap - A), 2.0 * A)
     return R.reshape(-1), U.reshape(-1), V.reshape(-1)
 
 

@@ -1,7 +1,7 @@
 import itertools
 from collections import Counter
 from functools import lru_cache
-from math import comb, e as euler_e, isfinite, log
+from math import comb, e as euler_e, isfinite, log, log2
 
 import numpy as np
 import pytest
@@ -20,7 +20,6 @@ from reflectron.repthy import (
     block_basis,
     build_probe,
     build_probe_d2,
-    cg_su2,
     conjecture_system_d2,
     ensemble_entropy,
     ensemble_entropy_rank,
@@ -37,6 +36,7 @@ from reflectron.repthy import (
     twirl,
     weyl_dim,
 )
+from cg_oracle import cg_su2
 
 
 # --- Weyl dimension ---------------------------------------------------------
@@ -586,6 +586,21 @@ def test_build_probe_rejects_invalid_weights(d, case):
 def test_build_probe_rejects_bad_n(n):
     with pytest.raises(ValueError, match="need n >= 1"):
         build_probe(n, 3, {(): 1.0})
+
+
+def _n1_entropy(d, w0):
+    """S(1, d) in bits: the trivial-sector weight w0 and d^2 - 1 equal eigenvalues."""
+    return -w0 * log2(w0) - (1 - w0) * log2((1 - w0) / (d * d - 1))
+
+
+def test_n1_entropy_equals_its_closed_form():
+    # at n = 1 the only U x Ubar-invariant probe is |Phi+>, so the entropy search
+    # has one point; the reflection leaves it trivial-sector weight ((d - 2)/d)^2
+    for d in range(3, 13):
+        entropy, _ = ensemble_entropy_rank(1, d, build_probe(1, d, {(1,): 1.0}))
+        assert abs(entropy - _n1_entropy(d, ((d - 2) / d) ** 2)) <= 1e-12
+        # a planted w0 = (d - 1)/d fails the same check
+        assert abs(entropy - _n1_entropy(d, (d - 1) / d)) > 1e-12
 
 
 def test_maximize_entropy_d2_recovers_solved_weights():

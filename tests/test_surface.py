@@ -92,26 +92,13 @@ def _references(node, skip=None):
     return names
 
 
-# Definitions whose only reader is the README, which documents each as a
-# reference (a dense oracle, an exact table or a bound nothing computes yet).
-# A README mention keeps no other definition alive.
-README_REFERENCES = {
-    "channels.choi",
-    "cyclic.dense_element",
-    "distances.diamond_unitary_channels",
-    "repthy.cg_su2",
-    "tensor_core.permutation_operator",
-    "tensor_core.cyclic_perm_tuple",
-    "universal.lower_bound_via_universal",
-}
-
-
 def test_every_definition_has_a_reader():
+    """Every top-level def of the library is read by another of its modules,
+    the CLI included, by its own module outside its body, or by the benchmark."""
     modules = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
-    readme = set(re.findall(r"`(\w+)(?:\([^`]*\))?`", _readme()))
     bench = {name for chain in _bench_reads() for name in chain}
     everywhere = {stem: _references(tree) for stem, tree in modules.items()}
-    orphans, readme_only = [], set()
+    orphans = []
     for stem, tree in modules.items():
         elsewhere = set().union(*(refs for other, refs in everywhere.items() if other != stem))
         for node in tree.body:
@@ -119,13 +106,6 @@ def test_every_definition_has_a_reader():
                 continue
             # a def's own body does not count, so a function that only calls itself is an orphan
             used = node.name in elsewhere or node.name in _references(tree, skip=node)
-            if used or node.name in bench:
-                continue
-            name = f"{stem}.{node.name}"
-            if name in README_REFERENCES and node.name in readme:
-                readme_only.add(name)
-            else:
-                orphans.append(name)
+            if not (used or node.name in bench):
+                orphans.append(f"{stem}.{node.name}")
     assert orphans == []
-    # a reference that gains a reader, or leaves the README, leaves the list
-    assert readme_only == README_REFERENCES

@@ -10,15 +10,15 @@ from reflectron.config import DimensionBudgetError
 from reflectron.tensor_core import (
     PureState,
     as_state,
-    cyclic_perm_tuple,
     haar_random_state,
     haar_random_unitary,
     partial_trace,
-    permutation_operator,
     sym_dim,
     symmetric_encoder,
     symmetric_projector,
 )
+from reflectron.cyclic import CyclicElement
+from perm_oracle import dense_element, permutation_operator
 
 
 def random_permutation(k, rng):
@@ -41,7 +41,7 @@ def test_permutation_swap_defining_property():
 
 def test_permutation_cycle_direct_bookkeeping():
     # cycle pushing right: |100> -> |010>
-    op = permutation_operator(cyclic_perm_tuple(3), 2)
+    op = permutation_operator((1, 2, 0), 2)
     ket100 = np.zeros(8)
     ket100[4] = 1
     ket010 = np.zeros(8)
@@ -69,16 +69,17 @@ def test_permutation_homomorphism():
 
 
 def test_cyclic_swap_and_order():
+    # C on two slots is the swap, and C on three slots has order 3
     swap = permutation_operator((1, 0), 2)
-    assert np.abs(permutation_operator(cyclic_perm_tuple(2), 2) - swap).max() == 0
-    C = permutation_operator(cyclic_perm_tuple(3), 2)
+    assert np.abs(dense_element(CyclicElement(1, [0.0, 1.0]), 2) - swap).max() == 0
+    C = dense_element(CyclicElement(2, [0.0, 1.0, 0.0]), 2)
     assert np.abs(np.linalg.matrix_power(C, 3) - np.eye(8)).max() < 1e-13
 
 
 def test_cyclic_fixes_symmetric_states():
     psi = haar_random_state(2, 11)
     vec = psi.tensor_power(3).amplitudes
-    C = permutation_operator(cyclic_perm_tuple(3), 2)
+    C = permutation_operator((1, 2, 0), 2)
     assert np.abs(C @ vec - vec).max() < 1e-12
 
 
@@ -246,8 +247,9 @@ def test_state_norm_check_holds_at_a_large_tensor_power():
 
 
 def test_budget_overflow():
-    with pytest.raises(DimensionBudgetError):
-        permutation_operator(tuple(range(24)), 2)
+    # the 2^12 x 2^12 projector is over the default budget; its encoder is not
+    with pytest.raises(DimensionBudgetError, match="symmetric projector"):
+        symmetric_projector(12, 2)
 
 
 @settings(max_examples=25, deadline=None)

@@ -9,7 +9,6 @@ from reflectron.universal import (
     binary_angle,
     budget,
     eigendecompose_target,
-    lower_bound_via_universal,
     scaling_fit,
     verify_budget,
 )
@@ -152,7 +151,7 @@ def test_assembled_channel_trace_preserving_and_cp():
     rng = np.random.default_rng(1)
     X = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     assert abs(np.trace(chan(X)) - np.trace(X)) < 1e-10
-    from reflectron.channels import choi
+    from channel_oracle import choi
 
     eig = np.linalg.eigvalsh(choi(chan, 3))
     assert eig.min() > -1e-9
@@ -225,32 +224,6 @@ def test_composed_channel_not_covariant():
     lhs = U @ composed(X) @ U.conj().T
     rhs = composed(U @ X @ U.conj().T)
     assert np.abs(lhs - rhs).max() > 1e-3
-
-
-def test_lower_bound_via_universal():
-    vals = [lower_bound_via_universal(2, eps) for eps in (0.1, 0.01, 0.001)]
-    assert vals == sorted(vals)  # monotone decreasing in eps
-    # leading-coefficient comparison: the direct bound carries (d-1) bits per
-    # log(1/eps) against (d+1)/2 for the reduction, a factor-2 advantage at
-    # large d
-    from reflectron.repthy import final_lower_bound
-
-    def ratio(d, eps):
-        direct = final_lower_bound(eps, d) / np.log(2)
-        return direct / lower_bound_via_universal(d, eps)
-
-    for d in (3, 8, 50):
-        r = ratio(d, 1e-24)
-        assert abs(r - 2 * (d - 1) / (d + 1)) < 0.2
-    assert 1.8 < ratio(50, 1e-30) < 2.0
-
-
-def test_lower_bound_scaling_inside_log():
-    # d^-5 for the reduction vs d^-4 for the direct bound
-    d, eps = 4, 1e-9
-    red = lower_bound_via_universal(d, eps)
-    red_shift = lower_bound_via_universal(d, eps / 2)
-    assert red_shift - red == pytest.approx((d + 1) / 2, rel=1e-12)
 
 
 @pytest.mark.parametrize("eps", [float("inf"), float("nan"), 0.0, -0.1])
