@@ -7,7 +7,7 @@ from math import ceil, isfinite, log2, pi
 
 import numpy as np
 
-from .config import _check_d
+from .config import _check_d, ensure_vector_budget
 from .channels import effective_channel, unitary_channel
 from .cyclic import r_theta_coeffs
 from .distances import sampled_diamond_lower_bound
@@ -123,12 +123,15 @@ def assemble_universal_channel(U, epsilon: float):
     Returns (rotation records, channel callable). Each eigenrotation alpha_j
     is encoded as theta_j = pi a_j with a_j the K-bit truncation, realized
     through the closed-form effective channel with n_j program copies, so
-    copy counts in the hundreds cost nothing.
+    copy counts in the hundreds cost nothing. The coefficients of the worst
+    case, a phase of pi, are checked against the budget before any rotation
+    is built, so admission depends on d and epsilon alone, not on U.
     """
     pairs = eigendecompose_target(U)
     d = len(pairs)
     alphas = [alpha for _, alpha in pairs[1:]]
     report = budget(d, epsilon, alphas)
+    ensure_vector_budget(ceil(9 * (d - 1) * pi / epsilon) + 1, "cyclic element coefficients")
     rotations = []
     channels = []
     for (psi, alpha), n_j in zip(pairs[1:], report.n_copies):

@@ -271,7 +271,7 @@ def test_lowerbound_fd_flags_a_vacuous_bound(eps, d, vacuous, capsys):
         ["lowerbound", "twirl", "--n", "6", "--d", "2"],  # 4096-dim twirl
         ["lowerbound", "twirl", "--n", "4", "--d", "3"],  # 6561-dim twirl
         ["lowerbound", "twirl", "--n", "2", "--d", "7"],  # 2401-dim twirl
-        ["lowerbound", "solve-q", "--n", "4096"],  # 4097x4097 M = 0 sector matrix
+        ["lowerbound", "solve-q", "--n", "4096"],  # 2049x2049 d = 2 conjecture system
         ["distance", "--n", "2", "--d", "1000"],  # 10^12-entry phi_p block stack of the oracle
     ],
 )
@@ -279,6 +279,27 @@ def test_budget_error_exit_code(argv, capsys):
     code, out, err = run(argv, capsys)
     assert code == 1 and out == ""
     assert err.startswith("error: budget:")
+    assert "Traceback" not in err
+
+
+def test_lowerbound_solve_q_at_the_default_budget_edge(capsys):
+    # the largest n whose (n//2 + 1)^2 system fits the default 2^22 entries
+    code, out, _ = run(["lowerbound", "solve-q", "--n", "4095"], capsys)
+    payload = json.loads(out)
+    assert code == 0
+    assert len(payload["q"]) == len(payload["two_j"]) == 2048
+    assert min(payload["q"]) > 0.0
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_universal_verify_admission_does_not_depend_on_the_seed(seed, capsys, monkeypatch):
+    # the worst case, a phase of pi, needs ceil(9 (d - 1) pi / eps) + 1 = 1132
+    # coefficients at d = 5, eps = 0.1, whatever target the seed draws
+    monkeypatch.setenv("REFLECTRON_BUDGET", "1000")
+    argv = ["universal", "verify", "--d", "5", "--eps", "0.1", "--trials", "1", "--targets", "1"]
+    code, out, err = run(argv + ["--seed", str(seed)], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: budget: cyclic element coefficients of dimension 1132")
     assert "Traceback" not in err
 
 
@@ -442,8 +463,8 @@ def test_lowerbound_twirl_d2_matches_separate_entropy_and_rank(n, capsys):
         ),
         (
             ["lowerbound", "solve-q", "--n", "{k}"],
-            30,
-            "M = 0 sector J^2 matrix of dimension 32x32",
+            61,
+            "d = 2 conjecture system of dimension 32x32",
         ),
         (["distance", "--n", "2", "--d", "{k}"], 5, "phi_p block stack of dimension 36x36"),
         (
@@ -457,7 +478,7 @@ def test_lowerbound_twirl_d2_matches_separate_entropy_and_rank(n, capsys):
     ids=["landscape", "universal-verify", "solve-q", "distance", "universal-verify-d"],
 )
 def test_dense_allocation_budget(argv, largest, what, capsys, monkeypatch):
-    # grid^2 landscape rows, trials * d^2 probe amplitudes, an (n+1)^2 matrix,
+    # grid^2 landscape rows, trials * d^2 probe amplitudes, an (n//2 + 1)^2 system,
     # d^4 phi_p blocks, a d^2 x d^2 effective channel
     monkeypatch.setenv("REFLECTRON_BUDGET", "1000")
     code, out, _ = run([a.format(k=largest) for a in argv], capsys)

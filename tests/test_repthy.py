@@ -1,5 +1,6 @@
 import itertools
 from collections import Counter
+from fractions import Fraction
 from functools import lru_cache
 from math import comb, e as euler_e, isfinite, log, log2
 
@@ -36,7 +37,7 @@ from reflectron.repthy import (
     twirl,
     weyl_dim,
 )
-from cg_oracle import cg_su2
+from cg_oracle import cg_su2, m0_weight_exact, m0_weights_eigh
 
 
 # --- Weyl dimension ---------------------------------------------------------
@@ -205,6 +206,54 @@ def test_system_column_matches_exact_cg_sums_at_large_spin(tj):
     assert two_js[-1] == tj
     exact = [_exact_entry_d2(tj, J) for J in range(tj % 2, tj + 1, 2)]
     assert np.abs(A[:, -1] - exact).max() < 1e-13
+
+
+def _product_entry(two_j, J):
+    """conjecture_system_d2's closed form for entry (J, two_j), J <= two_j of
+    the same parity, in exact rationals."""
+    c2 = Fraction(1)
+    for row in range(two_j % 2, J + 1, 2):
+        if row:
+            u, v = two_j - row + 2, two_j + row
+            c2 *= Fraction(u * v, (u - 1) * (v + 1))
+    return (2 * J + 1) * c2 / (two_j + 1) ** 2
+
+
+def test_product_formula_equals_exact_racah_sums():
+    for tj in range(41):
+        for J in range(tj + 1):
+            expected = _product_entry(tj, J) if (tj - J) % 2 == 0 else 0
+            assert m0_weight_exact(tj, J) == expected, (tj, J)
+    for n in (40, 41):
+        A, _, _, _ = conjecture_system_d2(n)
+        assert np.all(np.tril(A, -1) == 0.0)
+
+
+@pytest.mark.parametrize("tj", [401, 1000, 1001])
+def test_system_column_matches_eigh_oracle(tj):
+    A, _, two_js, _ = conjecture_system_d2(tj)
+    assert two_js[-1] == tj
+    assert np.abs(A[:, -1] - m0_weights_eigh(tj)[tj % 2 :: 2]).max() <= 1e-14
+
+
+def _exact_q(n):
+    """The d = 2 system solved by back substitution in exact rationals."""
+    labels = range(n % 2, n + 1, 2)
+    q = {}
+    for J in reversed(labels):
+        rest = sum(m0_weight_exact(tj, J) * q[tj] for tj in labels if tj > J)
+        q[J] = (Fraction(2 * J + 1, comb(n + 2, 2)) - rest) / m0_weight_exact(J, J)
+    return q
+
+
+def test_solve_q_matches_exact_rational_solution():
+    for n in range(1, 41):
+        exact = _exact_q(n)
+        assert all(x > 0 for x in exact.values()), n
+        spec, _ = solve_q_d2(n)
+        assert sorted(spec.q) == sorted(exact)
+        for tj, x in exact.items():
+            assert abs(spec.q[tj] - float(x)) <= 1e-14 * float(x), (n, tj)
 
 
 def test_solve_q_small_and_medium():
