@@ -20,11 +20,10 @@ import numpy as np
 
 from .config import ensure_operator_budget
 
-GATE_KINDS = ("h", "swap", "cswap", "single_qubit_phase", "multi_controlled_phase")
+GATE_KINDS = ("h", "cswap", "single_qubit_phase", "multi_controlled_phase")
 
 _EXPORT_NAMES = {
     "h": "H",
-    "swap": "SWAP",
     "cswap": "CSWAP",
     "single_qubit_phase": "PHASE0",
     "multi_controlled_phase": "MCPHASE",
@@ -56,10 +55,6 @@ class RotationCircuit:
     @property
     def total_qubits(self) -> int:
         return self.ancilla + 1 + self.n
-
-
-def _gates_of(circ) -> list:
-    return circ.gates if isinstance(circ, RotationCircuit) else list(circ)
 
 
 def _cycle_transpositions(perm: dict) -> list:
@@ -135,8 +130,8 @@ def build_rotation_circuit(n: int, theta: float) -> RotationCircuit:
     return RotationCircuit(n=n, theta=float(theta), gates=gates)
 
 
-def gate_counts(circ) -> dict:
-    return dict(Counter(g.kind for g in _gates_of(circ)))
+def gate_counts(circ: RotationCircuit) -> dict:
+    return dict(Counter(g.kind for g in circ.gates))
 
 
 def _slice(state: np.ndarray, bits: dict) -> np.ndarray:
@@ -162,7 +157,7 @@ def _apply_gate(state: np.ndarray, gate: Gate) -> None:
         t0 /= np.sqrt(2.0)
         minus /= np.sqrt(2.0)
         t1[...] = minus
-    elif gate.kind in ("swap", "cswap"):
+    elif gate.kind == "cswap":
         a, b = gate.targets
         on = {c: 1 for c in gate.controls}
         x, y = _slice(state, {**on, a: 0, b: 1}), _slice(state, {**on, a: 1, b: 0})
@@ -178,26 +173,21 @@ def _apply_gate(state: np.ndarray, gate: Gate) -> None:
         raise ValueError(f"unhandled gate kind {gate.kind}")
 
 
-def circuit_to_dense(circ, total_qubits: int | None = None) -> np.ndarray:
+def circuit_to_dense(circ: RotationCircuit) -> np.ndarray:
     """Product of the gate matrices, applied to the identity."""
-    gates = _gates_of(circ)
-    if total_qubits is None:
-        if not isinstance(circ, RotationCircuit):
-            raise ValueError("total_qubits required for a bare gate list")
-        total_qubits = circ.total_qubits
-    dim = 2**total_qubits
+    dim = 2**circ.total_qubits
     ensure_operator_budget(dim, "dense circuit unitary")
     mat = np.eye(dim, dtype=complex)
-    for gate in gates:
+    for gate in circ.gates:
         _apply_gate(mat, gate)
     return mat
 
 
-def apply_circuit(circ, state: np.ndarray) -> np.ndarray:
+def apply_circuit(circ: RotationCircuit, state: np.ndarray) -> np.ndarray:
     """Apply the circuit to a state vector; cheaper than circuit_to_dense.
     The gates act on one copy, so ``state`` itself is left unchanged."""
     out = np.array(state, dtype=complex).reshape(-1)
-    for gate in _gates_of(circ):
+    for gate in circ.gates:
         _apply_gate(out, gate)
     return out
 

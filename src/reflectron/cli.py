@@ -304,6 +304,8 @@ def cmd_u_verify(args) -> int:
     _check_d(args.d)
     if args.targets < 1:
         raise CliError(f"need --targets >= 1, got {args.targets}")
+    if args.trials < 1:
+        raise CliError(f"need --trials >= 1, got {args.trials}")
     # each target takes the next two children of one SeedSequence, its unitary's
     # and its probes' seeds, so no two --seed values share a target or a probe
     root = np.random.SeedSequence(args.seed)

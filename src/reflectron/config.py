@@ -1,6 +1,7 @@
 """Global configuration: dense-dimension budget and shared error types."""
 
 import os
+from math import isfinite
 
 DEFAULT_BUDGET_ENTRIES = 2**22
 BUDGET_ENV_VAR = "REFLECTRON_BUDGET"
@@ -33,6 +34,12 @@ def _check_d(d: int) -> None:
     """The one check of a local dimension."""
     if d < 2:
         raise ValueError(f"need d >= 2, got d = {d}")
+
+
+def _check_eps(epsilon: float) -> None:
+    """The one check of a target precision."""
+    if not (isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
 
 
 def budget_entries() -> int:

@@ -37,12 +37,6 @@ class CyclicElement:
         object.__setattr__(self, "coeffs", c)
         object.__setattr__(self, "sums", (complex(c.sum()), float(np.vdot(c, c).real)))
 
-    @classmethod
-    def identity(cls, n: int) -> "CyclicElement":
-        c = _coefficients(n)
-        c[0] = 1.0
-        return cls(n, _Fresh(c))
-
 
 def fourier(e: CyclicElement) -> np.ndarray:
     """ct_k = sum_l exp(+2 pi i l k / (n+1)) c_l."""

@@ -13,7 +13,7 @@ from sys import float_info
 
 import numpy as np
 
-from .config import _check_d, _check_n, budget_entries, ensure_operator_budget, ensure_vector_budget
+from .config import _check_d, _check_eps, _check_n, budget_entries, ensure_operator_budget, ensure_vector_budget
 from .tensor_core import PureState, as_vector, sym_dim
 
 EIG_CUTOFF = 1e-12
@@ -24,11 +24,6 @@ def _check_float_d(d: int) -> None:
     _check_d(d)
     if (d * d - 1) ** 2 > float_info.max:
         raise ValueError(f"d = {d} is too large: (d^2 - 1)^2 overflows a float")
-
-
-def _check_eps(epsilon: float) -> None:
-    if not (isfinite(epsilon) and epsilon > 0):
-        raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
 
 
 def weyl_dim(lam, d: int) -> int:
@@ -69,11 +64,18 @@ def conjecture_system_d2(n: int):
     Js = list(two_js)
     t = np.array(two_js)
     J = t[:, None]
-    uv = (t - J + 2) * (t + J)
-    ratio = uv / (uv - 2 * J + 1)
+    # one integer and one float table at a time: u v = (t + 1)^2 - (J - 1)^2,
+    # then its denominator in place
+    uv = (t + 1) ** 2 - (J - 1) ** 2
+    A = uv.astype(float)
+    uv -= 2 * J - 1
+    A /= uv
+    del uv
     if n % 2 == 0:
-        ratio[0] = 1.0
-    A = np.cumprod(ratio, axis=0) * (2 * J + 1) / (t + 1) ** 2
+        A[0] = 1.0
+    np.cumprod(A, axis=0, out=A)
+    A *= 2 * J + 1
+    A /= (t + 1) ** 2
     b = (2 * t + 1) / comb(n + 2, 2)
     return A, b, two_js, Js
 
@@ -526,17 +528,11 @@ def maximize_entropy_over_q(n: int, d: int, restarts: int = 20, seed: int = 0) -
 
 
 def lambert_w0(x: float) -> float:
-    """Principal Lambert W by Halley iteration, |W e^W - x| below 1e-12."""
-    if x < -1.0 / _e - 1e-15:
-        raise ValueError(f"lambert_w0 domain is [-1/e, inf), got {x}")
-    if x == 0.0:
-        return 0.0
-    if x < -1.0 / _e + 1e-15:
-        return -1.0
-    if x < 0.0:
-        p = np.sqrt(2.0 * (_e * x + 1.0))
-        w = -1.0 + p - p * p / 3.0 + 11.0 * p**3 / 72.0
-    elif x < _e:
+    """Principal Lambert W on the domain x >= 0, by Halley iteration,
+    |W e^W - x| below 1e-12; the start at x = 0 is W = 0 itself."""
+    if not x >= 0.0:  # a NaN fails here too
+        raise ValueError(f"lambert_w0 domain is [0, inf), got {x}")
+    if x < _e:
         w = np.log1p(x) * (1.0 - np.log(1.0 + np.log1p(x)) / (2.0 + np.log1p(x)))
     else:
         lx = log(x)

@@ -153,9 +153,9 @@ def _checks():
     ]
 
 
-def run(write=None) -> tuple:
+def run(write) -> tuple:
     """Run the battery and return (failures, checks run); each report line
-    goes to ``write`` when one is given."""
+    goes to ``write``."""
     checks = _checks()
     failures = 0
     for name, check in checks:
@@ -163,9 +163,7 @@ def run(write=None) -> tuple:
             ok = bool(check())
         except Exception as exc:  # surfaced, counted as failure
             ok = False
-            if write:
-                write(f"[ERROR] {name}: {exc}")
-        if write:
-            write(f"[{'PASS' if ok else 'FAIL'}] {name}")
+            write(f"[ERROR] {name}: {exc}")
+        write(f"[{'PASS' if ok else 'FAIL'}] {name}")
         failures += 0 if ok else 1
     return failures, len(checks)

@@ -2,16 +2,16 @@
 encoding, copy/precision budgeting with its program-qubit accounting, and
 composed-channel verification."""
 
+from collections import Counter
 from dataclasses import dataclass
 from math import ceil, isfinite, log2, pi
 
 import numpy as np
 
-from .config import _check_d, ensure_vector_budget
+from .config import _check_d, _check_eps, ensure_vector_budget
 from .channels import effective_channel, unitary_channel
 from .cyclic import r_theta_coeffs
 from .distances import sampled_diamond_lower_bound
-from .repthy import _check_eps
 from .tensor_core import UNITARY_TOL, PureState, require_unitary, sym_dim
 
 
@@ -65,15 +65,6 @@ def binary_angle(theta: float, K: int) -> float:
 
 
 @dataclass
-class RotationRecord:
-    psi: PureState
-    alpha: float
-    a: float
-    n_copies: int
-    theta: float
-
-
-@dataclass
 class BudgetReport:
     d: int
     epsilon: float
@@ -99,11 +90,14 @@ def budget(d: int, epsilon: float, alphas) -> BudgetReport:
     copies = [9 * (d - 1) * abs(a) / epsilon for a in alphas]
     if not all(isfinite(x) for x in [9 * pi * (d - 1) / epsilon, *copies]):
         raise ValueError(f"epsilon = {epsilon} is too small: the copy counts overflow")
-    K = ceil(log2(6 * pi * (d - 1) / epsilon))
+    K = max(1, ceil(log2(6 * pi * (d - 1) / epsilon)))
     n_copies = [ceil(x) for x in copies]
-    phase_qubits = (d - 1) * ceil(log2(ceil(6 * pi * (d - 1) / epsilon)))
+    phase_qubits = (d - 1) * K
     copy_qubits = (d - 1) * ceil(log2(ceil(9 * pi * (d - 1) / epsilon)))
-    sym_qubits = sum(ceil(log2(sym_dim(nj, d))) for nj in n_copies if nj > 0)
+    # equal angles give equal copy counts: one binomial per distinct count
+    sym_qubits = sum(
+        count * ceil(log2(sym_dim(nj, d))) for nj, count in Counter(n_copies).items() if nj > 0
+    )
     return BudgetReport(
         d=d,
         epsilon=epsilon,
@@ -120,7 +114,7 @@ def budget(d: int, epsilon: float, alphas) -> BudgetReport:
 def assemble_universal_channel(U, epsilon: float):
     """Composition of approximate rotation channels programming U.
 
-    Returns (rotation records, channel callable). Each eigenrotation alpha_j
+    Returns the composed channel as a callable. Each eigenrotation alpha_j
     is encoded as theta_j = pi a_j with a_j the K-bit truncation, realized
     through the closed-form effective channel with n_j program copies, so
     copy counts in the hundreds cost nothing. The coefficients of the worst
@@ -132,15 +126,11 @@ def assemble_universal_channel(U, epsilon: float):
     alphas = [alpha for _, alpha in pairs[1:]]
     report = budget(d, epsilon, alphas)
     ensure_vector_budget(ceil(9 * (d - 1) * pi / epsilon) + 1, "cyclic element coefficients")
-    rotations = []
-    channels = []
-    for (psi, alpha), n_j in zip(pairs[1:], report.n_copies):
-        if n_j == 0:
-            continue
-        a_j = binary_angle(alpha, report.K)
-        theta_j = pi * a_j
-        rotations.append(RotationRecord(psi=psi, alpha=alpha, a=a_j, n_copies=n_j, theta=theta_j))
-        channels.append(effective_channel(r_theta_coeffs(n_j, theta_j), psi))
+    channels = [
+        effective_channel(r_theta_coeffs(n_j, pi * binary_angle(alpha, report.K)), psi)
+        for (psi, alpha), n_j in zip(pairs[1:], report.n_copies)
+        if n_j > 0
+    ]
 
     def composed(X):
         out = np.asarray(X, dtype=complex)
@@ -148,7 +138,7 @@ def assemble_universal_channel(U, epsilon: float):
             out = chan(out)
         return out
 
-    return rotations, composed
+    return composed
 
 
 @dataclass
@@ -166,7 +156,7 @@ def verify_budget(U, epsilon: float, trials: int = 200, seed=0) -> VerifyReport:
     np.random.default_rng(seed)."""
     U = np.asarray(U, dtype=complex)
     d = U.shape[0]
-    _, composed = assemble_universal_channel(U, epsilon)
+    composed = assemble_universal_channel(U, epsilon)
     target = unitary_channel(U)
     sampled = sampled_diamond_lower_bound(target, composed, d, trials, seed)
     return VerifyReport(

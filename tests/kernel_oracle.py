@@ -23,9 +23,6 @@ def apply_gate(state: np.ndarray, gate, total: int) -> np.ndarray:
         plus = (tensor[0] + tensor[1]) / np.sqrt(2.0)
         minus = (tensor[0] - tensor[1]) / np.sqrt(2.0)
         tensor = np.moveaxis(np.stack([plus, minus]), 0, q)
-    elif gate.kind == "swap":
-        a, b = gate.targets
-        tensor = np.swapaxes(tensor, a, b)
     elif gate.kind == "cswap":
         (c,) = gate.controls
         a, b = gate.targets

@@ -58,7 +58,7 @@ def test_dense_channel_identity_element():
     rng = np.random.default_rng(3)
     psi = haar_random_state(2, rng)
     X = random_matrix(2, rng)
-    out = dense_reflection_channel(CyclicElement.identity(3), psi, X)
+    out = dense_reflection_channel(r_theta_coeffs(3, 0.0), psi, X)
     assert np.abs(out - X).max() < 1e-12
 
 
@@ -155,7 +155,7 @@ def test_dense_channel_equals_column_loop(d, ns):
         for element in (
             r_theta_coeffs(n, rng.uniform(0, 2 * pi)),
             lmr_coeffs(rng.uniform(0, pi, size=n)),
-            CyclicElement.identity(n),
+            r_theta_coeffs(n, 0.0),
         ):
             out = dense_reflection_channel(element, psi, X)
             assert np.array_equal(out, dense_reflection_channel_reference(element, psi, X))
@@ -319,7 +319,7 @@ def _library_channels(d):
     from reflectron.universal import assemble_universal_channel
 
     psi = haar_random_state(d, 40 + d)
-    _, composed = assemble_universal_channel(haar_random_unitary(d, 40 + d), 0.2)
+    composed = assemble_universal_channel(haar_random_unitary(d, 40 + d), 0.2)
     return {
         "rotation": make_rotation_channel(psi, 1.3),
         "effective": effective_channel(r_theta_coeffs(3, 2.1), psi),

@@ -8,6 +8,7 @@ from reflectron.tensor_core import haar_random_state
 from reflectron.cyclic import r_theta_coeffs
 from reflectron.circuits import (
     Gate,
+    RotationCircuit,
     _apply_gate,
     apply_circuit,
     build_rotation_circuit,
@@ -56,15 +57,17 @@ def test_counts_deterministic():
 
 
 def test_circuit_to_dense_trivials():
-    assert np.abs(circuit_to_dense([], 2) - np.eye(4)).max() == 0
-    swap = circuit_to_dense([Gate("swap", targets=(0, 1))], 2)
-    expected = np.eye(4)[[0, 2, 1, 3]]
-    assert np.abs(swap - expected).max() == 0
+    # n = 1: one ancilla, the system and one program qubit
+    assert np.abs(circuit_to_dense(RotationCircuit(1, 0.0, gates=[])) - np.eye(8)).max() == 0
+    cswap = circuit_to_dense(RotationCircuit(1, 0.0, gates=[Gate("cswap", targets=(1, 2), controls=(0,))]))
+    expected = np.eye(8)[[0, 1, 2, 3, 4, 6, 5, 7]]
+    assert np.abs(cswap - expected).max() == 0
 
 
 def test_circuit_to_dense_budget():
+    # n = 15 has 20 qubits: 2^20 x 2^20 entries
     with pytest.raises(DimensionBudgetError):
-        circuit_to_dense([], 21)
+        circuit_to_dense(RotationCircuit(15, 0.0, gates=[]))
 
 
 @pytest.mark.parametrize("n", [1, 3, 7])
@@ -107,7 +110,7 @@ def test_ancilla_returns_to_superposition_midway():
     n = 3
     circ = build_rotation_circuit(n, 1.1)
     L = circ.ancilla
-    head = circ.gates[: len(circ.gates) - L]
+    head = RotationCircuit(n, circ.theta, gates=circ.gates[: len(circ.gates) - L])
     rng = np.random.default_rng(0)
     phi = haar_random_state(2, rng).amplitudes
     psi = haar_random_state(2, rng).amplitudes
@@ -136,7 +139,6 @@ def test_export_header_and_counts():
 def test_export_lines_match_gates():
     names = {
         "h": "H",
-        "swap": "SWAP",
         "cswap": "CSWAP",
         "single_qubit_phase": "PHASE0",
         "multi_controlled_phase": "MCPHASE",
@@ -169,8 +171,8 @@ def _gates_on(total):
         Gate("h", targets=(0,)),
         Gate("h", targets=(last,)),
         Gate("h", targets=(total // 2,)),
-        Gate("swap", targets=(0, last)),
-        Gate("swap", targets=(last, 1)),
+        Gate("cswap", targets=(0, last), controls=(total // 2,)),
+        Gate("cswap", targets=(last, 1), controls=(0,)),
         Gate("cswap", targets=(1, last), controls=(0,)),
         Gate("cswap", targets=(0, 1), controls=(last,)),
         Gate("cswap", targets=(last, 0), controls=(1,)),

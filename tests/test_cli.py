@@ -88,6 +88,17 @@ def test_universal_verify_seeds_share_no_target(capsys):
     assert worst[0] != worst[1]
 
 
+def test_universal_binary_angles_take_at_least_one_bit(capsys):
+    # at eps >= 6 pi (d - 1) the width formula alone reads K <= 0
+    code, out, _ = run(["universal", "budget", "--d", "2", "--eps", "100"], capsys)
+    payload = json.loads(out)
+    assert code == 0 and payload["K"] == 1 and payload["phase_qubits"] == 1
+    code, out, err = run(
+        ["universal", "verify", "--d", "2", "--eps", "20", "--trials", "5", "--targets", "1"], capsys
+    )
+    assert (code, err) == (0, "") and json.loads(out)["all_passed"]
+
+
 def test_lowerbound_solve_q(capsys):
     code, out, _ = run(["lowerbound", "solve-q", "--n", "6"], capsys)
     payload = json.loads(out)
@@ -426,6 +437,8 @@ def test_invalid_size_and_angle_exit_code(argv, capsys):
         (["landscape", "--n", str(10**400), "--grid", "2"], "too large"),
         (["universal", "budget", "--d", str(10**400), "--eps", "0.1"], "index-sized integer"),
         (["distance", "--n", "3", "--alpha", "4"], "alpha must lie in [0, pi]"),
+        # zero probes would report all_passed with no evidence
+        (["universal", "verify", "--d", "2", "--eps", "0.2", "--trials", "0"], "need --trials >= 1, got 0"),
     ],
 )
 def test_universal_and_landscape_invalid_input_exit_code(argv, named, capsys):

@@ -33,7 +33,7 @@ def applied_element(e, d):
 
 
 def test_fourier_identity_element():
-    e = CyclicElement.identity(4)
+    e = r_theta_coeffs(4, 0.0)
     assert np.abs(fourier(e) - np.ones(5)).max() < 1e-12
 
 
@@ -60,7 +60,7 @@ def test_fourier_roundtrip(n, seed):
 
 
 def test_is_unitary_element_cases():
-    assert is_unitary_element(CyclicElement.identity(3))
+    assert is_unitary_element(r_theta_coeffs(3, 0.0))
     assert not is_unitary_element(CyclicElement(1, [0.5, 0.5]))
     rng = np.random.default_rng(1)
     for n in (1, 2, 5, 9):
@@ -79,7 +79,7 @@ def test_unitary_flag_matches_dense_check():
 
 def test_r_theta_identity_at_zero():
     e = r_theta_coeffs(5, 0.0)
-    assert np.abs(e.coeffs - CyclicElement.identity(5).coeffs).max() < 1e-15
+    assert np.abs(e.coeffs - np.eye(1, 6)[0]).max() < 1e-15
 
 
 def test_r_theta_pi_values():
@@ -119,7 +119,7 @@ def test_lmr_swap_case():
 
 def test_lmr_identity_case():
     e = lmr_coeffs(np.zeros(4))
-    assert np.abs(e.coeffs - CyclicElement.identity(4).coeffs).max() < 1e-15
+    assert np.abs(e.coeffs - r_theta_coeffs(4, 0.0).coeffs).max() < 1e-15
 
 
 def test_lmr_fourier_zero_phase():
@@ -147,7 +147,7 @@ def test_lmr_equal_angle_ratio_structure():
 
 
 def test_dense_element_identity():
-    assert np.abs(applied_element(CyclicElement.identity(2), 2) - np.eye(8)).max() == 0
+    assert np.abs(applied_element(r_theta_coeffs(2, 0.0), 2) - np.eye(8)).max() == 0
 
 
 def test_dense_element_reflection_eigencheck():
@@ -192,7 +192,7 @@ def test_dense_element_equals_permutation_operator_sum(n, d):
     rng = np.random.default_rng(n * 10 + d)
     coeffs = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
     coeffs[-1] = 0.0
-    for e in (CyclicElement(n, coeffs), r_theta_coeffs(n, 1.234), CyclicElement.identity(n)):
+    for e in (CyclicElement(n, coeffs), r_theta_coeffs(n, 1.234), r_theta_coeffs(n, 0.0)):
         assert np.array_equal(applied_element(e, d), perm_oracle.dense_element(e, d))
 
 
@@ -265,12 +265,10 @@ def test_coefficient_constructors_check_budget(monkeypatch):
     monkeypatch.setenv("REFLECTRON_BUDGET", "64")
     assert r_theta_coeffs(63, 0.4).coeffs.size == 64
     assert lmr_coeffs(np.full(63, 0.1)).coeffs.size == 64
-    assert CyclicElement.identity(63).coeffs.size == 64
     for make in (
         lambda: r_theta_coeffs(64, 0.4),
         lambda: optimal_reflection_coeffs(64),
         lambda: lmr_coeffs(np.full(64, 0.1)),
-        lambda: CyclicElement.identity(64),
     ):
         with pytest.raises(DimensionBudgetError):
             make()
@@ -330,7 +328,6 @@ def test_library_elements_are_read_only_and_share_no_callers_array():
     thetas = np.full(6, 0.3)
     ct = np.exp(1j * np.arange(5.0))
     built = [
-        (CyclicElement.identity(4), []),
         (r_theta_coeffs(4, 0.7), []),
         (lmr_coeffs(thetas), [thetas]),
         (lmr_coeffs(np.broadcast_to(0.2, 5)), []),

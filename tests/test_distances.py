@@ -454,7 +454,7 @@ def _channels(d, seed):
     from reflectron.tensor_core import haar_random_unitary
 
     psi = haar_random_state(d, seed)
-    _, composed = assemble_universal_channel(haar_random_unitary(d, seed), 0.2)
+    composed = assemble_universal_channel(haar_random_unitary(d, seed), 0.2)
     return {
         "rotation": make_rotation_channel(psi, 1.3),
         "effective": effective_channel(r_theta_coeffs(3, 2.1), psi),
@@ -518,7 +518,7 @@ def test_sampled_bound_equals_loop_reference(d):
     from reflectron.tensor_core import haar_random_unitary
 
     U = haar_random_unitary(d, 3)
-    _, composed = assemble_universal_channel(U, 0.2)
+    composed = assemble_universal_channel(U, 0.2)
     target = unitary_channel(U)
     for trials, seed in ((20, 1003), (50, 7)):
         got = sampled_diamond_lower_bound(target, composed, d, trials, seed)

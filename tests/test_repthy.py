@@ -229,6 +229,16 @@ def test_product_formula_equals_exact_racah_sums():
         assert np.all(np.tril(A, -1) == 0.0)
 
 
+def test_system_peak_stays_within_two_tables():
+    from traced import traced_peak
+
+    # one integer and one float table at a time; four full-size integer
+    # temporaries would read ~4 tables
+    (A, *_), peak = traced_peak(lambda: conjecture_system_d2(1023))
+    assert A.shape == (512, 512)
+    assert peak <= 2.2 * A.nbytes, peak / A.nbytes
+
+
 @pytest.mark.parametrize("tj", [401, 1000, 1001])
 def test_system_column_matches_eigh_oracle(tj):
     A, _, two_js, _ = conjecture_system_d2(tj)
@@ -935,15 +945,15 @@ def test_entropy_support_bound_any_q():
 def test_lambert_fixed_points():
     assert lambert_w0(0.0) == 0.0
     assert abs(lambert_w0(euler_e) - 1.0) < 1e-12
-    assert abs(lambert_w0(-1.0 / euler_e) + 1.0) < 1e-6
 
 
 def test_lambert_defining_equation():
-    for x in (1e-8, 0.1, 1.0, 5.0, 1e3, 1e9, -0.2, -0.35):
+    for x in (1e-8, 0.1, 1.0, 5.0, 1e3, 1e9):
         w = lambert_w0(x)
         assert abs(w * np.exp(w) - x) <= 1e-12 * (1 + abs(x))
-    with pytest.raises(ValueError):
-        lambert_w0(-1.0)
+    for x in (-1.0, -1e-300, float("nan")):
+        with pytest.raises(ValueError, match="domain is"):
+            lambert_w0(x)
 
 
 def test_fd_at_zero_epsilon():

@@ -1,7 +1,9 @@
 """The public surface: what the README and the benchmark read resolves on the
-package, and every top-level definition in the library has a reader."""
+package, and every top-level definition and class member in the library has a
+reader."""
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -92,10 +94,14 @@ def _references(node, skip=None):
     return names
 
 
+def _library():
+    return {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+
+
 def test_every_definition_has_a_reader():
     """Every top-level def of the library is read by another of its modules,
     the CLI included, by its own module outside its body, or by the benchmark."""
-    modules = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    modules = _library()
     bench = {name for chain in _bench_reads() for name in chain}
     everywhere = {stem: _references(tree) for stem, tree in modules.items()}
     orphans = []
@@ -108,4 +114,27 @@ def test_every_definition_has_a_reader():
             used = node.name in elsewhere or node.name in _references(tree, skip=node)
             if not (used or node.name in bench):
                 orphans.append(f"{stem}.{node.name}")
+    assert orphans == []
+
+
+def test_every_class_member_has_a_reader():
+    """Every method, property and classmethod of a library class is read
+    outside its own body, by the library or by bench/queries.py. Dunders and
+    overrides of a base-class attribute, such as cli._Parser.error, are read
+    by Python and the base class."""
+    modules = _library()
+    bench = _references(ast.parse((ROOT / "bench" / "queries.py").read_text()))
+    orphans = []
+    for stem, tree in modules.items():
+        module = importlib.import_module(f"reflectron.{stem}")
+        for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+            bases = getattr(module, cls.name).__mro__[1:]
+            for member in cls.body:
+                if not isinstance(member, ast.FunctionDef) or member.name.startswith("__"):
+                    continue
+                if any(hasattr(base, member.name) for base in bases):
+                    continue
+                readers = bench.union(*(_references(other, skip=member) for other in modules.values()))
+                if member.name not in readers:
+                    orphans.append(f"{stem}.{cls.name}.{member.name}")
     assert orphans == []

@@ -3,7 +3,7 @@ from math import ceil, log2, pi
 import numpy as np
 import pytest
 
-from reflectron.tensor_core import haar_random_state, haar_random_unitary
+from reflectron.tensor_core import haar_random_state, haar_random_unitary, sym_dim
 from reflectron.universal import (
     assemble_universal_channel,
     binary_angle,
@@ -108,6 +108,32 @@ def test_budget_formulas():
     assert rep.total_qubits == rep.phase_qubits + rep.copy_count_qubits + rep.symmetric_program_qubits
 
 
+def test_budget_reads_one_binomial_per_distinct_copy_count(monkeypatch):
+    import reflectron.universal as universal
+
+    calls = []
+    monkeypatch.setattr(universal, "sym_dim", lambda n, d: calls.append(n) or sym_dim(n, d))
+    rep = budget(2000, 0.1, [pi] * 1999)
+    assert calls == [rep.n_copies[0]]
+    assert rep.symmetric_program_qubits == 1999 * ceil(log2(sym_dim(rep.n_copies[0], 2000)))
+    # mixed angles: the count-weighted sum equals the sum over the angles
+    calls.clear()
+    alphas = [pi, 1.0, pi, -1.0, 0.0]
+    rep = budget(6, 0.05, alphas)
+    assert sorted(calls) == sorted(set(rep.n_copies) - {0})
+    assert rep.symmetric_program_qubits == sum(ceil(log2(sym_dim(nj, 6))) for nj in rep.n_copies if nj > 0)
+
+
+def test_binary_angle_width_is_at_least_one_bit():
+    # at eps >= 6 pi (d - 1) the width ceil(log2(6 pi (d - 1) / eps)) alone is <= 0
+    for d in (2, 3, 45):
+        for eps in (1e-9, 0.1, 6 * pi * (d - 1) - 1e-9, 6 * pi * (d - 1), 100.0 * d):
+            rep = budget(d, eps, [pi] * (d - 1))
+            assert rep.K == max(1, ceil(log2(6 * pi * (d - 1) / eps)))
+            assert rep.phase_qubits == (d - 1) * rep.K
+    assert budget(2, 100.0, [pi]).K == 1
+
+
 def linear_bound(n, alpha):
     return 3.0 * alpha / n
 
@@ -138,16 +164,16 @@ def test_scaling_fit_constant():
 
 
 def test_assemble_identity_target():
-    rotations, chan = assemble_universal_channel(np.eye(2), 0.25)
+    chan = assemble_universal_channel(np.eye(2), 0.25)
     rng = np.random.default_rng(0)
     X = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    assert np.abs(chan(X) - X).max() < 1e-12
-    assert rotations == []
+    # no rotation is built, so the channel returns X unchanged
+    assert np.array_equal(chan(X), np.asarray(X, dtype=complex))
 
 
 def test_assembled_channel_trace_preserving_and_cp():
     U = haar_random_unitary(3, 1)
-    _, chan = assemble_universal_channel(U, 0.8)
+    chan = assemble_universal_channel(U, 0.8)
     rng = np.random.default_rng(1)
     X = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     assert abs(np.trace(chan(X)) - np.trace(X)) < 1e-10
@@ -167,24 +193,23 @@ def test_single_rotation_reduction_d2():
     alpha = 2.0
     U = rotation_unitary(psi, alpha)
     eps = 0.2
-    rotations, chan = assemble_universal_channel(U, eps)
-    assert len(rotations) == 1
-    rec = rotations[0]
-    target = make_rotation_channel(rec.psi, rec.alpha)
+    chan = assemble_universal_channel(U, eps)
+    target = make_rotation_channel(psi, alpha)
     sampled = sampled_diamond_lower_bound(target, chan, 2, 400, seed=5)
     # binary truncation + finite copies both contribute; stay within budget
     assert sampled <= eps + 1e-9
 
 
-def test_program_record_invariants():
-    # binary truncation error per rotation stays within the encoder share
+def test_program_invariants():
+    # binary truncation error per rotation stays within the encoder share,
+    # for the angles and copy counts that assemble_universal_channel reads
     for d, eps, seed in ((2, 0.2, 0), (3, 0.4, 1)):
-        U = haar_random_unitary(d, seed)
-        rotations, _ = assemble_universal_channel(U, eps)
-        for rec in rotations:
-            assert abs(rec.alpha - pi * rec.a) <= eps / (6 * (d - 1)) + 1e-12
-            assert rec.theta == pi * rec.a
-            assert rec.n_copies == ceil(9 * (d - 1) * abs(rec.alpha) / eps)
+        pairs = eigendecompose_target(haar_random_unitary(d, seed))
+        alphas = [alpha for _, alpha in pairs[1:]]
+        rep = budget(d, eps, alphas)
+        for alpha, n_copies in zip(alphas, rep.n_copies):
+            assert abs(alpha - pi * binary_angle(alpha, rep.K)) <= eps / (6 * (d - 1)) + 1e-12
+            assert n_copies == ceil(9 * (d - 1) * abs(alpha) / eps)
 
 
 def test_verify_budget_identity():
