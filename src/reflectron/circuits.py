@@ -20,8 +20,6 @@ import numpy as np
 
 from .config import ensure_operator_budget
 
-GATE_KINDS = ("h", "cswap", "single_qubit_phase", "multi_controlled_phase")
-
 _EXPORT_NAMES = {
     "h": "H",
     "cswap": "CSWAP",
@@ -38,7 +36,7 @@ class Gate:
     angle: float | None = None
 
     def __post_init__(self):
-        if self.kind not in GATE_KINDS:
+        if self.kind not in _EXPORT_NAMES:
             raise ValueError(f"unknown gate kind {self.kind}")
 
 
@@ -50,7 +48,7 @@ class RotationCircuit:
 
     @property
     def ancilla(self) -> int:
-        return int(round(np.log2(self.n + 1)))
+        return (self.n + 1).bit_length() - 1
 
     @property
     def total_qubits(self) -> int:
@@ -93,9 +91,10 @@ def _controlled_cycle_block(control: int, power: int, n: int, offset: int, pad_p
 def build_rotation_circuit(n: int, theta: float) -> RotationCircuit:
     if n < 1 or (n + 1) & n != 0:
         raise ValueError(f"n + 1 must be a power of two, got n = {n}")
-    L = (n + 1).bit_length() - 1
+    circ = RotationCircuit(n=n, theta=float(theta))
+    L = circ.ancilla
     sys_offset = L  # first permuted slot; system qubit L, program L+1..L+n
-    gates = []
+    gates = circ.gates
     anc = list(range(L))
     gates.extend(Gate("h", targets=(q,)) for q in anc)
 
@@ -127,7 +126,7 @@ def build_rotation_circuit(n: int, theta: float) -> RotationCircuit:
     gates.extend(control_block(inverse=True, pairs=inv_pairs))
 
     gates.extend(Gate("h", targets=(q,)) for q in anc)
-    return RotationCircuit(n=n, theta=float(theta), gates=gates)
+    return circ
 
 
 def gate_counts(circ: RotationCircuit) -> dict:
@@ -169,8 +168,6 @@ def _apply_gate(state: np.ndarray, gate: Gate) -> None:
         zeros = _slice(state, {q: 0 for q in gate.targets})
         # not *=: numpy's in-place product rounds a one-element slice differently
         zeros[...] = zeros * np.exp(1j * gate.angle)
-    else:
-        raise ValueError(f"unhandled gate kind {gate.kind}")
 
 
 def circuit_to_dense(circ: RotationCircuit) -> np.ndarray:

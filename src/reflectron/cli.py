@@ -113,12 +113,11 @@ def _algo_element(args, n: int, alpha: float):
     if args.algo == "theta":
         theta = parse_angle(args.theta) if args.theta is not None else alpha
         return r_theta_coeffs(n, theta), theta
-    if args.algo == "lmr":
-        theta = parse_angle(args.theta) if args.theta is not None else alpha / n
-        if not isfinite(n * theta):  # the phases of lmr_coeffs are tail sums of the angles
-            raise CliError(f"need a finite total angle n * theta, got {n} * {theta}")
-        return lmr_coeffs(np.broadcast_to(theta, n)), theta
-    raise CliError(f"unknown algo {args.algo}")
+    # "lmr": argparse admits no other choice
+    theta = parse_angle(args.theta) if args.theta is not None else alpha / n
+    if not isfinite(n * theta):  # the phases of lmr_coeffs are tail sums of the angles
+        raise CliError(f"need a finite total angle n * theta, got {n} * {theta}")
+    return lmr_coeffs(np.broadcast_to(theta, n)), theta
 
 
 def cmd_distance(args) -> int:

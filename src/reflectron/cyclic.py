@@ -22,19 +22,21 @@ def _coefficients(n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CyclicElement:
-    """An element with read-only coefficients, a copy of the caller's array,
-    and the two sums the channel condition tests, (ct_0, sum_l |c_l|^2), read
-    once here."""
+    """An element of C[S_{n+1}] given by its n + 1 coefficients c_0 .. c_n:
+    read-only, a copy of the caller's array. n is derived from their count,
+    and the two sums the channel condition tests, (ct_0, sum_l |c_l|^2), are
+    read once here."""
 
-    n: int
     coeffs: np.ndarray
+    n: int = field(init=False)
     sums: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         c = _read_only(self.coeffs)
-        if c.size != self.n + 1:
-            raise ValueError(f"expected {self.n + 1} coefficients, got {c.size}")
+        if c.size == 0:
+            raise ValueError("need at least one coefficient")
         object.__setattr__(self, "coeffs", c)
+        object.__setattr__(self, "n", c.size - 1)
         object.__setattr__(self, "sums", (complex(c.sum()), float(np.vdot(c, c).real)))
 
 
@@ -45,7 +47,7 @@ def fourier(e: CyclicElement) -> np.ndarray:
 
 def inverse_fourier(ct: np.ndarray) -> CyclicElement:
     ct = np.asarray(ct, dtype=complex).reshape(-1)
-    return CyclicElement(ct.size - 1, _Fresh(np.fft.fft(ct) / ct.size))
+    return CyclicElement(_Fresh(np.fft.fft(ct) / ct.size))
 
 
 def is_unitary_element(e: CyclicElement) -> bool:
@@ -91,7 +93,7 @@ def r_theta_coeffs(n: int, theta: float) -> CyclicElement:
     phase = np.exp(1j * theta)
     c[:] = (phase - 1.0) / (n + 1)
     c[0] = (n + phase) / (n + 1)
-    return CyclicElement(n, _Fresh(c))
+    return CyclicElement(_Fresh(c))
 
 
 def optimal_reflection_coeffs(n: int) -> CyclicElement:
@@ -119,7 +121,7 @@ def lmr_coeffs(thetas) -> CyclicElement:
     tails = np.append(np.cumsum(thetas[::-1])[-2::-1], 0.0)
     c[0] = prefix[n]
     c[1:] = np.exp(1j * tails) * 1j * np.sin(thetas) * prefix[:n]
-    return CyclicElement(n, _Fresh(c))
+    return CyclicElement(_Fresh(c))
 
 
 def apply_element(e: CyclicElement, d: int, vecs) -> np.ndarray:

@@ -259,7 +259,7 @@ def build_probe(n: int, d: int, q: dict) -> PureState:
     if unknown:
         raise ValueError(f"weights on invalid irrep labels {sorted(unknown, key=str)}")
     v = _probe_vector(n, d, spec.q, blocks)
-    return PureState(v / np.linalg.norm(v), d, 2 * n)
+    return PureState(v / np.linalg.norm(v))
 
 
 def build_probe_d2(n: int, probe: ProbeSpec) -> PureState:
@@ -368,8 +368,6 @@ def support_bound(n: int, d: int) -> int:
 
 @dataclass
 class EntropyReport:
-    n: int
-    d: int
     probe: ProbeSpec
     entropy: float
     target: float
@@ -508,8 +506,6 @@ def maximize_entropy_over_q(n: int, d: int, restarts: int = 20, seed: int = 0) -
     # chi_lam(R) / d_lam = <Phi_lam| R^{xn} x I |Phi_lam> for the unit probe of each block
     chi_per_dim = np.einsum("ai,ai->a", sides, sides * _reflection_signs(n, d))
     return EntropyReport(
-        n=n,
-        d=d,
         probe=probe,
         entropy=entropy,
         target=target,

@@ -47,13 +47,13 @@ def _checks():
 
     def fourier_roundtrip():
         c = rng.normal(size=9) + 1j * rng.normal(size=9)
-        e = CyclicElement(8, c)
+        e = CyclicElement(c)
         back = inverse_fourier(fourier(e))
         return np.abs(back.coeffs - e.coeffs).max() < 1e-12
 
     def unitary_flags():
         return is_unitary_element(r_theta_coeffs(5, 1.1)) and not is_unitary_element(
-            CyclicElement(1, [0.5, 0.5])
+            CyclicElement([0.5, 0.5])
         )
 
     def optimal_value():

@@ -34,21 +34,13 @@ def _read_only(x) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PureState:
-    """Normalized vector on (C^d)^{x factors}; its amplitudes are read-only, a
-    copy of the caller's array."""
+    """A normalized vector, nothing but its amplitudes: read-only, a copy of
+    the caller's array. Which tensor factors it spans is the caller's to say."""
 
     amplitudes: np.ndarray
-    local_dim: int
-    factors: int = 1
 
     def __post_init__(self):
         object.__setattr__(self, "amplitudes", _read_only(self.amplitudes))
-        dim = self.local_dim**self.factors
-        if self.amplitudes.size != dim:
-            raise ValueError(
-                f"state has {self.amplitudes.size} amplitudes, expected "
-                f"{self.local_dim}^{self.factors} = {dim}"
-            )
         # a pairwise sum of the squared real and imaginary parts: BLAS nrm2
         # rounds past NORM_TOL at 2^21 amplitudes
         re_im = self.amplitudes.view(float)
@@ -70,7 +62,7 @@ class PureState:
     def tensor_power(self, n: int) -> "PureState":
         ensure_vector_budget(self.dim**n, "tensor power state")
         vec = _kron_fold(self.amplitudes, self.amplitudes, n - 1)
-        return PureState(_Fresh(vec), self.local_dim, self.factors * n)
+        return PureState(_Fresh(vec))
 
 
 def _kron_fold(head: np.ndarray, v: np.ndarray, copies: int) -> np.ndarray:
@@ -88,11 +80,10 @@ def as_vector(psi) -> np.ndarray:
 
 
 def as_state(psi) -> PureState:
-    """psi itself if it is a PureState, else a one-factor state of its amplitudes."""
+    """psi itself if it is a PureState, else a state of its amplitudes."""
     if isinstance(psi, PureState):
         return psi
-    v = as_vector(psi)
-    return PureState(v, v.size, 1)
+    return PureState(as_vector(psi))
 
 
 def require_unitary(U) -> None:
@@ -155,21 +146,15 @@ def symmetric_projector(n: int, d: int) -> np.ndarray:
     return enc @ enc.conj().T
 
 
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def haar_random_state(d: int, seed=0) -> PureState:
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     v = rng.normal(size=d) + 1j * rng.normal(size=d)
-    return PureState(_Fresh(v / np.linalg.norm(v)), d, 1)
+    return PureState(_Fresh(v / np.linalg.norm(v)))
 
 
 def haar_random_unitary(d: int, seed=0) -> np.ndarray:
     """Haar unitary via QR with R-diagonal phase correction (Mezzadri)."""
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     z = (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))) / np.sqrt(2)
     q, r = np.linalg.qr(z)
     phases = np.diag(r).copy()

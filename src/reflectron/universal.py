@@ -25,7 +25,6 @@ def eigendecompose_target(U) -> list:
     rest mapped to (-pi, pi].
     """
     U = np.asarray(U, dtype=complex)
-    d = U.shape[0]
     require_unitary(U)
     eigvals, vecs = np.linalg.eig(U)
     Z, _ = np.linalg.qr(vecs)
@@ -44,7 +43,7 @@ def eigendecompose_target(U) -> list:
         # deterministic sign: first nonzero amplitude made real positive
         lead = vec[np.argmax(np.abs(vec) > 1e-12)]
         vec = vec * np.exp(-1j * np.angle(lead))
-        pairs.append((PureState(vec, d, 1), float(rel)))
+        pairs.append((PureState(vec), float(rel)))
     return pairs
 
 
@@ -66,8 +65,6 @@ def binary_angle(theta: float, K: int) -> float:
 
 @dataclass
 class BudgetReport:
-    d: int
-    epsilon: float
     K: int
     n_copies: list
     delta_encoder: float
@@ -80,9 +77,10 @@ class BudgetReport:
 def budget(d: int, epsilon: float, alphas) -> BudgetReport:
     """Copy counts, bit widths, and program-qubit accounting for a target.
 
-    The classical phase and copy-count registers follow the proof verbatim;
-    the quantum program cost is the symmetric-subspace term, which is the
-    part that scales as (d-1)^2 log(1/eps).
+    The classical phase and copy-count registers follow the proof, each
+    wide enough for every value it holds (K >= 1 bits, counts 0..N); the
+    quantum program cost is the symmetric-subspace term, which is the part
+    that scales as (d-1)^2 log(1/eps).
     """
     _check_d(d)
     _check_eps(epsilon)
@@ -93,14 +91,13 @@ def budget(d: int, epsilon: float, alphas) -> BudgetReport:
     K = max(1, ceil(log2(6 * pi * (d - 1) / epsilon)))
     n_copies = [ceil(x) for x in copies]
     phase_qubits = (d - 1) * K
-    copy_qubits = (d - 1) * ceil(log2(ceil(9 * pi * (d - 1) / epsilon)))
+    # each n_j is one of the N + 1 counts 0..N: ceil(log2(N + 1)) = N.bit_length() bits
+    copy_qubits = (d - 1) * ceil(9 * pi * (d - 1) / epsilon).bit_length()
     # equal angles give equal copy counts: one binomial per distinct count
     sym_qubits = sum(
         count * ceil(log2(sym_dim(nj, d))) for nj, count in Counter(n_copies).items() if nj > 0
     )
     return BudgetReport(
-        d=d,
-        epsilon=epsilon,
         K=K,
         n_copies=n_copies,
         delta_encoder=epsilon / (6 * (d - 1)),
@@ -143,8 +140,6 @@ def assemble_universal_channel(U, epsilon: float):
 
 @dataclass
 class VerifyReport:
-    d: int
-    epsilon: float
     sampled_distance: float
     passed: bool
     slack: float
@@ -160,8 +155,6 @@ def verify_budget(U, epsilon: float, trials: int = 200, seed=0) -> VerifyReport:
     target = unitary_channel(U)
     sampled = sampled_diamond_lower_bound(target, composed, d, trials, seed)
     return VerifyReport(
-        d=d,
-        epsilon=epsilon,
         sampled_distance=sampled,
         passed=bool(sampled <= epsilon + 1e-12),
         slack=float(epsilon - sampled),

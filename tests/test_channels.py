@@ -66,7 +66,7 @@ def test_dense_channel_swap_replaces_with_program():
     rng = np.random.default_rng(4)
     psi = haar_random_state(2, rng)
     X = random_matrix(2, rng)
-    out = dense_reflection_channel(CyclicElement(1, [0.0, 1.0]), psi, X)
+    out = dense_reflection_channel(CyclicElement([0.0, 1.0]), psi, X)
     assert np.abs(out - np.trace(X) * psi.projector).max() < 1e-12
 
 
@@ -179,7 +179,7 @@ def test_effective_identity_and_swap_cases():
     X = random_matrix(2, rng)
     ident = effective_channel(r_theta_coeffs(3, 0.0), psi)
     assert np.abs(ident(X) - X).max() < 1e-12
-    swap = effective_channel(CyclicElement(1, [0.0, 1.0]), psi)
+    swap = effective_channel(CyclicElement([0.0, 1.0]), psi)
     assert np.abs(swap(X) - np.trace(X) * psi.projector).max() < 1e-12
 
 
@@ -194,7 +194,7 @@ def test_effective_trace_preserving():
 
 def test_non_channel_element_rejected():
     psi = haar_random_state(2, 7)
-    bad = CyclicElement(1, [0.5, 0.5])
+    bad = CyclicElement([0.5, 0.5])
     with pytest.raises(NonChannelElementError):
         effective_channel(bad, psi)
     with pytest.raises(NonChannelElementError):
@@ -263,7 +263,7 @@ def test_choi_identity_channel():
 
 def test_choi_swap_channel():
     psi = haar_random_state(2, 13)
-    chan = effective_channel(CyclicElement(1, [0.0, 1.0]), psi)
+    chan = effective_channel(CyclicElement([0.0, 1.0]), psi)
     J = choi(chan, 2)
     assert np.abs(J - np.kron(np.eye(2), psi.projector)).max() < 1e-12
 
@@ -432,7 +432,7 @@ def test_effective_channel_equals_term_by_term_reference_bit_for_bit(d):
         lmr_coeffs(rng.uniform(0, pi, 9)),
         optimal_reflection_coeffs(4),
         inverse_fourier(np.exp(1j * rng.uniform(0, 2 * pi, size=6))),
-        CyclicElement(1, [0.0, 1.0]),
+        CyclicElement([0.0, 1.0]),
     )
     for e in elements:
         chan = effective_channel(e, psi)

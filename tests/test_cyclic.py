@@ -38,7 +38,7 @@ def test_fourier_identity_element():
 
 
 def test_fourier_two_point_by_hand():
-    e = CyclicElement(1, [0.0, 1.0])
+    e = CyclicElement([0.0, 1.0])
     ct = fourier(e)
     assert np.abs(ct - np.array([1.0, -1.0])).max() < 1e-12
 
@@ -47,7 +47,7 @@ def test_fourier_zeroth_is_coefficient_sum():
     rng = np.random.default_rng(0)
     for n in (1, 3, 8, 20):
         c = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
-        assert abs(fourier(CyclicElement(n, c))[0] - c.sum()) < 1e-10
+        assert abs(fourier(CyclicElement(c))[0] - c.sum()) < 1e-10
 
 
 @settings(max_examples=40, deadline=None)
@@ -55,13 +55,13 @@ def test_fourier_zeroth_is_coefficient_sum():
 def test_fourier_roundtrip(n, seed):
     rng = np.random.default_rng(seed)
     c = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
-    back = inverse_fourier(fourier(CyclicElement(n, c)))
+    back = inverse_fourier(fourier(CyclicElement(c)))
     assert np.abs(back.coeffs - c).max() < 1e-12
 
 
 def test_is_unitary_element_cases():
     assert is_unitary_element(r_theta_coeffs(3, 0.0))
-    assert not is_unitary_element(CyclicElement(1, [0.5, 0.5]))
+    assert not is_unitary_element(CyclicElement([0.5, 0.5]))
     rng = np.random.default_rng(1)
     for n in (1, 2, 5, 9):
         assert is_unitary_element(r_theta_coeffs(n, rng.uniform(0, 2 * pi)))
@@ -183,8 +183,22 @@ def test_lmr_restriction_is_isometric():
 
 
 def test_coefficient_length_validation():
-    with pytest.raises(ValueError):
-        CyclicElement(2, [1.0, 0.0])
+    with pytest.raises(ValueError, match="at least one coefficient"):
+        CyclicElement([])
+
+
+def test_element_order_is_derived_from_its_coefficients():
+    rng = np.random.default_rng(3)
+    elements = [
+        r_theta_coeffs(5, 0.7),
+        lmr_coeffs([0.1, 0.2, 0.3]),
+        inverse_fourier(rng.normal(size=8)),
+        CyclicElement(rng.normal(size=4) + 1j * rng.normal(size=4)),
+        CyclicElement([1.0]),
+    ]
+    assert [e.n for e in elements] == [5, 3, 7, 3, 0]
+    for e in elements:
+        assert e.n == e.coeffs.size - 1
 
 
 @pytest.mark.parametrize("n,d", [(1, 2), (3, 2), (7, 2), (1, 3), (3, 3), (2, 4)])
@@ -192,7 +206,7 @@ def test_dense_element_equals_permutation_operator_sum(n, d):
     rng = np.random.default_rng(n * 10 + d)
     coeffs = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
     coeffs[-1] = 0.0
-    for e in (CyclicElement(n, coeffs), r_theta_coeffs(n, 1.234), r_theta_coeffs(n, 0.0)):
+    for e in (CyclicElement(coeffs), r_theta_coeffs(n, 1.234), r_theta_coeffs(n, 0.0)):
         assert np.array_equal(applied_element(e, d), perm_oracle.dense_element(e, d))
 
 
@@ -200,7 +214,7 @@ def test_dense_element_equals_permutation_operator_sum(n, d):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_apply_element_matches_dense_product(n, d):
     rng = np.random.default_rng(100 * d + n)
-    e = CyclicElement(n, rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1))
+    e = CyclicElement(rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1))
     dim = d ** (n + 1)
     V = perm_oracle.dense_element(e, d)
     vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
@@ -217,7 +231,7 @@ def test_apply_element_equals_axis_oracle_bit_for_bit(d, n, rows):
     coeffs[n // 2] = 0.0  # a zero coefficient is skipped by both
     shape = (d ** (n + 1),) if rows is None else (rows, d ** (n + 1))
     vecs = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    for e in (CyclicElement(n, coeffs), r_theta_coeffs(n, 0.8)):
+    for e in (CyclicElement(coeffs), r_theta_coeffs(n, 0.8)):
         assert np.array_equal(apply_element(e, d, vecs), kernel_oracle.apply_element(e, d, vecs))
 
 
@@ -277,8 +291,8 @@ def test_coefficient_constructors_check_budget(monkeypatch):
 def test_channel_sums_feed_is_channel_element():
     rng = np.random.default_rng(11)
     elements = [r_theta_coeffs(5, 1.2), lmr_coeffs(rng.uniform(0, pi, 6))]
-    elements += [CyclicElement(3, rng.normal(size=4) + 1j * rng.normal(size=4))]
-    elements += [CyclicElement(1, [0.5, 0.5]), CyclicElement(1, [0.6, -0.8])]
+    elements += [CyclicElement(rng.normal(size=4) + 1j * rng.normal(size=4))]
+    elements += [CyclicElement([0.5, 0.5]), CyclicElement([0.6, -0.8])]
     for e in elements:
         c = e.coeffs
         ct0, total = e.sums
@@ -302,7 +316,7 @@ def test_element_coefficients_are_read_only():
 
 def test_element_copies_the_callers_array():
     c = np.array([0.6, 0.8j])
-    e = CyclicElement(1, c)
+    e = CyclicElement(c)
     sums = e.sums
     assert c.flags.writeable and e.coeffs is not c
     c[0] = 5.0
@@ -314,14 +328,14 @@ def test_element_copies_the_callers_array():
 def test_element_copies_a_read_only_callers_array():
     c = np.array([0.6, 0.8j])
     c.flags.writeable = False
-    e = CyclicElement(1, c)
+    e = CyclicElement(c)
     assert not np.shares_memory(e.coeffs, c)
     c.flags.writeable = True
     c[0] = 5.0
     assert np.array_equal(e.coeffs, [0.6, 0.8j]) and is_channel_element(e)
     # the read-only coefficients of another element are copied too
     other = r_theta_coeffs(3, 0.9)
-    assert not np.shares_memory(CyclicElement(3, other.coeffs).coeffs, other.coeffs)
+    assert not np.shares_memory(CyclicElement(other.coeffs).coeffs, other.coeffs)
 
 
 def test_library_elements_are_read_only_and_share_no_callers_array():

@@ -124,7 +124,7 @@ def test_distance_rejects_non_channel_elements():
     from reflectron.config import NonChannelElementError
     from reflectron.cyclic import CyclicElement
 
-    bad = CyclicElement(1, [0.5, 0.5])
+    bad = CyclicElement([0.5, 0.5])
     with pytest.raises(NonChannelElementError):
         closed_form_rotation_distance(bad, pi)
     with pytest.raises(NonChannelElementError):
@@ -675,7 +675,7 @@ def test_every_entry_point_rejects_planted_non_channel_element(coeffs):
     from reflectron.cyclic import CyclicElement
     from reflectron.optima import domain_classify
 
-    bad = CyclicElement(1, coeffs)
+    bad = CyclicElement(coeffs)
     ct0, total = bad.sums
     # exactly one of the two channel conditions fails
     assert (abs(abs(ct0) - 1.0) < 1e-12) != (abs(total - 1.0) < 1e-12)
@@ -713,7 +713,7 @@ def test_queries_read_the_stored_sums_not_the_coefficients():
             return super().__array_function__(func, types, args, kwargs)
 
     c = optimal_reflection_coeffs(8).coeffs
-    e = CyclicElement(8, c.view(Counted))
+    e = CyclicElement(c.view(Counted))
     assert type(e.coeffs) is Counted and Counted.full_sums == 2
     value = diamond_covariant(e, pi)
     closed_form_rotation_distance(e, pi)

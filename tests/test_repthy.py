@@ -892,8 +892,6 @@ def _sequential_maximize_entropy(n, d, restarts, seed):
     target = entropy_target(n, d)
     chi_per_dim = np.einsum("ai,ai->a", sides, sides * _reflection_signs(n, d))
     return EntropyReport(
-        n=n,
-        d=d,
         probe=ProbeSpec(n=n, d=d, q={k: float(w) for k, w in zip(keys, qvec)}),
         entropy=entropy(eig),
         target=target,

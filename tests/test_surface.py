@@ -1,8 +1,9 @@
 """The public surface: what the README and the benchmark read resolves on the
-package, and every top-level definition and class member in the library has a
-reader."""
+package; every top-level definition, class member and dataclass field in the
+library has a reader; and the README's tables render whole."""
 
 import ast
+import dataclasses
 import importlib
 import re
 from pathlib import Path
@@ -138,3 +139,52 @@ def test_every_class_member_has_a_reader():
                 if member.name not in readers:
                     orphans.append(f"{stem}.{cls.name}.{member.name}")
     assert orphans == []
+
+
+def _attribute_reads(node, skip=None):
+    """Attribute names read (loaded) under `node`, outside the subtree `skip`."""
+    if node is skip:
+        return set()
+    names = {node.attr} if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) else set()
+    for child in ast.iter_child_nodes(node):
+        names |= _attribute_reads(child, skip)
+    return names
+
+
+def test_every_dataclass_field_has_a_reader():
+    """Every field of a library dataclass is read as an attribute outside its
+    class body, by the library or by bench/queries.py or bench/tracer.py (the
+    tracer reads MinimizeResult.nfev). The check goes by name, so a field
+    named as another object's attribute, such as n or d, passes."""
+    modules = _library()
+    bench = set().union(
+        *(_attribute_reads(ast.parse((ROOT / "bench" / name).read_text())) for name in ("queries.py", "tracer.py"))
+    )
+    orphans = []
+    for stem, tree in modules.items():
+        module = importlib.import_module(f"reflectron.{stem}")
+        for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+            obj = getattr(module, cls.name)
+            if not dataclasses.is_dataclass(obj):
+                continue
+            readers = bench.union(*(_attribute_reads(other, skip=cls) for other in modules.values()))
+            orphans += [f"{stem}.{cls.name}.{f.name}" for f in dataclasses.fields(obj) if f.name not in readers]
+    assert orphans == []
+
+
+def _cells(row):
+    """The cells of a Markdown table row, split on the pipes not escaped as \\|."""
+    return re.split(r"(?<!\\)\|", row.strip())[1:-1]
+
+
+def test_readme_table_rows_have_as_many_cells_as_their_header():
+    bad = []
+    header = None
+    for line in _readme().splitlines():
+        if not line.startswith("|"):
+            header = None
+        elif header is None:
+            header = len(_cells(line))
+        elif len(_cells(line)) != header:
+            bad.append(_cells(line)[0].strip())
+    assert bad == []

@@ -71,8 +71,8 @@ def test_permutation_homomorphism():
 def test_cyclic_swap_and_order():
     # C on two slots is the swap, and C on three slots has order 3
     swap = permutation_operator((1, 0), 2)
-    assert np.abs(dense_element(CyclicElement(1, [0.0, 1.0]), 2) - swap).max() == 0
-    C = dense_element(CyclicElement(2, [0.0, 1.0, 0.0]), 2)
+    assert np.abs(dense_element(CyclicElement([0.0, 1.0]), 2) - swap).max() == 0
+    C = dense_element(CyclicElement([0.0, 1.0, 0.0]), 2)
     assert np.abs(np.linalg.matrix_power(C, 3) - np.eye(8)).max() < 1e-13
 
 
@@ -227,12 +227,17 @@ def test_haar_moment():
 
 def test_pure_state_validation():
     with pytest.raises(ValueError):
-        PureState(np.array([1.0, 1.0]), 2, 1)
-    with pytest.raises(ValueError):
-        PureState(np.array([1.0, 0.0, 0.0]), 2, 1)
+        PureState(np.array([1.0, 1.0]))
     for amplitudes in ([np.nan, 0.0], [np.inf, 0.0], [1.0, np.nan]):
         with pytest.raises(ValueError, match="norm"):
-            PureState(amplitudes, 2)
+            PureState(amplitudes)
+
+
+def test_pure_state_takes_any_normalized_vector():
+    # a state is its amplitudes alone: no local dimension or factor count
+    psi = PureState(np.array([1.0, 0.0, 0.0]))
+    assert psi.dim == 3
+    assert np.array_equal(psi.amplitudes, [1.0, 0.0, 0.0])
 
 
 def test_state_norm_check_holds_at_a_large_tensor_power():
@@ -243,7 +248,7 @@ def test_state_norm_check_holds_at_a_large_tensor_power():
     off = power.amplitudes * (1.0 + 1e-11)
     for amplitudes in (off, haar_random_state(4, 0).amplitudes * (1.0 + 1e-11)):
         with pytest.raises(ValueError, match="deviates from 1 beyond 1e-12"):
-            PureState(amplitudes, amplitudes.size)
+            PureState(amplitudes)
 
 
 def test_budget_overflow():
@@ -292,15 +297,14 @@ def test_state_amplitudes_are_read_only():
         psi.amplitudes[0] = 1.0
     with pytest.raises(ValueError):
         psi.amplitudes *= 2.0
-    for name, value in (("amplitudes", np.eye(3)[0]), ("local_dim", 2), ("factors", 2)):
-        with pytest.raises(FrozenInstanceError):
-            setattr(psi, name, value)
+    with pytest.raises(FrozenInstanceError):
+        psi.amplitudes = np.eye(3)[0]
 
 
 def test_state_copies_the_callers_array():
     v = np.array([0.6, 0.8j])
     want = np.outer(v, v.conj())
-    psi = PureState(v, 2)
+    psi = PureState(v)
     assert v.flags.writeable and psi.amplitudes is not v
     v[0] = 5.0
     assert np.array_equal(psi.amplitudes, [0.6, 0.8j])
@@ -308,7 +312,7 @@ def test_state_copies_the_callers_array():
 
 
 def test_state_copies_a_read_only_callers_array():
-    for make in (lambda v: PureState(v, 2), as_state):
+    for make in (PureState, as_state):
         v = np.array([0.6, 0.8j])
         v.flags.writeable = False
         psi = make(v)

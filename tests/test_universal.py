@@ -134,6 +134,20 @@ def test_binary_angle_width_is_at_least_one_bit():
     assert budget(2, 100.0, [pi]).K == 1
 
 
+@pytest.mark.parametrize(
+    "d, eps, N, copy_qubits, total",
+    [(2, 100.0, 1, 1, 3), (3, 30.0, 2, 4, 12), (2, 0.1105, 256, 9, 26), (2, 0.1, 283, 9, 26)],
+)
+def test_copy_count_register_holds_every_count_up_to_n(d, eps, N, copy_qubits, total):
+    # each n_j is one of the N + 1 counts 0..N, N = ceil(9 pi (d - 1) / eps):
+    # ceil(log2 N) bits fall one short where N is 1 or a power of two
+    assert ceil(9 * pi * (d - 1) / eps) == N
+    rep = budget(d, eps, [pi] * (d - 1))
+    assert max(rep.n_copies) == N < 2 ** (copy_qubits // (d - 1)) <= 2 * N
+    assert rep.copy_count_qubits == copy_qubits
+    assert rep.total_qubits == total
+
+
 def linear_bound(n, alpha):
     return 3.0 * alpha / n
 
