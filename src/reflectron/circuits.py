@@ -153,8 +153,10 @@ def _apply_gate(state: np.ndarray, gate: Gate) -> None:
         t0, t1 = _slice(state, {q: 0}), _slice(state, {q: 1})
         minus = t0 - t1
         t0 += t1
-        t0 /= np.sqrt(2.0)
-        minus /= np.sqrt(2.0)
+        # the bits of complex division by sqrt(2), by a faster loop, up to the
+        # sign of a zero part, which division may drop
+        for re_im in (t0.view(float), minus.view(float)):
+            re_im *= 1.0 / np.sqrt(2.0)
         t1[...] = minus
     elif gate.kind == "cswap":
         a, b = gate.targets

@@ -20,16 +20,16 @@ def _coefficients(n: int) -> np.ndarray:
     return np.zeros(n + 1, dtype=complex)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CyclicElement:
     """An element of C[S_{n+1}] given by its n + 1 coefficients c_0 .. c_n:
     read-only, a copy of the caller's array. n is derived from their count,
     and the two sums the channel condition tests, (ct_0, sum_l |c_l|^2), are
-    read once here."""
+    read once here. `==` and hashing go by identity."""
 
     coeffs: np.ndarray
     n: int = field(init=False)
-    sums: tuple = field(init=False, repr=False, compare=False)
+    sums: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         c = _read_only(self.coeffs)

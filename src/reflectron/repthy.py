@@ -14,7 +14,7 @@ from sys import float_info
 import numpy as np
 
 from .config import _check_d, _check_eps, _check_n, budget_entries, ensure_operator_budget, ensure_vector_budget
-from .tensor_core import PureState, as_vector, sym_dim
+from .tensor_core import PureState, _kron_fold, as_vector, sym_dim
 
 EIG_CUTOFF = 1e-12
 
@@ -124,19 +124,19 @@ def _ladder(vecs, i: int, k: int, l: int, d: int, lower: bool) -> np.ndarray:
 
     The first k slots carry U and act by E: raising maps |i+1> to |i>. The
     last l slots carry Ubar and act by -E^T: raising maps |i> to -|i+1>.
-    Both actions are real, so lowering is the transpose of raising.
+    Both actions are real, so lowering is the transpose of raising. Slot s
+    is the middle axis of an (m, d^s, d, d^{k+l-s-1}) view.
     """
-    tensor = vecs.reshape((vecs.shape[0],) + (d,) * (k + l))
-    out = np.zeros_like(tensor)
+    out = np.zeros(vecs.shape, dtype=vecs.dtype)
     for s in range(k + l):
-        src = np.moveaxis(tensor, s + 1, 1)
-        dst = np.moveaxis(out, s + 1, 1)
+        shape = (vecs.shape[0], d**s, d, d ** (k + l - s - 1))
+        src, dst = vecs.reshape(shape), out.reshape(shape)
         to, frm = (i, i + 1) if (s < k) != lower else (i + 1, i)
         if s < k:
-            dst[:, to] += src[:, frm]
+            dst[:, :, to] += src[:, :, frm]
         else:
-            dst[:, to] -= src[:, frm]
-    return out.reshape(vecs.shape)
+            dst[:, :, to] -= src[:, :, frm]
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -246,7 +246,7 @@ def _probe_vector(n: int, d: int, weights: dict, blocks: dict) -> np.ndarray:
         B = blocks[key]
         dlam = B.shape[1]
         for t in range(dlam):
-            v += np.sqrt(w / dlam) * np.kron(B[:, t], B[:, t])
+            v += np.sqrt(w / dlam) * _kron_fold(B[:, t], B[:, t], 1)
     return v
 
 
@@ -275,10 +275,7 @@ def _reflection_signs(n: int, d: int) -> np.ndarray:
     """Diagonal of R^{xn} x I with R = I - 2|d-1><d-1|."""
     single = np.ones(d)
     single[d - 1] = -1.0
-    signs = single
-    for _ in range(n - 1):
-        signs = np.kron(signs, single)
-    return np.kron(signs, np.ones(d**n))
+    return np.repeat(_kron_fold(single, single, n - 1), d**n)
 
 
 def ensemble_state(n: int, d: int, probe) -> np.ndarray:
@@ -319,6 +316,12 @@ def _block_spectrum(K: np.ndarray, dims: np.ndarray, q: np.ndarray) -> np.ndarra
     mixed = np.matmul(mix, K.reshape(mix.shape[2], -1))
     eig = np.linalg.eigvalsh(mixed.reshape((len(w),) + K.shape[2:]))
     return np.repeat(eig, dims, axis=1).reshape(len(w), -1)
+
+
+def _reached_blocks(K: np.ndarray, dims: np.ndarray):
+    """The blocks of an (A, A, L, m, m) Gram stack with A m max|K_lam| >= EIG_CUTOFF, padding kept."""
+    reached = K.shape[0] * K.shape[-1] * np.abs(K).max(axis=(0, 1, 3, 4)) >= EIG_CUTOFF
+    return K[:, :, reached], dims[reached]
 
 
 def ensemble_spectrum(n: int, d: int, probe) -> np.ndarray:
@@ -464,7 +467,13 @@ def maximize_entropy_over_q(n: int, d: int, restarts: int = 20, seed: int = 0) -
     """Nelder-Mead search over the weight simplex for the ensemble entropy.
 
     The entropy is evaluated per Schur block (`_block_grams`), which is
-    exact and keeps an evaluation cheap. The restarts run in lockstep: each
+    exact and keeps an evaluation cheap. A block with A m_max max|K_lam| <
+    EIG_CUTOFF (A keys) is dropped first (`_reached_blocks`): each entry of
+    its mix is at most (sum_a sqrt(q_a))^2 max|K_lam| <= A max|K_lam|
+    (Cauchy-Schwarz), and no eigenvalue exceeds m_max times the largest
+    entry, so for every q it holds no eigenvalue the entropy or rank keeps.
+    The other blocks keep their m_max padding, and with it the bits of their
+    eigenvalues. The restarts run in lockstep: each
     Nelder-Mead phase is one objective call on the stacked points of the
     restarts still running, mixed in slices whose block stack stays within
     the budget, and the report is bit for bit that of running the restarts
@@ -481,7 +490,7 @@ def maximize_entropy_over_q(n: int, d: int, restarts: int = 20, seed: int = 0) -
     blocks = block_basis(n, d)
     keys = sorted(blocks)
     sides = np.array([_probe_vector(n, d, {key: 1.0}, blocks) for key in keys])
-    grams, dims = _block_grams(n, d, sides)
+    grams, dims = _reached_blocks(*_block_grams(n, d, sides))
 
     rows = max(1, budget_entries() // grams[0, 0].size)
 

@@ -32,10 +32,11 @@ def _read_only(x) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PureState:
     """A normalized vector, nothing but its amplitudes: read-only, a copy of
-    the caller's array. Which tensor factors it spans is the caller's to say."""
+    the caller's array. Which tensor factors it spans is the caller's to say.
+    `==` and hashing go by identity."""
 
     amplitudes: np.ndarray
 

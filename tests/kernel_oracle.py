@@ -1,12 +1,17 @@
-"""Reference implementations of the two dense kernels, by axis moves.
+"""Reference implementations of the dense kernels, by axis moves and np.kron.
 
 `apply_gate` is the gate action of `circuits._apply_gate` written on a
 (2,)^total tensor: every gate moves its qubit axes to the front, builds the
-new state from `np.stack`/`swapaxes` of the slices, and returns a new array.
-`apply_element` is the many-axis form of `cyclic.apply_element`:
-sum_l c_l C^l as one (k+1)-axis transpose per power. Both do the same
+new state from `np.stack`/`swapaxes` of the slices, and returns a new array;
+it divides by sqrt(2) where the library multiplies the float view by
+1/sqrt(2). `apply_element` is the many-axis form of `cyclic.apply_element`:
+sum_l c_l C^l as one (k+1)-axis transpose per power. `ladder` is
+`repthy._ladder` with one `np.moveaxis` view per tensor slot, and
+`reflection_signs` and `probe_vector` are `repthy._reflection_signs` and
+`repthy._probe_vector` built from `np.kron`. Each does the same
 floating-point operations in the same order as the library, so the tests
-hold the library's in-place and two-block forms to them bit for bit.
+hold the library's in-place, two-block, reshape and outer-product forms to
+them bit for bit.
 """
 
 import numpy as np
@@ -55,3 +60,42 @@ def apply_element(e, d: int, vecs) -> np.ndarray:
         axes = list(range(lead)) + [lead + (t - l) % k for t in range(k)]
         out += c * np.transpose(tensor, axes)
     return out.reshape(vecs.shape)
+
+
+def ladder(vecs, i: int, k: int, l: int, d: int, lower: bool) -> np.ndarray:
+    """E_{i,i+1}, or E_{i+1,i} when lower, on each row of an m x d^{k+l}
+    stack: +E on the first k slots, -E^T on the last l."""
+    tensor = vecs.reshape((vecs.shape[0],) + (d,) * (k + l))
+    out = np.zeros_like(tensor)
+    for s in range(k + l):
+        src = np.moveaxis(tensor, s + 1, 1)
+        dst = np.moveaxis(out, s + 1, 1)
+        to, frm = (i, i + 1) if (s < k) != lower else (i + 1, i)
+        if s < k:
+            dst[:, to] += src[:, frm]
+        else:
+            dst[:, to] -= src[:, frm]
+    return out.reshape(vecs.shape)
+
+
+def reflection_signs(n: int, d: int) -> np.ndarray:
+    """Diagonal of R^{xn} x I with R = I - 2|d-1><d-1|."""
+    single = np.ones(d)
+    single[d - 1] = -1.0
+    signs = single
+    for _ in range(n - 1):
+        signs = np.kron(signs, single)
+    return np.kron(signs, np.ones(d**n))
+
+
+def probe_vector(n: int, d: int, weights: dict, blocks: dict) -> np.ndarray:
+    """sum_lam sqrt(w_lam / d_lam) sum_t B_lam[:, t] x B_lam[:, t], unnormalized."""
+    v = np.zeros(d ** (2 * n))
+    for key, w in weights.items():
+        if w <= 0.0:
+            continue
+        B = blocks[key]
+        dlam = B.shape[1]
+        for t in range(dlam):
+            v += np.sqrt(w / dlam) * np.kron(B[:, t], B[:, t])
+    return v

@@ -15,7 +15,11 @@ from reflectron.repthy import (
     MinimizeResult,
     ProbeSpec,
     _block_grams,
+    _block_spectrum,
+    _entropy_rows,
+    _ladder,
     _probe_vector,
+    _reached_blocks,
     _reflection_signs,
     _schur_basis,
     block_basis,
@@ -38,6 +42,7 @@ from reflectron.repthy import (
     weyl_dim,
 )
 from cg_oracle import cg_su2, m0_weight_exact, m0_weights_eigh
+import kernel_oracle
 
 
 # --- Weyl dimension ---------------------------------------------------------
@@ -440,6 +445,48 @@ def test_schur_basis_orthonormal_weyl_blocks_with_equal_copies(k, l, d):
         assert abs(np.linalg.norm(action[0]) ** 2 - E.shape[0]) < 1e-12
         for other in action[1:]:
             assert np.abs(other - action[0]).max() < 1e-12
+
+
+@pytest.mark.parametrize("k, l, d", [(3, 0, 2), (2, 2, 2), (0, 3, 2), (2, 1, 3), (2, 2, 3), (1, 2, 4)])
+def test_ladder_equals_axis_oracle_bit_for_bit(k, l, d):
+    rng = np.random.default_rng(100 * k + 10 * l + d)
+    stack = rng.normal(size=(3, d ** (k + l)))
+    for vecs in (stack, np.asfortranarray(stack)):
+        for i in range(d - 1):
+            for lower in (False, True):
+                got = _ladder(vecs, i, k, l, d, lower)
+                assert np.array_equal(got, kernel_oracle.ladder(vecs, i, k, l, d, lower))
+                assert not np.shares_memory(got, vecs)
+
+
+@pytest.mark.parametrize("n, d", [(1, 2), (3, 2), (5, 2), (2, 3), (3, 3), (1, 4), (2, 4)])
+def test_signs_and_probe_vector_equal_kron_oracle_bit_for_bit(n, d):
+    assert np.array_equal(_reflection_signs(n, d), kernel_oracle.reflection_signs(n, d))
+    blocks = block_basis(n, d)
+    rng = np.random.default_rng(n + 7 * d)
+    weights = dict(zip(blocks, rng.dirichlet(np.ones(len(blocks)))))
+    assert np.array_equal(_probe_vector(n, d, weights, blocks), kernel_oracle.probe_vector(n, d, weights, blocks))
+
+
+@pytest.mark.parametrize("n, d, dropped", [(2, 3, 2), (3, 3, 4)])
+def test_reached_blocks_keep_entropy_and_rank_bit_for_bit(n, d, dropped):
+    blocks = block_basis(n, d)
+    sides = np.array([_probe_vector(n, d, {key: 1.0}, blocks) for key in sorted(blocks)])
+    full, dims = _block_grams(n, d, sides)
+    grams, kept = _reached_blocks(full, dims)
+    assert grams.shape[2] == full.shape[2] - dropped == kept.size
+    assert grams.shape[3:] == full.shape[3:]  # the padding stays
+    q = np.random.default_rng(n).dirichlet(np.ones(len(sides)), size=64)
+    q[0] = np.eye(len(sides))[0]
+    eig_full, eig = _block_spectrum(full, dims, q), _block_spectrum(grams, kept, q)
+    assert np.array_equal(_entropy_rows(eig), _entropy_rows(eig_full))
+    assert np.array_equal((eig > EIG_CUTOFF).sum(axis=1), (eig_full > EIG_CUTOFF).sum(axis=1))
+    lost = np.flatnonzero(np.abs(full).max(axis=(0, 1, 3, 4)) <= 3e-33)
+    assert lost.size == dropped
+    # a block that carries 1e-3 is kept
+    planted = full.copy()
+    planted[0, 0, lost[0], 0, 0] = 1e-3
+    assert _reached_blocks(planted, dims)[1].size == kept.size + 1
 
 
 @pytest.mark.parametrize("n, d", [(1, 2), (3, 2), (4, 2), (2, 3), (3, 3), (2, 4)])

@@ -17,7 +17,7 @@ from reflectron.tensor_core import (
     symmetric_encoder,
     symmetric_projector,
 )
-from reflectron.cyclic import CyclicElement
+from reflectron.cyclic import CyclicElement, r_theta_coeffs
 from perm_oracle import dense_element, permutation_operator
 
 
@@ -353,3 +353,11 @@ def test_state_projector_is_built_once_and_read_only():
     assert np.array_equal(P, np.outer(psi.amplitudes, psi.amplitudes.conj()))
     with pytest.raises(ValueError):
         P[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("make", [lambda: r_theta_coeffs(3, 0.5), lambda: haar_random_state(2, 0)])
+def test_elements_and_states_compare_and_hash_by_identity(make):
+    a, b = make(), make()
+    assert a == a
+    assert a != b  # equal values, two objects: no array truth value is taken
+    assert len({a, a, b}) == 2
