@@ -42,17 +42,16 @@ _ONE_PRODUCT_MAX_DIM = 6
 def effective_channel(e: CyclicElement, psi):
     """Closed-form action of the approximate reflection channel on C^d.
 
-    With s = sum_{l>=1} c_l, q = sum_{l>=1} |c_l|^2, P = |psi><psi| and
-    K = c_0 I + s P, the channel has the Kraus form
+    With s = sum_{l>=1} c_l = ct_0 - c_0, q = sum_{l>=1} |c_l|^2 = A,
+    P = |psi><psi| and K = c_0 I + s P, the channel has the Kraus form
 
         E(X) = K X K^dag + q tr((I - P) X) P.
 
     Expanding K X K^dag with P X P = tr(P X) P gives |c_0|^2 X + conj(c_0) s P X
     + c_0 conj(s) X P + |s|^2 tr(P X) P; adding q tr((I - P) X) P turns the
     last term into q tr(X) P + (|s|^2 - q) tr(P X) P. These five terms are the
-    partial trace over the program copies. Exact for any coefficient vector;
-    trace-preserving exactly when the element is channel-normalized.
-    Verified against the dense partial-trace oracle in the test suite.
+    partial trace over the program copies, read off the element's invariants
+    (c_0, ct_0, A); trace-preserving exactly on a channel-normalized element.
 
     Up to d = 6 the map is the d^2 x d^2 matrix
     S[(a, b), (c, e)] = E(|a><b|)[c, e] = K[c, a] conj(K[e, b]) + R[a, b] P[c, e],
@@ -65,10 +64,9 @@ def effective_channel(e: CyclicElement, psi):
     _require_channel_element(e)
     P = as_state(psi).projector
     d = P.shape[0]
-    tail = e.coeffs[1:]
-    q = float((np.abs(tail) ** 2).sum())
-    K = tail.sum() * P
-    K.flat[:: d + 1] += e.coeffs[0]
+    c0, ct0, q = e.invariants
+    K = (ct0 - c0) * P
+    K.flat[:: d + 1] += c0
     R = -q * P.T
     R.flat[:: d + 1] += q
     if d <= _ONE_PRODUCT_MAX_DIM:

@@ -179,9 +179,7 @@ def cmd_lmr(args) -> int:
     }
     if args.n > 2:
         payload["theta_prime"] = lmr_improved_angle(args.n, alpha)
-        payload["distance_improved"] = lmr_equal_angle_distance(
-            args.n, alpha, payload["theta_prime"]
-        )
+        payload["distance_improved"] = lmr_equal_angle_distance(args.n, alpha, payload["theta_prime"])
         payload["gap"] = payload["distance_equal_angle"] - payload["distance_improved"]
     _emit_json(args, payload)
     return 0

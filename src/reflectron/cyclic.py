@@ -4,8 +4,9 @@ The forward transform is unnormalized, ct_k = sum_l exp(2 pi i l k/(n+1)) c_l,
 so ct_0 is literally the coefficient sum; the inverse carries the 1/(n+1).
 """
 
+import cmath
 from dataclasses import dataclass, field
-from math import acos
+from math import acos, exp, expm1, sin
 
 import numpy as np
 
@@ -23,21 +24,26 @@ def _coefficients(n: int) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class CyclicElement:
     """An element of C[S_{n+1}] given by its n + 1 coefficients c_0 .. c_n:
-    read-only, a copy of the caller's array. n is derived from their count,
-    and the two sums the channel condition tests, (ct_0, sum_l |c_l|^2), are
-    read once here. `==` and hashing go by identity."""
+    read-only, a copy of the caller's array, n derived from their count.
+    `invariants` = (c_0, ct_0 = sum_l c_l, A = sum_{l>=1} |c_l|^2), all the
+    covariant layer reads: a library family hands it over in closed form; any
+    other array has it summed here once. `==` and hashing go by identity."""
 
     coeffs: np.ndarray
     n: int = field(init=False)
-    sums: tuple = field(init=False, repr=False)
+    invariants: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
+        invariants = self.coeffs.invariants if isinstance(self.coeffs, _Fresh) else None
         c = _read_only(self.coeffs)
         if c.size == 0:
             raise ValueError("need at least one coefficient")
+        if invariants is None:
+            tail = c[1:]
+            invariants = (complex(c[0]), complex(c.sum()), float(np.vdot(tail, tail).real))
         object.__setattr__(self, "coeffs", c)
         object.__setattr__(self, "n", c.size - 1)
-        object.__setattr__(self, "sums", (complex(c.sum()), float(np.vdot(c, c).real)))
+        object.__setattr__(self, "invariants", invariants)
 
 
 def fourier(e: CyclicElement) -> np.ndarray:
@@ -58,23 +64,18 @@ def is_unitary_element(e: CyclicElement) -> bool:
 def is_channel_element(e: CyclicElement) -> bool:
     """True iff the element defines a trace-preserving reflection channel.
 
-    Needs |ct_0| = 1 and sum_l |c_l|^2 = 1, read from the element's stored
-    sums. Unitary elements always qualify; the sequential-interaction
-    coefficient families qualify without being unitary elements of the
-    algebra.
+    Needs |ct_0| = 1 and sum_l |c_l|^2 = |c_0|^2 + A = 1, read from its
+    invariants: true of every unitary element and of the sequential families.
     """
-    ct0, total = e.sums
-    return abs(abs(ct0) - 1.0) <= UNITARY_TOL and abs(total - 1.0) <= UNITARY_TOL
+    c0, ct0, A = e.invariants
+    return abs(abs(ct0) - 1.0) <= UNITARY_TOL and abs(abs(c0) ** 2 + A - 1.0) <= UNITARY_TOL
 
 
 def _require_channel_element(e: CyclicElement) -> None:
     """Raise NonChannelElementError unless the element defines a channel:
     the one raise site of the condition."""
     if not is_channel_element(e):
-        raise NonChannelElementError(
-            "cyclic element is not trace-preserving (needs |ct_0| = 1 and "
-            "sum |c_l|^2 = 1)"
-        )
+        raise NonChannelElementError("cyclic element is not trace-preserving (needs |ct_0| = 1 and sum |c_l|^2 = 1)")
 
 
 def f_opt(n: int) -> float:
@@ -86,14 +87,20 @@ def optimal_angle(n: int) -> float:
     return acos(f_opt(n))
 
 
+def _r_theta_invariants(n: int, theta: float) -> tuple:
+    """(c_0, ct_0, A) of r_theta: (n + e^{i theta})/(n + 1), e^{i theta}, 4n sin^2(theta/2)/(n + 1)^2."""
+    phase = cmath.exp(1j * theta)
+    return (n + phase) / (n + 1), phase, 4 * n * sin(0.5 * theta) ** 2 / (n + 1) ** 2
+
+
 def r_theta_coeffs(n: int, theta: float) -> CyclicElement:
     """Coefficients of I + (e^{i theta} - 1)/(n+1) sum_l C^l."""
     _check_n(n)
     c = _coefficients(n)
-    phase = np.exp(1j * theta)
+    c0, phase, A = _r_theta_invariants(n, theta)
     c[:] = (phase - 1.0) / (n + 1)
-    c[0] = (n + phase) / (n + 1)
-    return CyclicElement(_Fresh(c))
+    c[0] = c0
+    return CyclicElement(_Fresh(c, (c0, phase, A)))
 
 
 def optimal_reflection_coeffs(n: int) -> CyclicElement:
@@ -108,20 +115,29 @@ def lmr_coeffs(thetas) -> CyclicElement:
         c_0 = prod_j cos theta_j
         c_l = i e^{i sum_{j>=l} theta_j} sin theta_{l-1} prod_{j<l-1} cos theta_j
 
-    for l = 1..n. The products are prefix products of the cosines and the
-    phases are tail sums of the angles, one cumulative pass each.
+    for l = 1..n: the products from prefix sums of log|cos theta_j| = log1p(-2 m_j),
+    m_j = min(sin^2, cos^2)(theta_j/2), exact where cos theta_j would round to the
+    ulp of 1, signs apart; the phases from tail sums of the angles. The invariants,
+    with L = sum_j log|cos theta_j|: c_0 = +-e^L, A = -expm1(2L), ct_0 = e^{i sum_j theta_j}.
     """
     thetas = np.asarray(thetas, dtype=float).reshape(-1)
     n = thetas.size
     if n < 1:
         raise ValueError("need at least one angle")
     c = _coefficients(n)
-    # prefix[l] = prod_{j<l} cos theta_j, tails[l-1] = sum_{j>=l} theta_j
-    prefix = np.cumprod(np.concatenate(([1.0], np.cos(thetas))))
-    tails = np.append(np.cumsum(thetas[::-1])[-2::-1], 0.0)
-    c[0] = prefix[n]
-    c[1:] = np.exp(1j * tails) * 1j * np.sin(thetas) * prefix[:n]
-    return CyclicElement(_Fresh(c))
+    sin2, cos2 = np.sin(0.5 * thetas) ** 2, np.cos(0.5 * thetas) ** 2
+    logs, negative = np.log1p(-2.0 * np.minimum(sin2, cos2)), sin2 > cos2
+    del sin2, cos2  # n floats each, not held through the passes below
+    total = float(np.add.reduce(logs))
+    # amp[l-1] = sin theta_{l-1} prod_{j<l-1} cos theta_j, tails[l-1] = sum_{j>=l} theta_j: exclusive running sums
+    amp = np.exp(np.add.accumulate(logs) - logs)
+    np.negative(amp, out=amp, where=np.logical_xor.accumulate(negative) ^ negative)
+    amp *= np.sin(thetas)
+    tails = np.add.accumulate(thetas[::-1])[::-1] - thetas
+    c.real[1:] = -amp * np.sin(tails)  # c_l = i amp e^{i tails}
+    c.imag[1:] = amp * np.cos(tails)
+    c[0] = c0 = -exp(total) if np.logical_xor.reduce(negative) else exp(total)
+    return CyclicElement(_Fresh(c, (complex(c0), cmath.exp(1j * float(np.add.reduce(thetas))), -expm1(2.0 * total))))
 
 
 def apply_element(e: CyclicElement, d: int, vecs) -> np.ndarray:

@@ -7,7 +7,7 @@ channels is cross-checked against a dense evaluation on C^{d^2}.
 
 import cmath
 from functools import lru_cache
-from math import isqrt, sqrt
+from math import hypot, isqrt, sin, sqrt
 
 import numpy as np
 
@@ -62,17 +62,20 @@ def _probe_distances(K: np.ndarray, probes: np.ndarray) -> np.ndarray:
     return out
 
 
-def _invariants(c0: complex, ct0: complex, alpha: float) -> tuple:
-    """(A, gap) = (1 - |c_0|^2, |ct_0 conj(c_0) - e^{i alpha}|): all that a
-    distance of the covariant pair reads of a channel element, and the one
-    place A is formed."""
-    return 1.0 - abs(c0) ** 2, abs(ct0 * c0.conjugate() - cmath.exp(1j * alpha))
+def _invariants(c0: complex, ct0: complex, A: float, alpha: float) -> tuple:
+    """(A, gap), gap = |ct_0 conj(c_0) - e^{i alpha}|: all a covariant distance
+    reads of an element's invariants. With |ct_0| = 1 and rho = |c_0|, gap^2 =
+    (A/(1 + rho))^2 + 4 rho sin^2((arg ct_0 - arg c_0 - alpha)/2): 1 - rho is
+    A/(1 + rho), not a difference of numbers near 1."""
+    rho = abs(c0)
+    half = 0.5 * (cmath.phase(ct0) - cmath.phase(c0) - alpha)
+    return A, hypot(A / (1.0 + rho), 2.0 * sqrt(rho) * sin(half))
 
 
 def _element_invariants(e: CyclicElement, alpha: float) -> tuple:
     _check_angle(alpha)
     _require_channel_element(e)
-    return _invariants(complex(e.coeffs[0]), e.sums[0], alpha)
+    return _invariants(*e.invariants, alpha)
 
 
 def _dense_distance_at_p(e: CyclicElement, alpha: float, p: float, psi: PureState) -> float:

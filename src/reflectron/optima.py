@@ -1,27 +1,21 @@
 """Optimization sweeps: the (r, u) distance landscape, optimal angles
 theta*(alpha), domain classification, and the improved sequential angle."""
 
-import cmath
 from enum import Enum
 from math import sqrt
 
 import numpy as np
 
 from .config import _check_n, ensure_vector_budget
-from .cyclic import CyclicElement, lmr_coeffs
-from .distances import (
-    _check_angle,
-    _element_invariants,
-    _invariants,
-    _rotation_distance,
-    closed_form_rotation_distance,
-)
+from .cyclic import CyclicElement, _r_theta_invariants, lmr_coeffs
+from .distances import _check_angle, _element_invariants, _invariants, _rotation_distance
+from .distances import closed_form_rotation_distance
 
 DOMAIN_TOL = 1e-10
 # u samples of boundary_curve on [0, 2 pi]
 BOUNDARY_POINTS = 257
 # grid points per block of r rows that landscape evaluates at once
-_LANDSCAPE_BLOCK = 2**14
+_LANDSCAPE_BLOCK = 2**13
 
 
 class Domain(Enum):
@@ -32,7 +26,7 @@ class Domain(Enum):
 
 def _landscape_invariants(n: int, r, u):
     """(A, gap) = (1 - |c_0|^2, reflection-target gap) at the landscape point
-    (r, u), as distances._invariants gives them for a channel element.
+    (r, u), A formed as that difference: the landscape's own copy.
 
     r and u broadcast, so an r column against a u row takes its cosine and
     sine on the u axis alone; boundary_curve passes one r per u.
@@ -98,15 +92,13 @@ def boundary_curve(n: int) -> np.ndarray:
 
 
 def _theta_objective(n: int, alpha: float):
-    """theta -> -closed_form_rotation_distance(r_theta_coeffs(n, theta), alpha)
-    from c_0 = (n + e^{i theta})/(n + 1) and ct_0 = e^{i theta}, all a distance
-    reads of the channel element r_theta; n and alpha are checked once, here."""
+    """theta -> -closed_form_rotation_distance(r_theta_coeffs(n, theta), alpha) from
+    the invariants r_theta_coeffs hands over, no element built; n and alpha checked here."""
     _check_angle(alpha)
     _check_n(n)
 
     def objective(theta):
-        phase = cmath.exp(1j * theta)
-        return -_rotation_distance(*_invariants((n + phase) / (n + 1), phase, alpha))
+        return -_rotation_distance(*_invariants(*_r_theta_invariants(n, theta), alpha))
 
     return objective
 
@@ -114,8 +106,7 @@ def _theta_objective(n: int, alpha: float):
 def _golden_max(f, a, b, tol=1e-12):
     a, b = float(a), float(b)
     gr = (sqrt(5.0) - 1.0) / 2.0
-    c = b - gr * (b - a)
-    d = a + gr * (b - a)
+    c, d = b - gr * (b - a), a + gr * (b - a)
     fc, fd = f(c), f(d)
     while b - a > tol:
         if fc > fd:
@@ -139,12 +130,9 @@ def theta_star(n: int, alpha: float) -> float:
     negated distance; negation flips every comparison, ties included.
     """
     objective = _theta_objective(n, alpha)
-    best = None
-    for a, b in ((0.0, np.pi / 3), (np.pi / 3, 2 * np.pi / 3), (2 * np.pi / 3, np.pi)):
-        x, v = _golden_max(objective, a, b, 1e-10)
-        if best is None or v > best[1]:
-            best = (x, v)
-    return float(best[0])
+    brackets = ((0.0, np.pi / 3), (np.pi / 3, 2 * np.pi / 3), (2 * np.pi / 3, np.pi))
+    # max keeps the first of equal values, as a strict > over the brackets would
+    return float(max((_golden_max(objective, a, b, 1e-10) for a, b in brackets), key=lambda xv: xv[1])[0])
 
 
 def domain_classify(e: CyclicElement, alpha: float) -> Domain:
@@ -175,11 +163,8 @@ def lmr_improvement(n: int, alpha: float) -> float:
     """Distance gap between the naive alpha/n angle and the improved one.
 
     In exact arithmetic it is positive for every finite n > 2 and approaches
-    2 sqrt(3) alpha^3 / n^2 from below with a sizable 1/n^3 correction. In
-    float64 it loses its digits past n ~ 2^16: each distance comes from
-    1 - |c_0|^2 with c_0 a product of n cosines, and the rounding in c_0
-    swamps a gap of order n^-2. At alpha = 1 it reads 0.87 of the limit at
-    n = 2^17, exactly 0 at 2^18 and -2.0e-17 at 2^20.
+    2 sqrt(3) alpha^3 / n^2 from below with a sizable 1/n^3 correction. Both
+    distances read the closed-form invariants of lmr_coeffs, A = -expm1(2L).
     """
     naive = lmr_equal_angle_distance(n, alpha)
     improved = lmr_equal_angle_distance(n, alpha, lmr_improved_angle(n, alpha))

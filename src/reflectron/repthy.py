@@ -42,7 +42,7 @@ def weyl_dim(lam, d: int) -> int:
 
 
 def conjecture_system_d2(n: int):
-    """Matrix and rhs of the flat-spectrum system, plus its index labels.
+    """Matrix and rhs of the flat-spectrum system, plus its labels two_j.
 
     Rows are J in {n mod 2, ..., n}, columns t = two_j in the same stride;
     A[J, t] = |sum_m C^{J0}_{jm,j-m}|^2 / (2j+1), b[J] = (2J+1)/binom(n+2,2).
@@ -61,7 +61,6 @@ def conjecture_system_d2(n: int):
     _check_n(n)
     ensure_operator_budget(n // 2 + 1, "d = 2 conjecture system")
     two_js = list(range(n % 2, n + 1, 2))
-    Js = list(two_js)
     t = np.array(two_js)
     J = t[:, None]
     # one integer and one float table at a time: u v = (t + 1)^2 - (J - 1)^2,
@@ -77,7 +76,7 @@ def conjecture_system_d2(n: int):
     A *= 2 * J + 1
     A /= (t + 1) ** 2
     b = (2 * t + 1) / comb(n + 2, 2)
-    return A, b, two_js, Js
+    return A, b, two_js
 
 
 @dataclass
@@ -108,7 +107,7 @@ def solve_q_d2(n: int):
     conjecture at that n; it is surfaced as a ValueError from ProbeSpec, not
     silently clipped away.
     """
-    A, b, two_js, _ = conjecture_system_d2(n)
+    A, b, two_js = conjecture_system_d2(n)
     q = np.linalg.solve(A, b)
     residual = float(np.abs(A @ q - b).max())
     spec = ProbeSpec(n=n, d=2, q={tj: qi for tj, qi in zip(two_js, q)})

@@ -18,10 +18,11 @@ UNITARY_TOL = 1e-10
 
 @dataclass
 class _Fresh:
-    """A flat complex array that the library has just built, or one that is
-    read-only already: a state or element keeps it without a copy."""
+    """A flat complex array that the library has just built, or one that is read-only
+    already, kept without a copy; a cyclic family adds its invariants (c_0, ct_0, A)."""
 
     array: np.ndarray
+    invariants: tuple | None = None
 
 
 def _read_only(x) -> np.ndarray:

@@ -175,6 +175,13 @@ def test_criterion_04_improved_angle_asymptote():
                 assert 0.2 <= b / a <= 0.3, f"deficit not O(1/n): {label}"
             limit = (4 * ratios[-1] - ratios[-2]) / 3
             assert abs(limit - 1.0) < 1e-3, f"extrapolated limit {limit}: {label}"
+        # the deficit's 1/n coefficient at n = 2^20, where the gap is ~1e-11:
+        # n (1 - r) = 2.7662 at alpha = 1 and 17.6850 at alpha = pi, from the
+        # closed form evaluated to 40 digits
+        n = 2**20
+        for alpha, band in ((1.0, 2.7662), (pi, 17.6850)):
+            r = lmr_improvement(n, alpha) / (2 * np.sqrt(3) * alpha**3 / n**2)
+            assert abs(n * (1.0 - r) - band) <= 0.01, f"alpha={alpha:.4f}: n(1 - r) = {n * (1.0 - r)}"
         # the n=64, alpha=pi deficit is a property of the channel itself:
         # 64 real swap steps, maximized over the phi_p probes, reproduce
         # both closed-form distances

@@ -392,13 +392,13 @@ def _effective_reference(e, psi, X):
 def _kraus_reference(e, psi, X):
     """E(X) = K X K^dag + q tr((I - P) X) P, K = c_0 I + s P, as the matrix
     S[(a, b), (c, e)] = E(|a><b|)[c, e] = K[c, a] conj(K[e, b]) + R[a, b] P[c, e],
-    R = q (I - P)^T, from two outer products; applied as one (1, d^2) row
+    R = q (I - P)^T, from two outer products, with c_0, s = ct_0 - c_0 and
+    q = A read from the element's invariants; applied as one (1, d^2) row
     product per slice. Returns (E(X), S)."""
-    c = e.coeffs
+    c0, ct0, q = e.invariants
     d = psi.dim
     P = psi.projector
-    K = c[0] * np.eye(d) + np.sum(c[1:]) * P
-    q = float(np.sum(np.abs(c[1:]) ** 2))
+    K = c0 * np.eye(d) + (ct0 - c0) * P
     R = q * np.eye(d) - q * P.T
     S = np.multiply.outer(K.T, K.T.conj()).transpose(0, 2, 1, 3) + np.multiply.outer(R, P)
     S = S.reshape(d * d, d * d)
@@ -408,12 +408,11 @@ def _kraus_reference(e, psi, X):
 
 def _factored_reference(e, psi, X):
     """E(X) = K X K^dag + tr(R^T X) P, R = q (I - P)^T, with two matmuls per
-    slice."""
-    c = e.coeffs
+    slice, from the element's invariants as _kraus_reference reads them."""
+    c0, ct0, q = e.invariants
     d = psi.dim
     P = psi.projector
-    K = c[0] * np.eye(d) + np.sum(c[1:]) * P
-    q = float(np.sum(np.abs(c[1:]) ** 2))
+    K = c0 * np.eye(d) + (ct0 - c0) * P
     R = q * np.eye(d) - q * P.T
     X = np.asarray(X, dtype=complex)
     return K @ X @ K.conj().T + np.sum(X * R, axis=(-2, -1))[..., None, None] * P

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 import reflectron.cli as cli
 from reflectron import selftest as _selftest
 from reflectron.config import ConsistencyError
+from channel_oracle import lmr_series_distance
 
 
 def run(argv, capsys):
@@ -543,15 +544,35 @@ def test_coefficient_vector_budget(argv, capsys, monkeypatch):
     assert "Traceback" not in err
 
 
-def test_lmr_distance_past_the_rounding_drift_exits_1(capsys):
-    # a known failure kept visible (README `distance` row): at theta = 1/n the
-    # rounding drift of the O(n) lmr coefficients passes UNITARY_TOL, and the
-    # channel check refuses the element; the tolerance is not widened
-    code, out, err = run(["distance", "--n", "4000000", "--alpha", "1", "--algo", "lmr"], capsys)
-    assert code == 1 and out == ""
-    assert err.startswith("error: validation: cyclic element is not trace-preserving")
-    assert "Traceback" not in err
+def _series_close(value: float, n: int, alpha: float, theta: float) -> bool:
+    want = lmr_series_distance(n, alpha, theta)
+    return abs(value - want) <= 1e-13 * want
 
+
+def test_lmr_distance_at_the_largest_n_exits_0(capsys):
+    # past n ~ 9e5 a cumulative product of the cosines once drifted past
+    # UNITARY_TOL and these exited 1; the invariants now come from the
+    # log-cosines in closed form, and the tolerance is unchanged
+    for n, alpha in (("4000000", "1"), ("4194303", "pi")):
+        code, out, err = run(["distance", "--n", n, "--alpha", alpha, "--algo", "lmr"], capsys)
+        assert code == 0 and err == ""
+        payload = json.loads(out)
+        assert _series_close(payload["value"], int(n), payload["alpha"], payload["theta"])
+
+
+@pytest.mark.parametrize("alpha", ["1", "pi/2", "pi"])
+def test_lmr_distances_equal_the_series_oracle(alpha, capsys, monkeypatch):
+    # n = 2^22 takes 2^22 + 1 coefficients, one past the default budget
+    monkeypatch.setenv("REFLECTRON_BUDGET", str(2**23))
+    for n in [2**k for k in range(12, 23)] + [4194303]:
+        argv = ["--n", str(n), "--alpha", alpha]
+        code, out, _ = run(["distance", *argv, "--algo", "lmr"], capsys)
+        distance = json.loads(out)
+        assert code == 0 and _series_close(distance["value"], n, distance["alpha"], distance["theta"])
+        code, out, _ = run(["lmr", *argv], capsys)
+        lmr = json.loads(out)
+        assert code == 0 and _series_close(lmr["distance_equal_angle"], n, lmr["alpha"], lmr["alpha"] / n)
+        assert _series_close(lmr["distance_improved"], n, lmr["alpha"], lmr["theta_prime"])
 
 
 @pytest.mark.parametrize(

@@ -249,15 +249,21 @@ def test_apply_element_budget(monkeypatch):
 
 
 def lmr_coeffs_reference(thetas):
-    """The O(n^2) loop: one product and one tail sum per coefficient."""
+    """The O(n^2) loop: one tail sum per coefficient. The cosine products
+    P_j = prod_{k<j} cos theta_k come from D_j = 1 - P_j, D_{j+1} = D_j +
+    x_j (1 - D_j) with x_j = 2 sin^2(theta_j/2): small positive terms added up,
+    where a product of cosines would round every factor to the ulp of 1."""
     thetas = np.asarray(thetas, dtype=float)
     n = thetas.size
+    D = [0.0]
+    for x in 2.0 * np.sin(thetas / 2.0) ** 2:
+        D.append(D[-1] + x * (1.0 - D[-1]))
+    prods = 1.0 - np.array(D)
     c = np.zeros(n + 1, dtype=complex)
-    cosines = np.cos(thetas)
-    c[0] = np.prod(cosines)
+    c[0] = prods[n]
     for l in range(1, n + 1):
         tail_phase = np.exp(1j * np.sum(thetas[l:]))
-        c[l] = tail_phase * 1j * np.sin(thetas[l - 1]) * np.prod(cosines[: l - 1])
+        c[l] = tail_phase * 1j * np.sin(thetas[l - 1]) * prods[l - 1]
     return c
 
 
@@ -288,19 +294,42 @@ def test_coefficient_constructors_check_budget(monkeypatch):
             make()
 
 
+def _agrees_with_its_vector(e) -> bool:
+    """The element's invariants against its own coefficients: c_0 the same
+    number, ct_0 and A their sums to rounding. The vector's sum carries the
+    drift of its cumulative tail phases, ~1e-15 per coefficient at n = 4096."""
+    c = e.coeffs
+    c0, ct0, A = e.invariants
+    return c0 == c[0] and abs(ct0 - c.sum()) <= 1e-14 * c.size and abs(A - np.vdot(c[1:], c[1:]).real) <= 1e-14
+
+
 def test_channel_sums_feed_is_channel_element():
     rng = np.random.default_rng(11)
     elements = [r_theta_coeffs(5, 1.2), lmr_coeffs(rng.uniform(0, pi, 6))]
     elements += [CyclicElement(rng.normal(size=4) + 1j * rng.normal(size=4))]
     elements += [CyclicElement([0.5, 0.5]), CyclicElement([0.6, -0.8])]
     for e in elements:
-        c = e.coeffs
-        ct0, total = e.sums
-        assert type(ct0) is complex and type(total) is float
-        assert (ct0, total) == (complex(c.sum()), float(np.vdot(c, c).real))
-        expected = abs(abs(ct0) - 1.0) <= 1e-10 and abs(total - 1.0) <= 1e-10
+        c0, ct0, A = e.invariants
+        assert (type(c0), type(ct0), type(A)) == (complex, complex, float)
+        assert _agrees_with_its_vector(e)
+        expected = abs(abs(ct0) - 1.0) <= 1e-10 and abs(abs(c0) ** 2 + A - 1.0) <= 1e-10
         assert is_channel_element(e) is expected
+    # a raw array's invariants are read from the vector, A as the tail's own sum
+    for e in elements[2:]:
+        c = e.coeffs
+        assert e.invariants == (complex(c[0]), complex(c.sum()), float(np.vdot(c[1:], c[1:]).real))
     assert [is_channel_element(e) for e in elements] == [True, True, False, False, False]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 64, 1024, 4096])
+def test_family_invariants_agree_with_their_vectors(n):
+    rng = np.random.default_rng(n)
+    elements = [r_theta_coeffs(n, theta) for theta in (0.0, 0.3, pi, rng.uniform(0.0, 2 * pi))]
+    # equal angles, and angles past pi/2 whose cosines are negative
+    elements += [lmr_coeffs(np.full(n, alpha / n)) for alpha in (0.3, pi)]
+    elements += [lmr_coeffs(rng.uniform(0.0, pi, n))]
+    for e in elements:
+        assert _agrees_with_its_vector(e) and is_channel_element(e)
 
 
 def test_element_coefficients_are_read_only():
@@ -309,7 +338,7 @@ def test_element_coefficients_are_read_only():
         e.coeffs[0] = 1.0
     with pytest.raises(ValueError):
         e.coeffs *= 2.0
-    for name, value in (("coeffs", np.zeros(4)), ("sums", (1.0, 1.0)), ("n", 4)):
+    for name, value in (("coeffs", np.zeros(4)), ("invariants", (1.0, 1.0, 0.0)), ("n", 4)):
         with pytest.raises(FrozenInstanceError):
             setattr(e, name, value)
 
@@ -317,12 +346,12 @@ def test_element_coefficients_are_read_only():
 def test_element_copies_the_callers_array():
     c = np.array([0.6, 0.8j])
     e = CyclicElement(c)
-    sums = e.sums
+    invariants = e.invariants
     assert c.flags.writeable and e.coeffs is not c
     c[0] = 5.0
     assert np.array_equal(e.coeffs, [0.6, 0.8j])
     # the write would break the channel condition if the element re-read c
-    assert e.sums == sums and is_channel_element(e)
+    assert e.invariants == invariants and is_channel_element(e)
 
 
 def test_element_copies_a_read_only_callers_array():
@@ -353,7 +382,7 @@ def test_library_elements_are_read_only_and_share_no_callers_array():
         with pytest.raises(ValueError):
             c[0] = 1.0
         assert not any(np.shares_memory(c, a) for a in held)
-        assert e.sums == (complex(c.sum()), float(np.vdot(c, c).real))
+        assert _agrees_with_its_vector(e)
     # one element's coefficients are no other's
     for (a, _), (b, _) in itertools.combinations(built, 2):
         assert not np.shares_memory(a.coeffs, b.coeffs)

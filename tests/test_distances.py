@@ -676,9 +676,9 @@ def test_every_entry_point_rejects_planted_non_channel_element(coeffs):
     from reflectron.optima import domain_classify
 
     bad = CyclicElement(coeffs)
-    ct0, total = bad.sums
+    c0, ct0, A = bad.invariants
     # exactly one of the two channel conditions fails
-    assert (abs(abs(ct0) - 1.0) < 1e-12) != (abs(total - 1.0) < 1e-12)
+    assert (abs(abs(ct0) - 1.0) < 1e-12) != (abs(abs(c0) ** 2 + A - 1.0) < 1e-12)
     psi = haar_random_state(2, 7)
     calls = [
         lambda: diamond_covariant(bad, pi),
@@ -699,27 +699,30 @@ def test_queries_read_the_stored_sums_not_the_coefficients():
     from reflectron.optima import domain_classify
 
     class Counted(np.ndarray):
-        """Counts sums over the whole coefficient vector, by method or by np.vdot."""
+        """Counts sums over the coefficient vector or its tail, by method or by np.vdot."""
 
-        full_sums = 0
+        passes = 0
 
         def sum(self, *args, **kwargs):
-            Counted.full_sums += self.size == 9
+            Counted.passes += self.size >= 8
             return super().sum(*args, **kwargs)
 
         def __array_function__(self, func, types, args, kwargs):
             if func is np.vdot:
-                Counted.full_sums += self.size == 9
+                Counted.passes += self.size >= 8
             return super().__array_function__(func, types, args, kwargs)
 
     c = optimal_reflection_coeffs(8).coeffs
     e = CyclicElement(c.view(Counted))
-    assert type(e.coeffs) is Counted and Counted.full_sums == 2
+    # construction reads ct_0 and A once: the sum of the vector and of its tail
+    assert type(e.coeffs) is Counted and Counted.passes == 2
+    psi = haar_random_state(3, 1)
     value = diamond_covariant(e, pi)
     closed_form_rotation_distance(e, pi)
     domain_classify(e, pi)
-    assert Counted.full_sums == 2
-    assert value == diamond_covariant(optimal_reflection_coeffs(8), pi)
+    effective_channel(e, psi)(np.eye(3))
+    assert Counted.passes == 2
+    assert value == diamond_covariant(CyclicElement(c), pi)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])

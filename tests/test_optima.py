@@ -253,8 +253,7 @@ def test_boundary_curve_equals_two_margin_bisection(n, num):
 
 @pytest.mark.parametrize("n", range(1, 71))
 def test_theta_objective_equals_negated_closed_form_bit_for_bit(n):
-    # the objective reads c_0 and ct_0 = e^{i theta} in closed form, the
-    # element sums its n + 1 coefficients: they agree to rounding
+    # the objective and r_theta_coeffs read the same closed-form invariants
     from reflectron.optima import _theta_objective
 
     rng = np.random.default_rng(n)
@@ -262,7 +261,7 @@ def test_theta_objective_equals_negated_closed_form_bit_for_bit(n):
         objective = _theta_objective(n, float(alpha))
         for theta in [0.0, pi] + list(rng.uniform(0.0, pi, 6)):
             want = -closed_form_rotation_distance(r_theta_coeffs(n, float(theta)), float(alpha))
-            assert abs(objective(float(theta)) - want) <= 4e-15
+            assert objective(float(theta)) == want
 
 
 def test_theta_star_runs_no_channel_check(monkeypatch):

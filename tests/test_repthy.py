@@ -168,14 +168,14 @@ def test_magic_sum(tj, expect):
 
 
 def test_system_n1_is_solved_by_unit_weight():
-    A, b, two_js, Js = conjecture_system_d2(1)
-    assert A.shape == (1, 1) and two_js == [1] and Js == [1]
+    A, b, two_js = conjecture_system_d2(1)
+    assert A.shape == (1, 1) and two_js == [1]
     assert abs(A[0, 0] * 1.0 - b[0]) < 1e-14
 
 
 def test_system_structure_identities():
     for n in (2, 3, 6, 9):
-        A, b, two_js, _ = conjecture_system_d2(n)
+        A, b, two_js = conjecture_system_d2(n)
         assert A.shape == (n // 2 + 1, n // 2 + 1)
         # column sums are exactly one (completeness), rhs sums to one
         assert np.abs(A.sum(axis=0) - 1.0).max() < 1e-12
@@ -201,13 +201,13 @@ def _exact_system_d2(n):
 
 def test_system_matches_exact_cg_sums():
     for n in range(1, 17):
-        A, _, _, _ = conjecture_system_d2(n)
+        A, _, _ = conjecture_system_d2(n)
         assert np.abs(A - _exact_system_d2(n)).max() < 1e-13
 
 
 @pytest.mark.parametrize("tj", [61, 100])
 def test_system_column_matches_exact_cg_sums_at_large_spin(tj):
-    A, _, two_js, _ = conjecture_system_d2(tj)
+    A, _, two_js = conjecture_system_d2(tj)
     assert two_js[-1] == tj
     exact = [_exact_entry_d2(tj, J) for J in range(tj % 2, tj + 1, 2)]
     assert np.abs(A[:, -1] - exact).max() < 1e-13
@@ -230,7 +230,7 @@ def test_product_formula_equals_exact_racah_sums():
             expected = _product_entry(tj, J) if (tj - J) % 2 == 0 else 0
             assert m0_weight_exact(tj, J) == expected, (tj, J)
     for n in (40, 41):
-        A, _, _, _ = conjecture_system_d2(n)
+        A, _, _ = conjecture_system_d2(n)
         assert np.all(np.tril(A, -1) == 0.0)
 
 
@@ -246,7 +246,7 @@ def test_system_peak_stays_within_two_tables():
 
 @pytest.mark.parametrize("tj", [401, 1000, 1001])
 def test_system_column_matches_eigh_oracle(tj):
-    A, _, two_js, _ = conjecture_system_d2(tj)
+    A, _, two_js = conjecture_system_d2(tj)
     assert two_js[-1] == tj
     assert np.abs(A[:, -1] - m0_weights_eigh(tj)[tj % 2 :: 2]).max() <= 1e-14
 
